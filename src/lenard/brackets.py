@@ -14,28 +14,16 @@ series in mu/l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from .errors import InvalidWitness
-from .field import DFun, NEG_INF, vec_is_zero
-from .functional import LocalFunctional, is_null_functional, variational_derivative
-from .operators import MatrixPsdOp, OperatorSum, structure_sum
-from .series import BiSeries, LambdaSeries
+from .field import DFun
+from .functional import LocalFunctional
+from .operators import MatrixPsdOp, _binomial_shift, structure_sum
+from .series import LambdaSeries
 
 DEFAULT_JACOBI_FLOORS = (-8, -8)
-
-
-def _jet_partials(f: DFun, i):
-    """{n: df/du_i^(n)} with zero entries dropped."""
-    out = {}
-    for j, n in f.jet_vars():
-        if j != i:
-            continue
-        p = f.partial(i, n)
-        if not p.is_zero():
-            out[n] = p
-    return out
 
 
 class SymbolTable:
@@ -58,37 +46,12 @@ class SymbolTable:
 
 def apply_symbol(sym: LambdaSeries, t: LambdaSeries, floor) -> LambdaSeries:
     """H(l+d) applied to a series: sum_q h_q (l+d)^q t, to the floor."""
-    from fractions import Fraction as Q
-
-    from .operators import binom
     ctx = sym.ctx
     if not t.coeffs:
         fl = None if sym.floor is None and t.floor is None else floor
         return LambdaSeries.zero(ctx, fl)
     t_top = int(t.top())
-    acc: Dict[int, DFun] = {}
-    for q, h in sym.coeffs.items():
-        if q + t_top < floor:
-            continue
-        for p, c in t.coeffs.items():
-            kmax = q if q >= 0 else q + p - floor
-            tower = c
-            for k in range(kmax + 1):
-                if k > 0:
-                    tower = tower.total_derivative()
-                    if tower.is_zero():
-                        break
-                deg = q + p - k
-                if deg < floor:
-                    continue
-                b = binom(q, k)
-                term = h * tower if b == 1 else h * tower * Q(b)
-                s = acc.get(deg)
-                s = term if s is None else s + term
-                if s.is_zero():
-                    acc.pop(deg, None)
-                else:
-                    acc[deg] = s
+    acc = _binomial_shift(sym.coeffs, t.coeffs, floor)
     # accuracy: unknown symbol terms (q < sym.floor) pollute up to sym.floor+t_top-1;
     # unknown t terms pollute up to sym_top + t.floor - 1
     fl = floor
@@ -132,8 +95,8 @@ def lambda_bracket(H, f: DFun, g: DFun, floor: int) -> LambdaSeries:
     """{f_l g}_H to the floor."""
     S = structure_sum(H)
     ell = S.ell
-    f_parts = [_jet_partials(f, i) for i in range(ell)]
-    g_parts = [_jet_partials(g, j) for j in range(ell)]
+    f_parts = [f.jet_partials(i) for i in range(ell)]
+    g_parts = [g.jet_partials(j) for j in range(ell)]
     M = max([m for ps in f_parts for m in ps], default=0)
     N = max([n for ps in g_parts for n in ps], default=0)
     if all(not ps for ps in f_parts) or all(not ps for ps in g_parts):
@@ -224,28 +187,16 @@ def evolutionary_bracket(P, Qv):
     """[P, Q]_i = sum (dQ_i/du_j^(n)) d^n P_j - (dP_i/du_j^(n)) d^n Q_j."""
     ctx = P[0].ctx
     ell = len(P)
-    towers_P = [_derivative_tower(p) for p in P]
-    towers_Q = [_derivative_tower(q) for q in Qv]
     out = []
     for i in range(ell):
         acc = ctx.zero()
         for jj in range(ell):
-            for n, c in _jet_partials(Qv[i], jj).items():
-                acc = acc + c * _tower_get(towers_P[jj], n)
-            for n, c in _jet_partials(P[i], jj).items():
-                acc = acc - c * _tower_get(towers_Q[jj], n)
+            for n, c in Qv[i].jet_partials(jj).items():
+                acc = acc + c * P[jj].derivative(n)
+            for n, c in P[i].jet_partials(jj).items():
+                acc = acc - c * Qv[jj].derivative(n)
         out.append(acc)
     return out
-
-
-def _derivative_tower(f):
-    return [f]
-
-
-def _tower_get(tower, n):
-    while len(tower) <= n:
-        tower.append(tower[-1].total_derivative())
-    return tower[n]
 
 
 def functional_action(P, h: LocalFunctional) -> LocalFunctional:

@@ -11,19 +11,17 @@ non-evolutionary equation at the blockage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from .errors import (AnsatzExhausted, HelmholtzFailure, InsufficientChain,
                      InvalidWitness, LengthMismatch, ThresholdNotMet, Undecidable)
 from .field import DFun, NEG_INF, vec_eq, vec_is_zero
-from .functional import (LocalFunctional, antiderivative, is_null_functional,
-                         is_self_adjoint_frechet, reduce_by_parts,
-                         variational_derivative)
-from .jacobi import AtomChain, AtomStructure
+from .functional import (LocalFunctional, antiderivative, is_self_adjoint_frechet,
+                         reduce_by_parts, variational_derivative)
+from .jacobi import AtomChain
 from .operators import MatrixPsdOp, RationalOpPair
-from .solve import (AnsatzSpace, in_span, kernel_of, reduce_span,
-                    solve_operator_equation)
+from .solve import AnsatzSpace, kernel_of, solve_operator_equation
 
 
 class StructurePair:
@@ -102,22 +100,16 @@ def verify_association(H, functional, P, witnesses) -> bool:
     else:
         grad = list(functional)
     # P = A1 F1
-    if not vec_eq(_apply_chain(pairs[0][0], witnesses[0]), P):
+    if not vec_eq(pairs[0][0].apply(witnesses[0]), P):
         return False
     # B_i F_i = A_{i+1} F_{i+1}
     for idx in range(len(pairs) - 1):
-        lhs = _apply_chain(pairs[idx][1], witnesses[idx])
-        rhs = _apply_chain(pairs[idx + 1][0], witnesses[idx + 1])
+        lhs = pairs[idx][1].apply(witnesses[idx])
+        rhs = pairs[idx + 1][0].apply(witnesses[idx + 1])
         if not vec_eq(lhs, rhs):
             return False
     # B_n F_n = grad
-    return vec_eq(_apply_chain(pairs[-1][1], witnesses[-1]), grad)
-
-
-def _apply_chain(chain, vec):
-    if isinstance(chain, AtomChain):
-        return chain.apply(vec)
-    return chain.apply(vec)
+    return vec_eq(pairs[-1][1].apply(witnesses[-1]), grad)
 
 
 @dataclass
@@ -758,7 +750,6 @@ def extend_left(chain: Chain, spaceG: AnsatzSpace, spaceF: AnsatzSpace,
         step = ChainStep(n, P, grad_new, h, witness_H=[F], witness_K=[G])
         chain.left_steps.append(step)
         if vec_is_zero(grad_new):
-            prior = [s.grad for s in chain.left_steps[:-1]]
             chain.left_status = ChainStatus(
                 "finite-type", "left", n,
                 "new gradient vanishes; the scheme repeats itself")

@@ -2,7 +2,8 @@
 
 Subcommands: check, chain, classify, export, presets.  Exit codes follow a
 fixed contract: 0 = holds / expected outcome, 1 = mathematically negative
-result (a witness is printed), 2 = inconclusive (truncation too shallow).
+result (a witness is printed), 2 = inconclusive (truncation too shallow)
+or unusable input, reported on stderr in one line.
 Blocked or finite chain outcomes are data, not failures: exit 0.
 
 A run is reproducible from its config: the same --config file (or flags)
@@ -22,20 +23,18 @@ from .chains import extend_left, extend_right
 from .errors import (InsufficientTruncation, LenardError, NothingToExport,
                      ParseError, Proportional, UnknownPreset)
 from .field import Context
-from .grammar import fun_latex, fun_text, parse_function, parse_operator
-from .jacobi import AtomStructure
+from .grammar import parse_operator
 from .liouville import (EMPIRICAL_PATTERNS, classification_table, classify,
                         empirical_class)
-from .operators import RationalOpPair, default_floor
-from .presets import (kn_spaces, liouville_spaces, load_preset, nls_k_solver,
-                      nls_h_solver, nls_spaces, preset_ids)
+from .presets import (liouville_spaces, load_preset, nls_k_solver, nls_h_solver,
+                      nls_spaces, preset_ids)
 from .report import (chain_record, classification_record, to_json,
                      verdict_record)
 from .solve import AnsatzSpace
 
 _CONFIG_KEYS = {
     "preset", "command", "what", "op", "direction", "steps", "floor",
-    "ansatz", "params", "format", "seed", "generators", "pattern",
+    "ansatz", "params", "format", "generators", "pattern",
     "verify_only", "empirical",
 }
 
@@ -335,8 +334,6 @@ def build_parser():
         p.add_argument("--floor", type=int)
         p.add_argument("--ansatz", help="N,d,p bounds for the solver")
         p.add_argument("--params", help="comma-separated k=v bindings")
-        p.add_argument("--seed", type=int, default=0,
-                       help="determinism seed for randomized property runs")
         p.add_argument("--session", help="write the machine result here")
 
     pc = sub.add_parser("check", help="skewadjointness / Jacobi / compatibility")
@@ -419,6 +416,9 @@ def main(argv=None):
         return 2
     except LenardError as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2
+    except Exception as e:
+        print("error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 2
 
 

@@ -376,13 +376,14 @@ def poly_key(a: Dict[Mono, Q]):
 class DFun:
     """An element of the differential function field (immutable)."""
 
-    __slots__ = ("ctx", "num", "den", "_key", "_dord", "_td")
+    __slots__ = ("ctx", "num", "den", "_key", "_dord", "_td", "_jp")
 
     def __init__(self, ctx, num, den, normalized=False):
         self.ctx = ctx
         self._key = None
         self._dord = -2  # sentinel: not yet computed
         self._td = None
+        self._jp = None
         if normalized:
             self.num = num
             self.den = den
@@ -571,6 +572,21 @@ class DFun:
             d = self._formal_partial(sid)
             if not d.is_zero():
                 out = out + d * rate * ctx.var_fun(sid)
+        return out
+
+    def jet_partials(self, i):
+        """{n: d/d(u_i^(n))} without zero entries; cached, so callers only read it."""
+        if self._jp is None:
+            self._jp = {}
+        out = self._jp.get(i)
+        if out is None:
+            out = {}
+            for j, n in self.jet_vars():
+                if j == i:
+                    p = self.partial(i, n)
+                    if not p.is_zero():
+                        out[n] = p
+            self._jp[i] = out
         return out
 
     def jet_vars(self):

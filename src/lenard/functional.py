@@ -20,13 +20,9 @@ def variational_derivative(f: DFun):
     """delta f / delta u as a vector of length ell: sum_n (-d)^n df/du_i^(n)."""
     ctx = f.ctx
     out = []
-    jets = f.jet_vars()
     for i in range(ctx.ell):
         acc = ctx.zero()
-        for j, n in jets:
-            if j != i:
-                continue
-            term = f.partial(i, n)
+        for n, term in f.jet_partials(i).items():
             for _ in range(n):
                 term = -term.total_derivative()
             acc = acc + term
@@ -34,24 +30,12 @@ def variational_derivative(f: DFun):
     return out
 
 
-def frechet_symbol_entry(F, i, j, lam_shift=0):
-    """Coefficients of the Frechet derivative operator D_F[i][j] = sum_n dF_i/du_j^(n) d^n."""
-    coeffs = {}
-    for jj, n in F[i].jet_vars():
-        if jj != j:
-            continue
-        p = F[i].partial(j, n)
-        if not p.is_zero():
-            coeffs[n] = p
-    return coeffs
-
-
 def is_self_adjoint_frechet(xi):
     """Helmholtz condition: the Frechet derivative of xi is formally self-adjoint."""
     from .operators import MatrixPsdOp, ScalarPsdOp
     ctx = xi[0].ctx
     ell = len(xi)
-    entries = [[ScalarPsdOp(ctx, frechet_symbol_entry(xi, i, j)) for j in range(ell)]
+    entries = [[ScalarPsdOp(ctx, xi[i].jet_partials(j)) for j in range(ell)]
                for i in range(ell)]
     D = MatrixPsdOp(entries)
     return (D - D.adjoint()).is_zero()

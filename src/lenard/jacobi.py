@@ -314,49 +314,6 @@ def _grid_mul_lambda_series(g: BiSeries, s: LambdaSeries) -> BiSeries:
     return BiSeries(ctx, out, (fl, g.floors[1]))
 
 
-def _shift_series(ser: LambdaSeries, j: int, floor: Optional[int]) -> LambdaSeries:
-    """(v+d)^j on a series in its own variable v.
-
-    For j >= 0 the binomial is finite and exactness is preserved; for j < 0
-    the tail is truncated at the floor (required then).
-    """
-    ctx = ser.ctx
-    if j < 0 and floor is None:
-        raise InsufficientTruncation("negative shift needs a floor")
-    out: Dict[int, DFun] = {}
-    for p, c in ser.coeffs.items():
-        kmax = j if j >= 0 else j + p - floor
-        tower = c
-        for k in range(kmax + 1):
-            if k > 0:
-                tower = tower.total_derivative()
-                if tower.is_zero():
-                    break
-            deg = p + j - k
-            if floor is not None and deg < floor:
-                continue
-            b = binom(j, k)
-            term = tower if b == 1 else tower * Q(b)
-            acc = out.get(deg)
-            acc = term if acc is None else acc + term
-            if acc.is_zero():
-                out.pop(deg, None)
-            else:
-                out[deg] = acc
-    if j >= 0:
-        if ser.floor is None:
-            fl = None if floor is None else floor
-            if floor is None:
-                fl = None
-        else:
-            fl = ser.floor + j
-            if floor is not None:
-                fl = max(fl, floor)
-    else:
-        fl = floor if ser.floor is None else max(floor, ser.floor)
-    return LambdaSeries(ctx, out, fl)
-
-
 def _grid_mu_shift(g: BiSeries, r: int, mu_floor: Optional[int]) -> BiSeries:
     """(m+d)^r along the second variable of a grid."""
     ctx = g.ctx
@@ -368,7 +325,7 @@ def _grid_mu_shift(g: BiSeries, r: int, mu_floor: Optional[int]) -> BiSeries:
     out: Dict[Tuple[int, int], DFun] = {}
     fm = mu_floor
     for p, sl in slices.items():
-        ser = _shift_series(LambdaSeries(ctx, sl, g.floors[1]), r, mu_floor)
+        ser = LambdaSeries(ctx, sl, g.floors[1]).apply_shift(r, floor=mu_floor)
         if ser.floor is not None:
             fm = ser.floor if fm is None else max(fm, ser.floor)
         for q, c in ser.coeffs.items():
@@ -454,7 +411,7 @@ class JacobiEngine:
         """{u_i v f} to the floor."""
         from .brackets import master_bracket
         ui = [{0: self.ctx.one()} if r == i else {} for r in range(self.ell)]
-        g_parts = [_partials_cached(f, r) for r in range(self.ell)]
+        g_parts = [f.jet_partials(r) for r in range(self.ell)]
         if all(not ps for ps in g_parts):
             return LambdaSeries.zero(self.ctx, None)
         return master_bracket(self.sym, ui, g_parts, floor)
@@ -463,7 +420,7 @@ class JacobiEngine:
         """{f v u_k} to the floor."""
         from .brackets import master_bracket
         uk = [{0: self.ctx.one()} if r == k else {} for r in range(self.ell)]
-        f_parts = [_partials_cached(f, r) for r in range(self.ell)]
+        f_parts = [f.jet_partials(r) for r in range(self.ell)]
         if all(not ps for ps in f_parts):
             return LambdaSeries.zero(self.ctx, None)
         return master_bracket(self.sym, f_parts, uk, floor)
@@ -474,7 +431,7 @@ class JacobiEngine:
         val = LambdaSeries.of_fun(ctx.one())
         for kind, data in reversed(atoms):
             if kind == "d":
-                val = _shift_series(val, data, floor if data < 0 else None)
+                val = val.apply_shift(data, floor=floor if data < 0 else None)
             else:
                 val = val.scale(data)
         return val
@@ -514,7 +471,7 @@ class JacobiEngine:
         for kind, data in reversed(atoms):
             if kind == "d":
                 cur = _grid_trinomial(cur, data, lam_floor, mu_floor)
-                suffix = _shift_series(suffix, data, mu_floor if data < 0 else None)
+                suffix = suffix.apply_shift(data, floor=mu_floor if data < 0 else None)
             else:
                 f = data
                 br = self._bracket_gen_fun(i, f, lam_floor)
@@ -537,7 +494,7 @@ class JacobiEngine:
         for p, e in inner.coeffs.items():
             if p < fl:
                 continue
-            eparts = [_partials_cached(e, r) for r in range(self.ell)]
+            eparts = [e.jet_partials(r) for r in range(self.ell)]
             if all(not ps for ps in eparts):
                 continue
             ser = master_bracket(self.sym, uj, eparts, fm)
@@ -622,23 +579,3 @@ class JacobiEngine:
         T3 = self.t3_grid(i, j, k)
         return T1 - T2 - T3
 
-
-_PARTIALS_CACHE: Dict[Tuple[int, int], Tuple[DFun, Dict[int, DFun]]] = {}
-
-
-def _partials_cached(f: DFun, i):
-    key = (id(f), i)
-    hit = _PARTIALS_CACHE.get(key)
-    if hit is not None and hit[0] is f:
-        return hit[1]
-    out = {}
-    for jj, n in f.jet_vars():
-        if jj != i:
-            continue
-        p = f.partial(i, n)
-        if not p.is_zero():
-            out[n] = p
-    _PARTIALS_CACHE[key] = (f, out)
-    if len(_PARTIALS_CACHE) > 200000:
-        _PARTIALS_CACHE.clear()
-    return out

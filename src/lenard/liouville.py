@@ -11,12 +11,12 @@ links before it is returned.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
-from .chains import StructurePair, verify_association
+from .chains import verify_association
 from .errors import ParamDegenerate, Proportional
 from .field import Context, DFun
-from .functional import LocalFunctional, variational_derivative
+from .functional import variational_derivative
 from .presets import liouville_fraction
 
 
@@ -531,7 +531,7 @@ def empirical_class(a_pattern, b_pattern):
                          extend_right)
     from .errors import AnsatzExhausted
     from .field import Context, vec_is_zero
-    from .functional import LocalFunctional, variational_derivative
+    from .functional import variational_derivative
     from .presets import load_liouville, liouville_spaces
     from .solve import AnsatzSpace, in_span, kernel_of, solve_operator_equation
 

@@ -14,7 +14,7 @@ denominators, expanded on demand by leading-term inversion.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .errors import (InsufficientTruncation, NotDifferential, SingularLeadingSymbol,
                      ZeroDivisor)
@@ -30,6 +30,47 @@ def binom(m: int, k: int) -> int:
     out = 1
     for j in range(k):
         out = out * (m - j) // (j + 1)
+    return out
+
+
+def _binomial_shift(h: Dict[int, DFun], t: Dict[int, DFun], floor: Optional[int] = None,
+                    out: Optional[Dict[int, DFun]] = None) -> Dict[int, DFun]:
+    """h(l+d) applied to t: sum of binom(q, k) h_q t_p^(k) at degree q+p-k.
+
+    Degrees below the floor are dropped.  For q >= 0 the k-sum is finite; for
+    q < 0 it runs down to the floor, or, without one, until a derivative
+    vanishes (InsufficientTruncation past k = 80).  Terms are added into
+    `out` when it is given.
+    """
+    if out is None:
+        out = {}
+    for q, a in h.items():
+        unit = a.is_one()
+        for p, c in t.items():
+            kmax = q if q >= 0 else None
+            if floor is not None:
+                kmax = q + p - floor if kmax is None else min(kmax, q + p - floor)
+            k = 0
+            while kmax is None or k <= kmax:
+                if k:
+                    c = c.total_derivative()
+                if c.is_zero():
+                    break
+                if kmax is None and k > 80:
+                    raise InsufficientTruncation(
+                        "composition has an infinite tail; pass a floor")
+                b = binom(q, k)
+                term = c if unit else a * c
+                if b != 1:
+                    term = term * Q(b)
+                deg = q + p - k
+                s = out.get(deg)
+                s = term if s is None else s + term
+                if s.is_zero():
+                    out.pop(deg, None)
+                else:
+                    out[deg] = s
+                k += 1
     return out
 
 
@@ -151,42 +192,7 @@ class ScalarPsdOp:
             raise InsufficientTruncation(
                 "requested floor %d below supported %d" % (floor, derived))
         out_floor = floor if floor is not None else derived
-        out: Dict[int, DFun] = {}
-        for n, b in other.coeffs.items():
-            # derivative tower of b, extended on demand
-            tower = [b]
-            for m, a in self.coeffs.items():
-                if m >= 0:
-                    kmax = m
-                else:
-                    if out_floor is None:
-                        kmax = None  # must terminate by itself
-                    else:
-                        kmax = m + n - out_floor
-                k = 0
-                while kmax is None or k <= kmax:
-                    while len(tower) <= k:
-                        nxt = tower[-1].total_derivative()
-                        tower.append(nxt)
-                    bk = tower[k]
-                    if bk.is_zero():
-                        break
-                    if kmax is None and k > 80:
-                        raise InsufficientTruncation(
-                            "composition has an infinite tail; pass a floor")
-                    deg = m + n - k
-                    if out_floor is not None and deg < out_floor:
-                        k += 1
-                        continue
-                    c = binom(m, k)
-                    term = a * bk if c == 1 else a * bk * Q(c)
-                    s = out.get(deg)
-                    s = term if s is None else s + term
-                    if s.is_zero():
-                        out.pop(deg, None)
-                    else:
-                        out[deg] = s
-                    k += 1
+        out = _binomial_shift(self.coeffs, other.coeffs, out_floor)
         return ScalarPsdOp(ctx, out, out_floor)
 
     def __matmul__(self, other):
@@ -200,37 +206,7 @@ class ScalarPsdOp:
             out_floor = self.floor if floor is None else max(floor, self.floor)
         out: Dict[int, DFun] = {}
         for n, a in self.coeffs.items():
-            sign = -1 if n % 2 else 1
-            tower = [a]
-            k = 0
-            while True:
-                if n >= 0:
-                    if k > n:
-                        break
-                else:
-                    if out_floor is None:
-                        if tower[k].is_zero():
-                            break
-                        if k > 80:
-                            raise InsufficientTruncation(
-                                "adjoint has an infinite tail; pass a floor")
-                    elif n - k < out_floor:
-                        break
-                ak = tower[k]
-                if ak.is_zero() and n < 0:
-                    break
-                if not ak.is_zero():
-                    c = binom(n, k) * sign
-                    term = ak if c == 1 else ak * Q(c)
-                    deg = n - k
-                    s = out.get(deg)
-                    s = term if s is None else s + term
-                    if s.is_zero():
-                        out.pop(deg, None)
-                    else:
-                        out[deg] = s
-                tower.append(tower[-1].total_derivative())
-                k += 1
+            _binomial_shift({n: ctx.const(-1 if n % 2 else 1)}, {0: a}, out_floor, out)
         return ScalarPsdOp(ctx, out, out_floor)
 
     def apply(self, f: DFun) -> DFun:

@@ -8,12 +8,10 @@ by default; bind_params gives a numeric copy for faster regression runs.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
-from typing import Dict, List, Optional
 
-from .chains import Chain, ChainStep, StructurePair, verify_association
+from .chains import Chain, ChainStep, StructurePair
 from .errors import UnknownPreset, ValidationFailure
-from .field import Context, DFun
+from .field import Context
 from .functional import LocalFunctional, variational_derivative
 from .jacobi import AtomChain, AtomStructure, SumChain
 from .operators import OperatorSum, RationalOpPair, verify_fraction
@@ -220,7 +218,7 @@ def _liouville_seed(ctx, case, a, b):
     return steps
 
 
-def load_liouville(case="i", a1_nonzero=True, bind=None) -> Preset:
+def load_liouville(case="i", a1_nonzero=True) -> Preset:
     if case not in _LIOUVILLE_CASES:
         raise UnknownPreset("liouville case %r" % case)
     names = ["a2", "a3", "b2", "b3"] + (["a1"] if a1_nonzero else [])
@@ -235,7 +233,7 @@ def load_liouville(case="i", a1_nonzero=True, bind=None) -> Preset:
         "H_sum": liouville_structure_atoms(ctx, a1, a2, a3),
         "K_sum": liouville_structure_atoms(ctx, b1, b2, b3),
     })
-    _validate(pre, bind)
+    _validate(pre)
     return pre
 
 
@@ -268,7 +266,7 @@ def kn_Du1(ctx):
     return ((1 / u1) * (u2 / u1).total_derivative()).total_derivative()
 
 
-def load_kn(a_value=None, bind=None) -> Preset:
+def load_kn(a_value=None) -> Preset:
     """H = Sokolov + a Dorfman, K = Dorfman, with the four-step seed chain."""
     ctx = kn_context(symbolic_a=a_value is None)
     a = ctx.param("a") if a_value is None else ctx.const(a_value)
@@ -314,7 +312,7 @@ def load_kn(a_value=None, bind=None) -> Preset:
         "K_sum": OperatorSum([(one, dorf)]),
         "sokolov": sok, "dorfman": dorf,
     })
-    _validate(pre, bind)
+    _validate(pre)
     return pre
 
 
@@ -328,7 +326,7 @@ def kn_spaces(ctx, step_index):
     return spaceF
 
 
-def load_kn0(bind=None) -> Preset:
+def load_kn0() -> Preset:
     """The a = 0 case: H = Sokolov = 1 S^-1, K = Dorfman = 1 D^-1."""
     ctx = kn_context(symbolic_a=False)
     u, u1, u2 = ctx.u(0), ctx.u(1), ctx.u(2)
@@ -347,7 +345,7 @@ def load_kn0(bind=None) -> Preset:
     pre = Preset("kn0", ctx, H, K, chain, {
         "h0": h0, "H_sum": OperatorSum([(one, sok)]), "sokolov": sok,
     })
-    _validate(pre, bind)
+    _validate(pre)
     return pre
 
 
@@ -355,7 +353,7 @@ def load_kn0(bind=None) -> Preset:
 # NLS family (two components)
 
 
-def load_nls(bind=None) -> Preset:
+def load_nls() -> Preset:
     """H = d + a2 L2 + a3 L3, K = L2 + b3 L3 on generators (u, v)."""
     ctx = Context(("u", "v"), ("a2", "a3", "b3"))
     a2, a3, b3 = ctx.param("a2"), ctx.param("a3"), ctx.param("b3")
@@ -424,7 +422,7 @@ def load_nls(bind=None) -> Preset:
         "P2": P2,
         "ker_B": [zero, 1 / u], "ker_C": [-b3 * u, 1 / u],
     })
-    _validate(pre, bind)
+    _validate(pre)
     return pre
 
 
@@ -496,7 +494,7 @@ def nls_k_solver(pre: Preset):
 # validation and the registry
 
 
-def _validate(pre: Preset, bind=None):
+def _validate(pre: Preset):
     """Embedded checks: fraction expansions and every stored witness."""
     chain = pre.chain
     if not chain.verify():
@@ -556,18 +554,18 @@ _LOADERS = {
 }
 
 
-def load_preset(pid, bind=None, **kwargs) -> Preset:
+def load_preset(pid, **kwargs) -> Preset:
     """Load a preset by id: kn, kn0, nls, or liouville-<case>."""
     if pid.startswith("liouville-"):
         case = pid.split("-", 1)[1]
         a1_nonzero = kwargs.pop("a1_nonzero", True)
-        return load_liouville(case, a1_nonzero=a1_nonzero, bind=bind)
+        return load_liouville(case, a1_nonzero=a1_nonzero)
     if pid == "liouville":
-        return load_liouville("i", bind=bind)
+        return load_liouville("i")
     loader = _LOADERS.get(pid)
     if loader is None:
         raise UnknownPreset(pid)
-    return loader(bind=bind, **kwargs)
+    return loader(**kwargs)
 
 
 def preset_ids():

@@ -8,12 +8,11 @@ identical configs produce byte-identical output (golden-file friendly).
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .chains import Chain
 from .field import DFun
 from .functional import LocalFunctional
-from .grammar import fun_latex, fun_text, vec_latex, vec_text
+from .grammar import fun_latex, fun_text
 
 
 def _fmt(v, latex=False):

@@ -2,18 +2,16 @@
 
 LambdaSeries: a map power -> coefficient with an accuracy floor (None =
 every stored coefficient list is complete).  BiSeries: the same in two
-variables, used as the common comparison domain for the Jacobi identity;
-(l+m)^q with q < 0 is expanded by the geometric series in m/l, so negative
-powers of the second variable never arise from that substitution.
+variables, used as the common comparison domain for the Jacobi identity.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
+from .errors import InsufficientTruncation
 from .field import DFun, NEG_INF
-from .operators import binom
+from .operators import _binomial_shift
 
 
 def _jf(a, b):
@@ -76,65 +74,26 @@ class LambdaSeries:
         fl = None if self.floor is None else self.floor + k
         return LambdaSeries(self.ctx, {p + k: c for p, c in self.coeffs.items()}, fl)
 
-    def apply_shift(self, n, sign=1):
-        """Apply (sign*(lambda + d))^n for n >= 0: binomial expansion with
-        total derivatives acting on the coefficients."""
-        if n < 0:
-            raise ValueError("apply_shift needs n >= 0")
-        out: Dict[int, DFun] = {}
-        fl = None if self.floor is None else self.floor + n
-        sgn = Q(1) if sign == 1 or n % 2 == 0 else Q(-1)
-        for p, c in self.coeffs.items():
-            tower = c
-            for k in range(n + 1):
-                if k > 0:
-                    tower = tower.total_derivative()
-                if tower.is_zero():
-                    break
-                b = binom(n, k)
-                term = tower if b == 1 else tower * Q(b)
-                deg = p + n - k
-                s = out.get(deg)
-                s = term if s is None else s + term
-                if s.is_zero():
-                    out.pop(deg, None)
-                else:
-                    out[deg] = s
+    def apply_shift(self, n, sign=1, floor=None):
+        """Apply (sign*(lambda + d))^n: binomial expansion with total
+        derivatives acting on the coefficients.  Exact for n >= 0 without a
+        floor; a negative n has an infinite tail and needs one."""
+        if n < 0 and floor is None:
+            raise InsufficientTruncation("negative shift needs a floor")
+        out = _binomial_shift({n: self.ctx.one()}, self.coeffs, floor)
+        if self.floor is None:
+            fl = floor
+        elif n >= 0:
+            fl = self.floor + n if floor is None else max(self.floor + n, floor)
+        else:
+            fl = max(floor, self.floor)
         res = LambdaSeries(self.ctx, out, fl)
-        return res if sgn == 1 else res.scale(self.ctx.const(sgn))
+        return res if sign == 1 or n % 2 == 0 else res.scale(self.ctx.const(-1))
 
     def truncate(self, floor):
         fl = floor if self.floor is None else max(self.floor, floor)
         return LambdaSeries(self.ctx, {p: c for p, c in self.coeffs.items() if p >= fl},
                             fl)
-
-    def substitute_sum(self, floors: Tuple[int, int]) -> "BiSeries":
-        """lambda -> (lambda + mu), expanding negative powers in mu/lambda."""
-        fl, fm = floors
-        out: Dict[Tuple[int, int], DFun] = {}
-        for q, c in self.coeffs.items():
-            if q >= 0:
-                kmax = q
-            else:
-                kmax = q - fl  # lambda power q - k >= fl
-            for k in range(0, kmax + 1):
-                lp = q - k
-                if lp < fl or k < fm:
-                    continue
-                b = binom(q, k)
-                term = c if b == 1 else c * Q(b)
-                key = (lp, k)
-                s = out.get(key)
-                s = term if s is None else s + term
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        bfl = fl if self.floor is None else None
-        if self.floor is not None:
-            # unknown powers q < self.floor reach lambda-powers <= q <= floor-1
-            bfl = max(fl, self.floor)
-        return BiSeries(self.ctx, out, (bfl, fm))
 
     def __str__(self):
         if not self.coeffs:
@@ -165,26 +124,6 @@ class BiSeries:
     @classmethod
     def zero(cls, ctx, floors):
         return cls(ctx, {}, floors)
-
-    @classmethod
-    def from_lambda_outer(cls, series_by_mu_power, floors):
-        """Assemble sum_q (lambda-series)_q mu^q."""
-        ctx = None
-        out = {}
-        fl = None
-        for q, ser in series_by_mu_power.items():
-            ctx = ser.ctx
-            fl = _jf(fl, ser.floor)
-            for p, c in ser.coeffs.items():
-                key = (p, q)
-                s = out.get(key)
-                s = c if s is None else s + c
-                if not s.is_zero():
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        lam_floor = floors[0] if fl is None else max(floors[0], fl)
-        return cls(ctx, out, (lam_floor, floors[1]))
 
     def join_floors(self, other):
         a, b = self.floors, other.floors

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from .errors import AnsatzExhausted
 from .field import DFun, ONE_MONO, poly_key, poly_mul

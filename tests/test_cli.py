@@ -177,3 +177,16 @@ def test_entry_point_installed():
     proc = subprocess.run([sys.executable, "-m", "lenard.cli", "presets"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--pattern", "b=(0,1)"],
+    ["chain", "--preset", "liouville-v", "--ansatz", "x", "--steps", "1"],
+    ["check", "--op", "frac(D,D^2)", "--what", "jacobi"],
+])
+def test_unexpected_errors_exit_2_without_traceback(argv):
+    proc = subprocess.run([sys.executable, "-m", "lenard.cli"] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -9,6 +9,7 @@ from lenard.field import Context
 from lenard.operators import (MatrixPsdOp, OperatorSum, RationalOpPair,
                               ScalarPsdOp, default_floor, is_nondegenerate,
                               right_lcm, skew_divide, verify_fraction)
+from lenard.series import LambdaSeries
 
 from conftest import random_dfun
 
@@ -213,3 +214,43 @@ def test_fraction_times_denominator(ctx):
     B = D.compose(m(1 / u2)).compose(D)
     H = RationalOpPair.fraction(A, B)
     assert check_fraction_times_denominator(H)
+
+
+def test_compose_agrees_with_successive_application(ctx, rng):
+    # apply works on a derivative tower of its own, not on the shift kernel
+    for _ in range(6):
+        A = ScalarPsdOp(ctx, {n: random_dfun(ctx, rng, max_dord=1)
+                              for n in range(rng.randint(0, 2) + 1)})
+        B = ScalarPsdOp(ctx, {n: random_dfun(ctx, rng, max_dord=1, denominator=True)
+                              for n in range(rng.randint(0, 2) + 1)})
+        f = random_dfun(ctx, rng)
+        assert A.compose(B).apply(f) == A.apply(B.apply(f))
+
+
+def test_shift_group_law_to_floor(ctx, rng):
+    floor = -5
+    ser = LambdaSeries(ctx, {1: random_dfun(ctx, rng, max_dord=1),
+                             0: random_dfun(ctx, rng, max_dord=1),
+                             -1: random_dfun(ctx, rng, max_dord=1)}, None)
+    for a in range(-2, 3):
+        for b in range(-2, 3):
+            two = ser.apply_shift(b, floor=floor).apply_shift(a, floor=floor)
+            one = ser.apply_shift(a + b, floor=floor)
+            diff = two - one
+            assert diff.is_zero_to(diff.floor), (a, b)
+            assert diff.floor <= floor + max(a, 0)
+
+
+def test_jet_partials_match_partial(ctx, rng):
+    u1 = ctx.u(1)
+    e = ctx.adjoin_exp_u(ctx.const(3))
+    s = ctx.adjoin_sqrt(ctx.param("b2") + ctx.param("b3") * u1 * u1)
+    samples = [random_dfun(ctx, rng, denominator=True, symbols=(e, s))
+               for _ in range(6)] + [e * ctx.u(2), s / u1, ctx.param("b2")]
+    for f in samples:
+        want = {n: f.partial(0, n) for n in range(5)}
+        want = {n: p for n, p in want.items() if not p.is_zero()}
+        got = f.jet_partials(0)
+        assert sorted(got) == sorted(want)
+        assert all(got[n] == want[n] for n in want)
+        assert f.jet_partials(0) is got
