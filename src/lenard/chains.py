@@ -141,9 +141,6 @@ class NonlocalVectorField:
     local: DFun
     terms: List[NonlocalTerm]
 
-    def is_local(self):
-        return not self.terms
-
     def __str__(self):
         parts = [str(self.local)] if not self.local.is_zero() else []
         for t in self.terms:
@@ -232,9 +229,6 @@ class Chain:
             prev_grad = step.grad
         return True
 
-    def recorded_dords(self):
-        return [(s.index,) + s.dords() for s in self.steps]
-
 
 # ---------------------------------------------------------------------------
 # functional reconstruction
@@ -300,15 +294,14 @@ def reconstruct_functional(xi, space: AnsatzSpace) -> Optional[LocalFunctional]:
 def extend_right(chain: Chain, spaceF: AnsatzSpace, spaceG: AnsatzSpace,
                  steps=1, h_space: Optional[AnsatzSpace] = None,
                  keep_constants=False, k_solver=None, h_solver=None,
-                 space_factory=None, den_kernel=None) -> Chain:
+                 den_kernel=None) -> Chain:
     """Grow the chain to the right: solve the H-link then the K-link.
 
     New steps are canonicalized: F is reduced modulo ker(B) by leading
     monomials, so repeated runs are identical.  When keep_constants is set,
     the kernel directions are added back with fresh symbolic constants.
     k_solver, when given, solves the K-link (C G = P) in closed form and
-    returns G or None (falls back to the ansatz); space_factory(index)
-    overrides spaceF per step.
+    returns G or None (falls back to the ansatz).
     """
     ctx = chain.ctx
     H, K = chain.H, chain.K
@@ -317,7 +310,6 @@ def extend_right(chain: Chain, spaceF: AnsatzSpace, spaceG: AnsatzSpace,
             return chain
         xi_prev = chain.last().grad
         n = chain.last().index + 1
-        sF = space_factory(n) if space_factory is not None else spaceF
         F = None
         kernel = chain._kerB_cache
         hs = h_solver
@@ -331,15 +323,15 @@ def extend_right(chain: Chain, spaceF: AnsatzSpace, spaceG: AnsatzSpace,
             if kernel is None:
                 if den_kernel is not None:
                     kernel = den_kernel
-                elif sF is not None:
-                    kernel = kernel_of(H.den.apply, sF, ell=H.ell)
+                elif spaceF is not None:
+                    kernel = kernel_of(H.den.apply, spaceF, ell=H.ell)
                 else:
                     kernel = []
                 chain._kerB_cache = kernel
             solF_kernel = kernel
         else:
             try:
-                solF = solve_operator_equation(H.den.apply, xi_prev, sF)
+                solF = solve_operator_equation(H.den.apply, xi_prev, spaceF)
             except AnsatzExhausted as e:
                 chain.status = ChainStatus("blocked", "right", n, str(e))
                 return chain

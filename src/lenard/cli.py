@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from fractions import Fraction
 
 from .brackets import check_compatible, check_jacobi, check_skewadjoint
 from .chains import extend_left, extend_right
@@ -55,14 +57,18 @@ def read_config(path):
     return out
 
 
+_PATTERN = re.compile(r"([ab])=\(([01]),([01]),([01])\),([ab])=\(([01]),([01]),([01])\)")
+
+
 def _parse_pattern(text):
     # "b=(0,1,1),a=(1,0,0)"
-    parts = dict(p.split("=", 1) for p in text.replace(" ", "").split("),") if p)
-    clean = {}
-    for k, v in parts.items():
-        v = v.strip("()")
-        clean[k] = tuple(int(t) for t in v.split(","))
-    return clean.get("a"), clean.get("b")
+    m = _PATTERN.fullmatch(text.replace(" ", ""))
+    if m is None or m.group(1) == m.group(5):
+        raise LenardError("--pattern: expected a=(x,x,x),b=(x,x,x) with 0/1 "
+                          "entries, got %r" % text)
+    g = m.groups()
+    parts = {g[0]: tuple(int(t) for t in g[1:4]), g[4]: tuple(int(t) for t in g[5:8])}
+    return parts["a"], parts["b"]
 
 
 def _structure_from_args(args, ctx=None):
@@ -124,59 +130,66 @@ def cmd_check(args):
 
 
 def _preset_tooling(pre):
-    """(spaceF, spaceG, k_solver, h_solver, den_kernel, space_factory)."""
+    """(spaceF, spaceG, k_solver, h_solver, den_kernel)."""
     pid = pre.id
     ctx = pre.ctx
     if pid.startswith("liouville"):
         b = pre.extras["b"]
         spF, spG = liouville_spaces(ctx, b[1], b[2])
-        return spF, spG, None, None, None, None
+        return spF, spG, None, None, None
     if pid == "kn":
         ker = [[f] for f in pre.extras["kernel_B"]]
-        return None, None, None, None, ker, None
-    if pid == "kn0":
-        return None, None, None, None, None, None
+        return None, None, None, None, ker
     if pid == "nls":
         spF, spG = nls_spaces(ctx)
-        return (spF, spG, nls_k_solver(pre), nls_h_solver(pre), None, None)
-    return None, None, None, None, None, None
+        return spF, spG, nls_k_solver(pre), nls_h_solver(pre), None
+    return None, None, None, None, None
 
 
-def _parse_params(text):
+# the parameters each preset binds from --params, as load_preset keywords
+_PRESET_PARAMS = {"kn": {"a": "a_value"}}
+
+
+def _parse_params(text, preset):
+    """name=rational pieces, each a parameter the preset binds."""
+    bound = _PRESET_PARAMS.get(preset, {})
     out = {}
-    if not text:
-        return out
-    for piece in text.split(","):
-        k, v = piece.split("=", 1)
-        out[k.strip()] = v.strip()
+    for piece in text.split(",") if text else ():
+        if "=" not in piece:
+            raise LenardError("--params: expected name=value, got %r" % piece)
+        k, v = (t.strip() for t in piece.split("=", 1))
+        if k not in bound:
+            raise LenardError("--params: preset %r binds no parameter %r"
+                              % (preset, k))
+        try:
+            out[bound[k]] = Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise LenardError("--params: %s=%s is not a rational number" % (k, v))
     return out
 
 
-def _load_with_bindings(args):
-    kwargs = {}
-    params = _parse_params(getattr(args, "params", None))
-    if args.preset == "kn" and "a" in params:
-        kwargs["a_value"] = int(params["a"])
-    return load_preset(args.preset, **kwargs)
-
-
-def _ansatz_override(args, ctx):
-    if not getattr(args, "ansatz", None):
-        return None
-    parts = [int(t) for t in args.ansatz.split(",")]
-    while len(parts) < 3:
-        parts.append(0)
-    return AnsatzSpace(ctx, parts[0], parts[1], parts[2])
+def _parse_ansatz(text):
+    """The N,d,p solver bounds; missing trailing bounds are 0."""
+    try:
+        parts = [int(t) for t in text.split(",")]
+    except ValueError:
+        parts = []
+    if not 1 <= len(parts) <= 3:
+        raise LenardError("--ansatz: expected 1 to 3 comma-separated integers "
+                          "N,d,p, got %r" % text)
+    return parts + [0] * (3 - len(parts))
 
 
 def cmd_chain(args):
-    pre = _load_with_bindings(args)
+    if not args.preset:
+        raise LenardError("chain needs --preset")
+    kwargs = _parse_params(args.params, args.preset)
+    bounds = _parse_ansatz(args.ansatz) if args.ansatz else None
+    pre = load_preset(args.preset, **kwargs)
     steps = args.steps if args.steps is not None else 1
-    spF, spG, ks, hs, ker, fac = _preset_tooling(pre)
-    override = _ansatz_override(args, pre.ctx)
-    if override is not None:
-        spF = spG = override
-        fac = None
+    spF, spG, ks, hs, ker = _preset_tooling(pre)
+    if bounds is not None:
+        spF = spG = AnsatzSpace(pre.ctx, *bounds)
     if args.verify_only:
         ok = pre.chain.verify()
         _emit(args, {"preset": pre.id, "verified": ok,
@@ -199,7 +212,7 @@ def cmd_chain(args):
         extend_left(pre.chain, spG_l, spF_l, steps=steps, left_P=left_P)
     else:
         extend_right(pre.chain, spF, spG, steps=steps, k_solver=ks,
-                     h_solver=hs, den_kernel=ker, space_factory=fac,
+                     h_solver=hs, den_kernel=ker,
                      keep_constants=args.keep_constants)
     rec = chain_record(pre.chain, latex=args.format == "latex")
     _emit(args, {"preset": pre.id, "chain": rec})

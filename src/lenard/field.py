@@ -418,10 +418,6 @@ class DFun:
         ctx = self.ctx
         return all(ctx.is_param_var(v) for v in self._vars())
 
-    def is_quasiconstant(self):
-        """No dependence on any u_i^(n), directly or through symbols."""
-        return self.dord() is NEG_INF or self.dord() == NEG_INF
-
     def key(self):
         if self._key is None:
             self._key = (poly_key(self.num),
@@ -649,11 +645,6 @@ class DFun:
     def __repr__(self):
         return "DFun(%s)" % self
 
-    def sort_terms(self):
-        """Numerator terms in canonical (descending) order."""
-        return sorted(self.num.items(), key=lambda t: self.ctx.mono_sortkey(t[0]),
-                      reverse=True)
-
 
 # -- normalization ------------------------------------------------------------
 
@@ -860,18 +851,6 @@ def _poly_subs(ctx, a: Dict[Mono, Q], vid, value: DFun) -> DFun:
 
 # ---------------------------------------------------------------------------
 # vector helpers over DFun
-
-
-def vec_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def vec_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def vec_scale(a, c):
-    return [x * c for x in a]
 
 
 def vec_is_zero(a):

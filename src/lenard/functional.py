@@ -301,11 +301,6 @@ class LocalFunctional:
     def ctx(self):
         return self.density.ctx
 
-    def reduced(self):
-        """Canonical representative: integration-by-parts fixpoint."""
-        residue, _ = reduce_by_parts(self.density)
-        return LocalFunctional(residue)
-
     def gradient(self):
         return variational_derivative(self.density)
 

@@ -253,14 +253,9 @@ def _grid_scale_fun(g: BiSeries, f: DFun) -> BiSeries:
     return BiSeries(g.ctx, {pq: f * c for pq, c in g.coeffs.items()}, g.floors)
 
 
-def _grid_of_lambda(ser: LambdaSeries, mu_floor=None) -> BiSeries:
+def _grid_of_lambda(ser: LambdaSeries) -> BiSeries:
     return BiSeries(ser.ctx, {(p, 0): c for p, c in ser.coeffs.items()},
-                    (ser.floor, mu_floor))
-
-
-def _grid_of_mu(ser: LambdaSeries, lam_floor=None) -> BiSeries:
-    return BiSeries(ser.ctx, {(0, q): c for q, c in ser.coeffs.items()},
-                    (lam_floor, ser.floor))
+                    (ser.floor, None))
 
 
 def _series_mul_floors(fa, ta, fb, tb):
@@ -274,13 +269,13 @@ def _series_mul_floors(fa, ta, fb, tb):
     return out
 
 
-def _grid_mul_mu_series(g: BiSeries, s: LambdaSeries) -> BiSeries:
-    """Multiply by a series in the second variable."""
+def _grid_mul_series(g: BiSeries, s: LambdaSeries, axis: int) -> BiSeries:
+    """Multiply by a series in the first (axis 0) or second (axis 1) variable."""
     ctx = g.ctx
     out: Dict[Tuple[int, int], DFun] = {}
     for (p, q), c in g.coeffs.items():
-        for q2, c2 in s.coeffs.items():
-            key = (p, q + q2)
+        for n, c2 in s.coeffs.items():
+            key = (p + n, q) if axis == 0 else (p, q + n)
             v = c * c2
             acc = out.get(key)
             acc = v if acc is None else acc + v
@@ -288,30 +283,11 @@ def _grid_mul_mu_series(g: BiSeries, s: LambdaSeries) -> BiSeries:
                 out.pop(key, None)
             else:
                 out[key] = acc
-    gt = max((q for _, q in g.coeffs), default=0)
+    gt = max((pq[axis] for pq in g.coeffs), default=0)
     st = int(s.top()) if s.coeffs else 0
-    fm = _series_mul_floors(g.floors[1], gt, s.floor, st)
-    return BiSeries(ctx, out, (g.floors[0], fm))
-
-
-def _grid_mul_lambda_series(g: BiSeries, s: LambdaSeries) -> BiSeries:
-    """Multiply by a series in the first variable."""
-    ctx = g.ctx
-    out: Dict[Tuple[int, int], DFun] = {}
-    for (p, q), c in g.coeffs.items():
-        for p2, c2 in s.coeffs.items():
-            key = (p + p2, q)
-            v = c * c2
-            acc = out.get(key)
-            acc = v if acc is None else acc + v
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    gt = max((p for p, _ in g.coeffs), default=0)
-    st = int(s.top()) if s.coeffs else 0
-    fl = _series_mul_floors(g.floors[0], gt, s.floor, st)
-    return BiSeries(ctx, out, (fl, g.floors[1]))
+    floors = list(g.floors)
+    floors[axis] = _series_mul_floors(g.floors[axis], gt, s.floor, st)
+    return BiSeries(ctx, out, tuple(floors))
 
 
 def _grid_mu_shift(g: BiSeries, r: int, mu_floor: Optional[int]) -> BiSeries:
@@ -477,7 +453,7 @@ class JacobiEngine:
                 br = self._bracket_gen_fun(i, f, lam_floor)
                 cur = _grid_scale_fun(cur, f)
                 if br.coeffs or br.floor is not None:
-                    cur = cur + _grid_mul_mu_series(_grid_of_lambda(br, None), suffix)
+                    cur = cur + _grid_mul_series(_grid_of_lambda(br), suffix, 1)
                 suffix = suffix.scale(f)
         return cur
 
@@ -551,7 +527,7 @@ class JacobiEngine:
         f = data
         # piece 1: {f_s u_k} -> (suffix value * carrier)
         xval = self._path_value(rest, lam_floor)
-        prod = _grid_mul_lambda_series(carrier, xval)
+        prod = _grid_mul_series(carrier, xval, 0)
         ptop = max((p for p, _ in prod.coeffs), default=0)
         nu_floor = self.floors[0] - max(0, ptop) - 1
         dser = self._bracket_fun_gen(f, k, nu_floor)

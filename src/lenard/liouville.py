@@ -17,6 +17,7 @@ from .chains import verify_association
 from .errors import ParamDegenerate, Proportional
 from .field import Context, DFun
 from .functional import variational_derivative
+from .operators import binom
 from .presets import liouville_fraction
 
 
@@ -28,11 +29,6 @@ def double_factorial(n: int) -> int:
         out *= n
         n -= 2
     return out
-
-
-def binomial(n, k):
-    from .operators import binom
-    return binom(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +53,7 @@ def family_sqrt(ctx, a2, a3, b2, b3, n):
         return (g ** m) * s
 
     for k in range(n + 1):
-        c = Q(binomial(n, k)) * Q(double_factorial(2 * n - 1 - 2 * k))
+        c = Q(binom(n, k)) * Q(double_factorial(2 * n - 1 - 2 * k))
         coeffP = ctx.const(c / Q(double_factorial(2 * n - 2 * k)))
         coeffH = ctx.const(c / Q(double_factorial(2 * n - 2 * k + 2)))
         corer = delta ** (n + 1 - k) * a3 ** k / gpow_half(n - k)
@@ -79,7 +75,7 @@ def family_odd_powers(ctx, a2, a3, b2, n):
     P = ctx.zero()
     h = ctx.zero()
     for k in range(n + 1):
-        c = Q(binomial(n, k)) * Q(double_factorial(2 * k - 1))
+        c = Q(binom(n, k)) * Q(double_factorial(2 * k - 1))
         coeffP = ctx.const(c / Q(double_factorial(2 * k)))
         coeffH = ctx.const(c / Q(double_factorial(2 * k + 2)))
         core = a2 ** (n - k) * a3 ** k
@@ -99,7 +95,7 @@ def family_inverse_powers(ctx, a2, a3, b3, n):
     P = ctx.zero()
     h = ctx.zero()
     for k in range(n + 1):
-        c = Q(binomial(n, k)) * Q(double_factorial(2 * k - 1))
+        c = Q(binom(n, k)) * Q(double_factorial(2 * k - 1))
         coeffP = ctx.const(c / Q(double_factorial(2 * k)))
         coeffH = ctx.const(c / Q(double_factorial(2 * k + 2)))
         core = a3 ** (n - k) * a2 ** k
@@ -110,23 +106,6 @@ def family_inverse_powers(ctx, a2, a3, b3, n):
 
 # ---------------------------------------------------------------------------
 # C2-type polynomial recursions (b1 != 0)
-
-
-def _poly_antiderivative_x(ctx, p: DFun, order=1):
-    """(d/dx)^-order of an x-polynomial, integration constants set to zero."""
-    out = p
-    for _ in range(order):
-        acc = ctx.zero()
-        for mono, c in out.num.items():
-            deg = 0
-            for v, e in mono:
-                if v == ctx.x_id:
-                    deg = e
-            acc = acc + DFun(ctx, {tuple((v, e) for v, e in mono
-                                         if v != ctx.x_id): c}, ()) \
-                * ctx.x() ** (deg + 1) / (deg + 1)
-        out = acc
-    return out
 
 
 def pq_recursion(ctx, a1, ax, b1, bx, n, var_is_x=True):
@@ -299,131 +278,71 @@ def closed_form_family(family, params, n, verify=True):
     b2 = vals.get("b2", zero)
     b3 = vals.get("b3", zero)
     u1 = ctx.u(1)
+    vd = variational_derivative
 
     if family == "sqrt":
         seq = [family_sqrt(ctx, a2, a3, b2, b3, k) for k in range(n + 1)]
         if verify:
-            _verify_sqrt_family(ctx, a2, a3, b2, b3, seq)
+            _verify_links(family, liouville_fraction(ctx, zero, a2, a3),
+                          liouville_fraction(ctx, zero, b2, b3),
+                          [(P, vd(h), [-h], [-h]) for P, h in seq])
         return ctx, seq
     if family == "odd-powers":
         seq = [family_odd_powers(ctx, a2, a3, b2, k) for k in range(n + 1)]
         if verify:
-            _verify_poly_family(ctx, (a2, a3), (b2, b3), seq, inverse=False)
+            _verify_links(family, liouville_fraction(ctx, zero, a2, a3),
+                          liouville_fraction(ctx, zero, b2, b3),
+                          [(P, vd(h), [P / b2], [-h]) for P, h in seq])
         return ctx, seq
     if family == "inverse-powers":
         seq = [family_inverse_powers(ctx, a2, a3, b3, k) for k in range(n + 1)]
         if verify:
-            _verify_poly_family(ctx, (a2, a3), (b2, b3), seq, inverse=True)
+            _verify_links(family, liouville_fraction(ctx, zero, a2, a3),
+                          liouville_fraction(ctx, zero, b2, b3),
+                          [(P, vd(h), [P / (b3 * u1)], [-h]) for P, h in seq])
         return ctx, seq
     if family == "exp-x":
         rows = family_exp_x(ctx, a1, a2, b1, b2, n)
         if verify:
-            _verify_exp_family(ctx, (a1, a2), (b1, b2), rows, in_u=False)
+            _verify_links(family, liouville_fraction(ctx, a1, a2, zero),
+                          liouville_fraction(ctx, b1, b2, zero),
+                          [(P, vd(h), [F], [F]) for P, h, F in rows])
         return ctx, [(P, h) for P, h, _ in rows]
     if family == "exp-u":
         rows = family_exp_u(ctx, a1, a3, b1, b3, n)
         if verify:
-            _verify_exp_family(ctx, (a1, a3), (b1, b3), rows, in_u=True)
+            _verify_links(family, liouville_fraction(ctx, a1, zero, a3),
+                          liouville_fraction(ctx, b1, zero, b3),
+                          [(P, [g], [F], [F]) for P, g, F in rows])
         return ctx, [(P, g) for P, g, _ in rows]
-    if family == "case6a":
-        rows = family_case6(ctx, a1, a2, b1, n, in_u=False)
+    if family in ("case6a", "case6b"):
+        in_u = family == "case6b"
+        ax = a3 if in_u else a2
+        rows = family_case6(ctx, a1, ax, b1, n, in_u=in_u)
         if verify:
-            _verify_case6(ctx, (a1, a2), b1, rows, in_u=False)
-        return ctx, [(P, h) for P, h, _, _ in rows]
-    if family == "case6b":
-        rows = family_case6(ctx, a1, a3, b1, n, in_u=True)
-        if verify:
-            _verify_case6(ctx, (a1, a3), b1, rows, in_u=True)
+            H = (liouville_fraction(ctx, a1, zero, ax) if in_u
+                 else liouville_fraction(ctx, a1, ax, zero))
+            _verify_links(family, H, liouville_fraction(ctx, b1, zero, zero),
+                          [(P, vd(h), [G], [F]) for P, h, F, G in rows])
         return ctx, [(P, h) for P, h, _, _ in rows]
     raise ParamDegenerate("unknown family %r" % (family,))
 
 
-def _liouv_ops(ctx, x1, x2, x3):
-    return liouville_fraction(ctx, x1, x2, x3)
+def _verify_links(family, H, K, rows):
+    """Check both association links of a closed-form family.
 
-
-def _verify_sqrt_family(ctx, a2, a3, b2, b3, seq):
-    """F_k = -h_k drives C F = P_k, B F = grad h_k, A F = P_(k+1)."""
-    zero = ctx.zero()
-    H = _liouv_ops(ctx, zero, a2, a3)
-    K = _liouv_ops(ctx, zero, b2, b3)
-    for k in range(len(seq)):
-        P, h = seq[k]
-        F = [-h]
-        if not verify_association(K, [variational_derivative(h)[0]], [P], [F]):
-            raise ParamDegenerate("sqrt family: K-link failed at %d" % k)
-        if k + 1 < len(seq):
-            Pn = seq[k + 1][0]
-            got = H.num.apply(F)[0]
-            if not (got - Pn).is_zero():
-                raise ParamDegenerate("sqrt family: H-link failed at %d" % k)
-            if not all(e.is_zero() for e in
-                       [H.den.apply(F)[0] - variational_derivative(h)[0]]):
-                raise ParamDegenerate("sqrt family: H denominator failed at %d" % k)
-
-
-def _verify_poly_family(ctx, a, b, seq, inverse):
-    a2, a3 = a
-    b2, b3 = b
-    zero = ctx.zero()
-    u1 = ctx.u(1)
-    H = _liouv_ops(ctx, zero, a2, a3)
-    K = _liouv_ops(ctx, zero, b2, b3)
-    for k in range(len(seq)):
-        P, h = seq[k]
-        grad = variational_derivative(h)
-        F = [P / (b3 * u1)] if inverse else [P / b2]
-        G = [-h]
-        if not verify_association(K, grad, [P], [F]):
-            raise ParamDegenerate("family: K-link failed at %d" % k)
-        if k + 1 < len(seq):
-            Pn = seq[k + 1][0]
-            if not (H.num.apply(G)[0] - Pn).is_zero():
-                raise ParamDegenerate("family: H-link failed at %d" % k)
-            if not (H.den.apply(G)[0] - grad[0]).is_zero():
-                raise ParamDegenerate("family: H denominator failed at %d" % k)
-
-
-def _verify_exp_family(ctx, a, b, rows, in_u):
-    a1, ax = a
-    b1, bx = b
-    zero = ctx.zero()
-    if in_u:
-        H = _liouv_ops(ctx, a1, zero, ax)
-        K = _liouv_ops(ctx, b1, zero, bx)
-    else:
-        H = _liouv_ops(ctx, a1, ax, zero)
-        K = _liouv_ops(ctx, b1, bx, zero)
-    for k, (P, h_or_grad, F) in enumerate(rows):
-        grad = [h_or_grad] if in_u else [variational_derivative(h_or_grad)[0]]
-        if not verify_association(K, grad, [P], [[F]]):
-            raise ParamDegenerate("exp family: K-link failed at %d" % k)
+    rows are (P_k, grad h_k, K-witness, H-witness): the K-link holds with its
+    witness, and the H-witness F gives A F = P_(k+1) and B F = grad h_k.
+    """
+    for k, (P, grad, wK, wH) in enumerate(rows):
+        if not verify_association(K, grad, [P], [wK]):
+            raise ParamDegenerate("%s family: K-link failed at %d" % (family, k))
         if k + 1 < len(rows):
-            Pn = rows[k + 1][0]
-            if not (H.num.apply([F])[0] - Pn).is_zero():
-                raise ParamDegenerate("exp family: H-link failed at %d" % k)
-            if not (H.den.apply([F])[0] - grad[0]).is_zero():
-                raise ParamDegenerate("exp family: H denominator failed at %d" % k)
-
-
-def _verify_case6(ctx, a, b1, rows, in_u):
-    a1, ax = a
-    zero = ctx.zero()
-    if in_u:
-        H = _liouv_ops(ctx, a1, zero, ax)
-    else:
-        H = _liouv_ops(ctx, a1, ax, zero)
-    K = _liouv_ops(ctx, b1, zero, zero)
-    for k, (P, h, F, G) in enumerate(rows):
-        grad = variational_derivative(h)
-        if not verify_association(K, grad, [P], [[G]]):
-            raise ParamDegenerate("case6: K-link failed at %d" % k)
-        if k + 1 < len(rows):
-            Pn = rows[k + 1][0]
-            if not (H.num.apply([F])[0] - Pn).is_zero():
-                raise ParamDegenerate("case6: H-link failed at %d" % k)
-            if not (H.den.apply([F])[0] - grad[0]).is_zero():
-                raise ParamDegenerate("case6: H denominator failed at %d" % k)
+            if not (H.num.apply(wH)[0] - rows[k + 1][0]).is_zero():
+                raise ParamDegenerate("%s family: H-link failed at %d" % (family, k))
+            if not (H.den.apply(wH)[0] - grad[0]).is_zero():
+                raise ParamDegenerate(
+                    "%s family: H denominator failed at %d" % (family, k))
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,6 @@ def _binomial_shift(h: Dict[int, DFun], t: Dict[int, DFun], floor: Optional[int]
     return out
 
 
-def _floor_key(fl):
-    return NEG_INF if fl is None else fl
-
-
 class ScalarPsdOp:
     """A truncated-Laurent pseudodifferential operator; exact when floor is None."""
 
@@ -597,26 +593,10 @@ class RationalOpPair:
 
     def expand(self, floor: int) -> MatrixPsdOp:
         """Laurent expansion of the chain product, accurate to the floor."""
-        if floor in self._cache:
-            return self._cache[floor]
-        tops = [max(0, int(a.order() - b.order())) if a.order() != NEG_INF else 0
-                for a, b in self.pairs]
-        total = sum(tops)
-        for extra in (1, 4, 16):
-            acc = None
-            for (a, b), top in zip(self.pairs, tops):
-                need = floor - (total - top) - extra
-                a_top = int(a.order()) if a.order() != NEG_INF else 0
-                binv = b.inverse(need - max(0, a_top))
-                part = a.compose(binv)
-                acc = part if acc is None else acc.compose(part)
-            try:
-                out = acc.truncate(floor)
-            except InsufficientTruncation:
-                continue
-            self._cache[floor] = out
-            return out
-        raise InsufficientTruncation("chain expansion did not reach floor %d" % floor)
+        if floor not in self._cache:
+            self._cache[floor] = _expand_chain(
+                self.pairs, lambda a, b, fl: a.compose(b.inverse(fl)), floor)
+        return self._cache[floor]
 
     def adjoint_sum(self) -> "OperatorSum":
         """The adjoint chain (Bn*)^-1 An* ... (B1*)^-1 A1* as an expandable."""
@@ -628,6 +608,29 @@ class RationalOpPair:
         return "chain(" + ", ".join("(%s, %s)" % p for p in self.pairs) + ")"
 
     __repr__ = __str__
+
+
+def _expand_chain(pairs, factor, floor: int) -> MatrixPsdOp:
+    """Product of factor(a, b, fl) over the ordered pairs, accurate to the floor.
+
+    fl is the floor each pair's inverse needs; the whole product is retried
+    with a deeper margin (extra 1, 4, 16) when truncation falls short.
+    """
+    tops = [max(0, int(a.order() - b.order())) if a.order() != NEG_INF else 0
+            for a, b in pairs]
+    total = sum(tops)
+    for extra in (1, 4, 16):
+        acc = None
+        for (a, b), top in zip(pairs, tops):
+            need = floor - (total - top) - extra
+            a_top = int(a.order()) if a.order() != NEG_INF else 0
+            part = factor(a, b, need - max(0, a_top))
+            acc = part if acc is None else acc.compose(part)
+        try:
+            return acc.truncate(floor)
+        except InsufficientTruncation:
+            continue
+    raise InsufficientTruncation("chain expansion did not reach floor %d" % floor)
 
 
 class _AdjointChain:
@@ -650,21 +653,12 @@ class _AdjointChain:
         return self.base.order()
 
     def expand(self, floor: int) -> MatrixPsdOp:
-        tops = [max(0, int(a.order() - b.order())) if a.order() != NEG_INF else 0
-                for a, b in self.base.pairs]
-        total = sum(tops)
-        for extra in (1, 4, 16):
-            acc = None
-            for (a, b), top in zip(reversed(self.base.pairs), reversed(tops)):
-                need = floor - (total - top) - extra
-                a_top = int(a.order()) if a.order() != NEG_INF else 0
-                part = b.adjoint().inverse(need - max(0, a_top)).compose(a.adjoint())
-                acc = part if acc is None else acc.compose(part)
-            try:
-                return acc.truncate(floor)
-            except InsufficientTruncation:
-                continue
-        raise InsufficientTruncation("adjoint chain expansion did not reach floor %d" % floor)
+        return _expand_chain(
+            list(reversed(self.base.pairs)),
+            lambda a, b, fl: b.adjoint().inverse(fl).compose(a.adjoint()), floor)
+
+    def adjoint_sum(self) -> "OperatorSum":
+        return structure_sum(self.base)
 
 
 class OperatorSum:
@@ -699,15 +693,8 @@ class OperatorSum:
         return acc
 
     def adjoint_sum(self):
-        out = []
-        for c, t in self.terms:
-            if isinstance(t, RationalOpPair):
-                out.append((c, _AdjointChain(t)))
-            elif isinstance(t, _AdjointChain):
-                out.append((c, t.base))
-            else:
-                out.extend((c * c2, t2) for c2, t2 in t.adjoint_sum().terms)
-        return OperatorSum(out)
+        return OperatorSum([(c * c2, t2) for c, t in self.terms
+                            for c2, t2 in t.adjoint_sum().terms])
 
     def __add__(self, other):
         return OperatorSum(self.terms + structure_sum(other).terms)
@@ -758,39 +745,28 @@ def check_fraction_times_denominator(H: RationalOpPair, floor=None) -> bool:
 # scalar skew-Euclidean algorithms
 
 
-def skew_divide(A: ScalarPsdOp, B: ScalarPsdOp):
-    """Left-quotient division A = Q o B + R with |R| < |B| (scalar, differential)."""
+def skew_divide(A: ScalarPsdOp, B: ScalarPsdOp, side="left"):
+    """Division with |R| < |B| (scalar, differential): A = Q o B + R for
+    side="left", A = B o Q + R for side="right"."""
     if B.is_zero():
         raise ZeroDivisor("division by the zero operator")
     if not (A.is_differential() and B.is_differential()):
         raise NotDifferential("skew division needs differential operators")
     ctx = A.ctx
     nB = int(B.order())
-    lB = B.coeffs[nB]
+    lBi = B.coeffs[nB].inverse()
     Q_ = ScalarPsdOp.zero(ctx)
     R = A
     while not R.is_zero() and R.order() >= nB:
         k = int(R.order()) - nB
-        c = R.coeffs[int(R.order())] * lB.inverse()
-        t = ScalarPsdOp(ctx, {k: c})
+        lead = R.coeffs[int(R.order())]
+        if side == "left":
+            t = ScalarPsdOp(ctx, {k: lead * lBi})
+            R = R - t.compose(B)
+        else:
+            t = ScalarPsdOp(ctx, {k: lBi * lead})
+            R = R - B.compose(t)
         Q_ = Q_ + t
-        R = R - t.compose(B)
-    return Q_, R
-
-
-def _divide_right_quotient(A: ScalarPsdOp, B: ScalarPsdOp):
-    """A = B o Q + R with |R| < |B| (quotient composed on the right)."""
-    ctx = A.ctx
-    nB = int(B.order())
-    lB = B.coeffs[nB]
-    Q_ = ScalarPsdOp.zero(ctx)
-    R = A
-    while not R.is_zero() and R.order() >= nB:
-        k = int(R.order()) - nB
-        c = lB.inverse() * R.coeffs[int(R.order())]
-        t = ScalarPsdOp(ctx, {k: c})
-        Q_ = Q_ + t
-        R = R - B.compose(t)
     return Q_, R
 
 
@@ -809,7 +785,7 @@ def right_lcm(A: ScalarPsdOp, B: ScalarPsdOp):
     x_prev, x_cur = ScalarPsdOp.identity(ctx), ScalarPsdOp.zero(ctx)
     y_prev, y_cur = ScalarPsdOp.zero(ctx), ScalarPsdOp.identity(ctx)
     while not r_cur.is_zero():
-        q, r_next = _divide_right_quotient(r_prev, r_cur)
+        q, r_next = skew_divide(r_prev, r_cur, side="right")
         x_next = x_prev - x_cur.compose(q)
         y_next = y_prev - y_cur.compose(q)
         r_prev, r_cur = r_cur, r_next

@@ -22,10 +22,6 @@ def _ch(ctx, *atoms):
     return AtomChain(ctx, list(atoms))
 
 
-def _m(*rows):
-    return ("mult", [list(r) for r in rows])
-
-
 def _ms(f):
     return ("mult", [[f]])
 
@@ -54,10 +50,6 @@ class Preset:
 
 # ---------------------------------------------------------------------------
 # Liouville family: L1 = d, L2 = d^-1, L3 = u' d^-1 u'
-
-
-def liouville_context(params=("a1", "a2", "a3", "b1", "b2", "b3")):
-    return Context(("u",), params)
 
 
 def liouville_structure_atoms(ctx, x1, x2, x3):
@@ -431,16 +423,6 @@ def nls_spaces(ctx):
     spaceF = AnsatzSpace(ctx, max_dord=1, max_degree=3, denominators=[(u, 1)])
     spaceG = AnsatzSpace(ctx, max_dord=1, max_degree=3, denominators=[(u, 1)])
     return spaceF, spaceG
-
-
-def nls_space_factory(ctx):
-    """Per-step H-link spaces: degrees grow with the step index."""
-    u = ctx.gen(0, 0)
-
-    def factory(n):
-        return AnsatzSpace(ctx, max_dord=max(1, n - 2), max_degree=n + 1,
-                           denominators=[(u, 1)])
-    return factory
 
 
 def nls_h_solver(pre: Preset):

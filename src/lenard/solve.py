@@ -18,9 +18,9 @@ from fractions import Fraction as Q
 from typing import Dict, List, Sequence
 
 from .errors import AnsatzExhausted
-from .field import DFun, ONE_MONO, poly_key, poly_mul
+from .field import DFun, ONE_MONO, _den_cofactor, _den_lcm, poly_mul
 
-QONE = Q(1)
+_POLY_ONE = {ONE_MONO: Q(1)}
 
 
 class AnsatzSpace:
@@ -105,11 +105,11 @@ def _split_param_mono(ctx, mono):
     return tuple(par), tuple(rest)
 
 
-def _rows_of(ctx, f: DFun, denmap, rows, col, width):
-    """Scatter a cleared-numerator polynomial into coefficient rows."""
+def _rows_of(ctx, f: DFun, den_lcm, rows, col, width):
+    """Scatter the numerator of f, cleared to den_lcm, into coefficient rows."""
     num = f.num
-    cof = denmap(f)
-    if cof is not None:
+    cof = _den_cofactor(den_lcm, f.den)
+    if cof != _POLY_ONE:
         num = poly_mul(num, cof)
     for mono, q in num.items():
         par, rest = _split_param_mono(ctx, mono)
@@ -122,45 +122,33 @@ def _rows_of(ctx, f: DFun, denmap, rows, col, width):
         row[col] = add if cur is None else cur + add
 
 
-def linear_solve(ctx, columns: Sequence[Sequence[DFun]], rhs: Sequence[DFun]):
+def linear_solve(ctx, columns: Sequence[Sequence[DFun]], rhs: Sequence[DFun],
+                 partial=False):
     """Solve sum_k c_k columns[k] = rhs over the constant field.
 
     columns and rhs are vectors of DFun (length ell); the c_k are constants.
     Returns (particular or None, kernel basis), both as coefficient lists.
+    With partial=True the particular is the pivot-row choice even when the
+    system is inconsistent (never None).
     """
     ell = len(rhs)
     K = len(columns)
     sparse_rows: List[Dict[int, DFun]] = []
     for comp in range(ell):
-        # common denominator across this component
-        den_lcm: Dict = {}
         items = [col[comp] for col in columns] + [rhs[comp]]
+        den_lcm = ()
         for f in items:
-            for fac, e in f.den:
-                k = poly_key(fac)
-                if k not in den_lcm or den_lcm[k][1] < e:
-                    den_lcm[k] = (fac, e)
-
-        def cofactor(f, _dl=den_lcm):
-            have = {poly_key(fac): e for fac, e in f.den}
-            out = None
-            for k, (fac, e) in _dl.items():
-                extra = e - have.get(k, 0)
-                for _ in range(extra):
-                    out = dict(fac) if out is None else poly_mul(out, fac)
-            return out
-
+            if f.den:
+                den_lcm = _den_lcm(den_lcm, f.den)
         rows: Dict = {}
-        for col_idx, col in enumerate(columns):
-            if not col[comp].is_zero():
-                _rows_of(ctx, col[comp], cofactor, rows, col_idx, K + 1)
-        if not rhs[comp].is_zero():
-            _rows_of(ctx, rhs[comp], cofactor, rows, K, K + 1)
+        for col_idx, f in enumerate(items):
+            if not f.is_zero():
+                _rows_of(ctx, f, den_lcm, rows, col_idx, K + 1)
         for rest in sorted(rows, key=lambda m: (len(m), m)):
             row = rows[rest]
             sparse_rows.append({c: e for c, e in enumerate(row) if e is not None
                                 and not e.is_zero()})
-    return _gauss_sparse(ctx, sparse_rows, K)
+    return _gauss_sparse(ctx, sparse_rows, K, partial)
 
 
 def _is_rational(e: DFun):
@@ -173,12 +161,12 @@ def _is_rational(e: DFun):
     return None
 
 
-def _gauss_sparse(ctx, rows, K):
+def _gauss_sparse(ctx, rows, K, partial=False):
     """Sparse Gauss over the constant field; returns (particular|None, kernel).
 
-    Column K holds the negated... rather, the right-hand side.  Falls back
-    from plain rationals to full constant-field arithmetic only when a
-    parameter actually occurs.
+    Columns 0..K-1 hold the unknowns and column K the right-hand side.  The
+    elimination runs over plain rationals unless a parameter occurs, and only
+    then over the full constant field.
     """
     rational = True
     for row in rows:
@@ -191,14 +179,14 @@ def _gauss_sparse(ctx, rows, K):
     if rational:
         conv = [{c: _is_rational(e) for c, e in row.items()} for row in rows]
         part, kernel = _gauss_core(conv, K, Q(0), Q(1),
-                                   lambda a: a == 0, lambda a: 1 / a)
+                                   lambda a: a == 0, lambda a: 1 / a, partial)
         if part is not None:
             part = [ctx.const(v) for v in part]
         kernel = [[ctx.const(v) for v in vec] for vec in kernel]
         return part, kernel
     zero, one = ctx.zero(), ctx.one()
     return _gauss_core(rows, K, zero, one,
-                       lambda a: a.is_zero(), lambda a: a.inverse())
+                       lambda a: a.is_zero(), lambda a: a.inverse(), partial)
 
 
 def _gauss_core(rows, K, zero, one, is_zero, inv, partial=False):
@@ -256,8 +244,6 @@ def _gauss_core(rows, K, zero, one, is_zero, inv, partial=False):
         particular = [zero] * K
         for c, row in pivots.items():
             particular[c] = row.get(K, zero)
-        if inconsistent and not partial:
-            particular = None
     kernel = []
     for free in range(K):
         if free in pivots:
@@ -283,12 +269,6 @@ class SolutionSet:
         self.particular = particular  # vector of DFun or None
         self.kernel = kernel          # list of vectors of DFun
         self.space = space
-
-    def exists(self):
-        return self.particular is not None
-
-    def kernel_dim(self):
-        return len(self.kernel)
 
 
 def _vector_basis(ctx, scalars, ell):
@@ -351,58 +331,6 @@ def solve_operator_equation(op, rhs: Sequence[DFun], space: AnsatzSpace,
                           % (space.describe(), escalations))
 
 
-def _linear_solve_partial(ctx, columns, rhs):
-    """Like linear_solve but always returns the pivot-row coefficient choice."""
-    ell = len(rhs)
-    K = len(columns)
-    sparse_rows: List[Dict[int, DFun]] = []
-    for comp in range(ell):
-        den_lcm: Dict = {}
-        items = [col[comp] for col in columns] + [rhs[comp]]
-        for f in items:
-            for fac, e in f.den:
-                k = poly_key(fac)
-                if k not in den_lcm or den_lcm[k][1] < e:
-                    den_lcm[k] = (fac, e)
-
-        def cofactor(f, _dl=den_lcm):
-            have = {poly_key(fac): e for fac, e in f.den}
-            out = None
-            for k, (fac, e) in _dl.items():
-                extra = e - have.get(k, 0)
-                for _ in range(extra):
-                    out = dict(fac) if out is None else poly_mul(out, fac)
-            return out
-
-        rows: Dict = {}
-        for col_idx, col in enumerate(columns):
-            if not col[comp].is_zero():
-                _rows_of(ctx, col[comp], cofactor, rows, col_idx, K + 1)
-        if not rhs[comp].is_zero():
-            _rows_of(ctx, rhs[comp], cofactor, rows, K, K + 1)
-        for rest in sorted(rows, key=lambda m: (len(m), m)):
-            row = rows[rest]
-            sparse_rows.append({c: e for c, e in enumerate(row) if e is not None
-                                and not e.is_zero()})
-    rational = True
-    for row in sparse_rows:
-        for e in row.values():
-            if _is_rational(e) is None:
-                rational = False
-                break
-        if not rational:
-            break
-    if rational:
-        conv = [{c: _is_rational(e) for c, e in row.items()} for row in sparse_rows]
-        part, _ = _gauss_core(conv, K, Q(0), Q(1), lambda a: a == 0,
-                              lambda a: 1 / a, partial=True)
-        return [ctx.const(v) for v in part]
-    part, _ = _gauss_core(sparse_rows, K, ctx.zero(), ctx.one(),
-                          lambda a: a.is_zero(), lambda a: a.inverse(),
-                          partial=True)
-    return part
-
-
 def reduce_mod_span(ctx, vectors: List[List[DFun]], target: List[DFun]):
     """Canonical representative of target modulo the constant span of vectors.
 
@@ -411,7 +339,7 @@ def reduce_mod_span(ctx, vectors: List[List[DFun]], target: List[DFun]):
     vectors = [v for v in vectors if not all(f.is_zero() for f in v)]
     if not vectors:
         return list(target), []
-    coeffs = _linear_solve_partial(ctx, vectors, target)
+    coeffs, _ = linear_solve(ctx, vectors, target, partial=True)
     reduced = list(target)
     for c, vec in zip(coeffs, vectors):
         if c.is_zero():

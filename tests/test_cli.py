@@ -190,3 +190,34 @@ def test_unexpected_errors_exit_2_without_traceback(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_chain_kn_rational_param():
+    code, out = run_cli("chain", "--preset", "kn", "--params", "a=3/2",
+                        "--steps", "0", "--verify-only")
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["chain", "--preset", "kn", "--params", "a", "--steps", "0"], "--params"),
+    (["chain", "--preset", "kn", "--params", "b=1", "--steps", "0"], "--params"),
+    (["chain", "--preset", "nls", "--params", "a=1", "--steps", "0"], "--params"),
+    (["chain", "--preset", "kn", "--params", "a=x", "--steps", "0"], "--params"),
+    (["chain", "--preset", "kn", "--params", "a=1/0", "--steps", "0"], "--params"),
+    (["chain", "--preset", "liouville-v", "--ansatz", "x", "--steps", "1"],
+     "--ansatz"),
+    (["chain", "--preset", "liouville-v", "--ansatz", "1,2,3,4", "--steps", "1"],
+     "--ansatz"),
+    (["classify", "--pattern", "b=(0,1)"], "--pattern"),
+    (["classify", "--pattern", "b=(0,1,1)"], "--pattern"),
+    (["classify", "--pattern", "a=(1,0),b=(0,1,1)"], "--pattern"),
+    (["classify", "--pattern", "a=(1,0,0),a=(0,1,1)"], "--pattern"),
+    (["classify", "--pattern", "a=(1,0,2),b=(0,1,1)"], "--pattern"),
+])
+def test_malformed_arguments_rejected_at_the_boundary(argv, flag, capsys):
+    code, out = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + flag + ": ") and err.count("\n") == 1

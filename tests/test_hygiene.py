@@ -24,3 +24,50 @@ def test_no_unused_imports(path):
     unused = sorted((line, name) for name, line in imported.items()
                     if name not in used)
     assert not unused, "unused imports (line, name): %s" % unused
+
+
+ROOT = SRC.parent.parent
+USER_DIRS = ("src", "tests", "bench", "demos")
+
+
+def _referenced_names():
+    """Every name a module in src, tests, bench or demos could refer to."""
+    names = set()
+    for sub in USER_DIRS:
+        for path in (ROOT / sub).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.update(node.name.split("."))
+                    if node.asname:
+                        names.add(node.asname)
+                elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and node.value.isidentifier()):
+                    names.add(node.value)
+    return names
+
+
+def _definitions(tree):
+    """(line, name) of top-level and non-dunder class-level defs and classes."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, kinds):
+            continue
+        yield node.lineno, node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (isinstance(member, kinds) and not
+                        (member.name.startswith("__") and member.name.endswith("__"))):
+                    yield member.lineno, "%s.%s" % (node.name, member.name)
+
+
+def test_no_dead_definitions():
+    names = _referenced_names()
+    dead = sorted("%s:%d %s" % (path.name, line, qual)
+                  for path in MODULES
+                  for line, qual in _definitions(ast.parse(path.read_text()))
+                  if qual.rsplit(".", 1)[-1] not in names)
+    assert not dead, "defined but never referenced: %s" % dead

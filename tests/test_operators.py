@@ -254,3 +254,43 @@ def test_jet_partials_match_partial(ctx, rng):
         assert sorted(got) == sorted(want)
         assert all(got[n] == want[n] for n in want)
         assert f.jet_partials(0) is got
+
+
+def test_skew_divide_right(ctx):
+    u1 = ctx.u(1)
+    D = ScalarPsdOp.d(ctx)
+    q, r = skew_divide(D.compose(D), D, side="right")
+    assert (q - D).is_zero() and r.is_zero()
+    A = D.compose(D).compose(m(1 / u1))
+    for B in (D, A):
+        q, r = skew_divide(A, B, side="right")
+        assert r.is_zero() or r.order() < B.order()
+        assert (B.compose(q) + r - A).is_zero()
+    with pytest.raises(ZeroDivisor):
+        skew_divide(D, ScalarPsdOp.zero(ctx), side="right")
+    with pytest.raises(NotDifferential):
+        skew_divide(D, A.inverse(-4), side="right")
+
+
+def _adjoint_chain_matches(H, floor):
+    """The adjoint chain's expansion equals the adjoint of the expansion."""
+    from lenard.operators import structure_sum
+    got = structure_sum(H).adjoint_sum().expand(floor)
+    assert got.eq_to_floor(H.expand(floor).adjoint(floor), floor)
+    # adjoint twice gives the chain back
+    assert structure_sum(H).adjoint_sum().adjoint_sum().terms[0][1] is H
+
+
+@pytest.mark.parametrize("pid", ["kn0", "nls"])
+def test_adjoint_chain_expansion(pid):
+    from lenard.presets import load_preset
+    _adjoint_chain_matches(load_preset(pid).H.fraction(), -6)
+
+
+def test_adjoint_chain_expansion_three_pairs():
+    from lenard.presets import load_preset
+    pre = load_preset("kn0")
+    H, K = pre.H, pre.K
+    chain = RationalOpPair([(H.num_op(), H.den_op()), (K.den_op(), K.num_op()),
+                            (H.num_op(), H.den_op())])
+    _adjoint_chain_matches(chain, -5)

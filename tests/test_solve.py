@@ -175,3 +175,18 @@ def test_chain_linear_solver(ctx):
     F = solver(xi)
     assert F is not None
     assert den.apply(F)[0] == xi[0]
+
+
+def test_reduce_mod_span_returns_its_own_remainder(ctx):
+    from lenard.solve import reduce_mod_span
+    u, u1 = ctx.u(0), ctx.u(1)
+    vectors = [[u, u1], [u1, ctx.one()], [u + u1, u1 + 1]]
+    target = [3 * u + u1 * u1, 2 * u1 + 5]
+    reduced, coeffs = reduce_mod_span(ctx, vectors, target)
+    assert len(coeffs) == len(vectors)
+    assert all(c.is_constant() for c in coeffs)
+    combo = [sum((c * v[i] for c, v in zip(coeffs, vectors)), ctx.zero())
+             for i in range(2)]
+    assert all((t - s - r).is_zero() for t, s, r in zip(target, combo, reduced))
+    # the in-span 3u is removed from the first component
+    assert reduced[0] == u1 * u1
