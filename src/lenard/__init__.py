@@ -7,8 +7,7 @@ from .brackets import (check_compatible, check_jacobi, check_skewadjoint,
                        functional_bracket, lambda_bracket)
 from .chains import (Chain, ChainStep, StructurePair, chain_linear_solver,
                      extend_left, extend_right, predict_dord,
-                     reconstruct_functional, verify_association,
-                     verify_higher_structures)
+                     verify_association, verify_higher_structures)
 from .field import Context, DFun
 from .functional import (LocalFunctional, antiderivative, is_null_functional,
                          reduce_by_parts, variational_derivative)

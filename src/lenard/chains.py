@@ -18,7 +18,7 @@ from .errors import (AnsatzExhausted, HelmholtzFailure, InsufficientChain,
                      InvalidWitness, LengthMismatch, ThresholdNotMet, Undecidable)
 from .field import DFun, NEG_INF, vec_eq, vec_is_zero
 from .functional import (LocalFunctional, antiderivative, is_self_adjoint_frechet,
-                         reduce_by_parts, variational_derivative)
+                         reduce_by_parts)
 from .jacobi import AtomChain
 from .operators import MatrixPsdOp, RationalOpPair
 from .solve import AnsatzSpace, kernel_of, solve_operator_equation
@@ -161,13 +161,13 @@ class BlockedEquation:
     rhs_kernel: Optional[DFun] = None       # u_tx form: direct part
     rhs_dxx: Optional[DFun] = None          # u_tx form: (...)_xx part
 
-    def text(self, gen="u"):
+    def text(self):
         if self.lhs_atoms:
-            body = "%s_t" % gen
+            body = "u_t"
             for kind, data in reversed(self.lhs_atoms):
                 if kind == "d":
-                    if body == "%s_t" % gen:
-                        body = "%s_tx" % gen
+                    if body == "u_t":
+                        body = "u_tx"
                     else:
                         body = "(%s)_x" % body
                 else:
@@ -183,7 +183,7 @@ class BlockedEquation:
             rhs.append(str(self.rhs_kernel))
         if self.rhs_dxx is not None and not self.rhs_dxx.is_zero():
             rhs.append("(%s)_xx" % self.rhs_dxx)
-        return "%s_tx = %s" % (gen, " + ".join(rhs) if rhs else "0")
+        return "u_tx = %s" % (" + ".join(rhs) if rhs else "0")
 
 
 @dataclass
@@ -262,38 +262,12 @@ def chain_linear_solver(den: AtomChain):
     return solver
 
 
-def reconstruct_functional(xi, space: AnsatzSpace) -> Optional[LocalFunctional]:
-    """An h with delta h/delta u = xi, or None inside the space.
-
-    Raises HelmholtzFailure when xi is not a variational gradient at all
-    (non-self-adjoint Frechet derivative).
-    """
-    ctx = space.ctx
-    if vec_is_zero(xi):
-        return LocalFunctional(ctx.zero())
-    if not is_self_adjoint_frechet(xi):
-        raise HelmholtzFailure("candidate gradient is not self-adjoint")
-    scalars = space.basis()
-    columns = [variational_derivative(f) for f in scalars]
-    from .solve import linear_solve
-    particular, kernel = linear_solve(ctx, columns, xi)
-    if particular is None:
-        return None
-    h = ctx.zero()
-    for c, f in zip(particular, scalars):
-        if not c.is_zero():
-            h = h + c * f
-    residue, _ = reduce_by_parts(h)
-    return LocalFunctional(residue)
-
-
 # ---------------------------------------------------------------------------
 # right extension
 
 
 def extend_right(chain: Chain, spaceF: AnsatzSpace, spaceG: AnsatzSpace,
-                 steps=1, h_space: Optional[AnsatzSpace] = None,
-                 keep_constants=False, k_solver=None, h_solver=None,
+                 steps=1, keep_constants=False, k_solver=None, h_solver=None,
                  den_kernel=None) -> Chain:
     """Grow the chain to the right: solve the H-link then the K-link.
 
@@ -365,10 +339,7 @@ def extend_right(chain: Chain, spaceF: AnsatzSpace, spaceG: AnsatzSpace,
         xi = K.den.apply(G)
         if not is_self_adjoint_frechet(xi):
             raise HelmholtzFailure("K-link produced a non-gradient at step %d" % n)
-        h = None
-        if h_space is not None:
-            h = reconstruct_functional(xi, h_space)
-        step = ChainStep(n, P, xi, h, witness_H=[F], witness_K=[G],
+        step = ChainStep(n, P, xi, None, witness_H=[F], witness_K=[G],
                          free_constants=names)
         chain.steps.append(step)
         # finite-type detection: the new pair adds nothing new
@@ -546,7 +517,7 @@ def _formal_antiderivative(ctx, nv: NonlocalVectorField, const_name):
     return NonlocalVectorField(local_parts + gamma, terms), residue
 
 
-def formal_solve_factored(den: AtomChain, xi: DFun, const_prefix="gamma"):
+def formal_solve_factored(den: AtomChain, xi: DFun):
     """Solve den(G) = xi for scalar G, peeling factors; d^-1 steps that hit a
     non-total-derivative introduce d^-1(kernel) terms.
 
@@ -570,8 +541,7 @@ def formal_solve_factored(den: AtomChain, xi: DFun, const_prefix="gamma"):
                 pre_local = z.local
                 const_idx += 1
                 try:
-                    z, residue = _formal_antiderivative(ctx, z, "%s%d"
-                                                        % (const_prefix, const_idx))
+                    z, residue = _formal_antiderivative(ctx, z, "gamma%d" % const_idx)
                 except Undecidable:
                     # a second-level obstruction: the first blockage already
                     # carries the renderable equation
@@ -621,16 +591,13 @@ def _merge_terms(nv: NonlocalVectorField) -> NonlocalVectorField:
                                [b for b in buckets if not b.prefactor.is_zero()])
 
 
-def render_blocked(P: NonlocalVectorField, lhs_atoms=None) -> BlockedEquation:
+def render_blocked(P: NonlocalVectorField) -> BlockedEquation:
     """The non-evolutionary equation at a blockage.
 
     With constant prefactors, u_t = P differentiates once to
     u_tx = sum pref*kernel + (local)_x, and the local part is displayed
     through its antiderivative as a second x-derivative when one exists.
     """
-    if lhs_atoms:
-        rhs = P.local
-        return BlockedEquation(lhs_atoms, rhs)
     ctx = P.local.ctx
     kernel_part = ctx.zero()
     for t in P.terms:
@@ -652,8 +619,7 @@ def render_blocked(P: NonlocalVectorField, lhs_atoms=None) -> BlockedEquation:
 
 def extend_left(chain: Chain, spaceG: AnsatzSpace, spaceF: AnsatzSpace,
                 steps=1, left_P: Optional[List[DFun]] = None,
-                left_F: Optional[List[DFun]] = None,
-                h_space: Optional[AnsatzSpace] = None) -> Chain:
+                left_F: Optional[List[DFun]] = None) -> Chain:
     """Grow the chain to the left: ... --K-- P_(-1) --H-- h_(-2) --K-- ...
 
     The first left step starts from the zero functional; left_P picks the
@@ -735,11 +701,7 @@ def extend_left(chain: Chain, spaceG: AnsatzSpace, spaceF: AnsatzSpace,
                 return chain
             F = solF.particular
         grad_new = H.den.apply(F)
-        h = None
-        if h_space is not None and not vec_is_zero(grad_new):
-            if is_self_adjoint_frechet(grad_new):
-                h = reconstruct_functional(grad_new, h_space)
-        step = ChainStep(n, P, grad_new, h, witness_H=[F], witness_K=[G])
+        step = ChainStep(n, P, grad_new, None, witness_H=[F], witness_K=[G])
         chain.left_steps.append(step)
         if vec_is_zero(grad_new):
             chain.left_status = ChainStatus(

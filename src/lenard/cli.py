@@ -71,12 +71,12 @@ def _parse_pattern(text):
     return parts["a"], parts["b"]
 
 
-def _structure_from_args(args, ctx=None):
+def _structure_from_args(args):
     if args.preset:
         pre = load_preset(args.preset)
         return pre, pre.extras.get("H_sum"), pre.extras.get("K_sum")
     if args.op:
-        ctx = ctx or Context(tuple((args.generators or "u").split(",")))
+        ctx = Context(tuple((args.generators or "u").split(",")))
         op = parse_operator(ctx, args.op)
         return None, op, None
     raise LenardError("need --preset or --op")
@@ -304,7 +304,7 @@ def _latex_of(data):
 
 def _emit(args, payload):
     text = to_json(payload)
-    if getattr(args, "session", None) and getattr(args, "command", "") != "export":
+    if args.session:
         with open(args.session, "w") as fh:
             fh.write(text + "\n")
     if args.format == "text":
@@ -340,23 +340,25 @@ def build_parser():
     ap.add_argument("--config", help="key = value config file")
     sub = ap.add_subparsers(dest="command")
 
+    # each subcommand takes only the flags it reads
     def common(p):
-        p.add_argument("--preset")
         p.add_argument("--format", choices=("text", "latex", "json"),
                        default="json")
-        p.add_argument("--floor", type=int)
-        p.add_argument("--ansatz", help="N,d,p bounds for the solver")
-        p.add_argument("--params", help="comma-separated k=v bindings")
         p.add_argument("--session", help="write the machine result here")
 
     pc = sub.add_parser("check", help="skewadjointness / Jacobi / compatibility")
     common(pc)
+    pc.add_argument("--preset")
+    pc.add_argument("--floor", type=int)
     pc.add_argument("--what", choices=("skew", "jacobi", "compat"))
     pc.add_argument("--op", help="operator expression to check")
     pc.add_argument("--generators", help="comma-separated generator names")
 
     pch = sub.add_parser("chain", help="run the Lenard-Magri recursion")
     common(pch)
+    pch.add_argument("--preset")
+    pch.add_argument("--ansatz", help="N,d,p bounds for the solver")
+    pch.add_argument("--params", help="comma-separated k=v bindings")
     pch.add_argument("--direction", choices=("right", "left"), default="right")
     pch.add_argument("--steps", type=int)
     pch.add_argument("--verify-only", dest="verify_only", action="store_true")
@@ -372,13 +374,11 @@ def build_parser():
     pe.add_argument("--session", required=True)
     pe.add_argument("--target", choices=("latex", "json"), default="json")
     pe.add_argument("--out")
-    pe.add_argument("--format", default="json")
 
     pp = sub.add_parser("presets", help="list presets / show expected equations")
     pp.add_argument("action", nargs="?", default="list",
                     choices=("list", "equations"))
     pp.add_argument("target", nargs="?", help="preset id for `equations`")
-    pp.add_argument("--format", default="text")
     return ap
 
 

@@ -114,7 +114,7 @@ class Context:
         self.relations = {}      # id -> DFun value of var**2 (relation-free)
         self.sym_dlog = {}       # id -> DFun, total derivative of log(symbol)
         self.sym_plog = {}       # id -> {(i, n): DFun}, partials of log(symbol)
-        self.sym_expr = {}       # id -> ("exp"|"sqrt", argument DFun, gen index|None)
+        self.sym_expr = {}       # id -> ("exp"|"sqrt", argument DFun)
         self._sym_by_expr = {}   # canonical expression key -> id
         self.params = {}
         self.x_id = self._register(("x",), "x", (KIND_X,))
@@ -180,7 +180,7 @@ class Context:
 
     # -- adjoined symbols (closed catalog) ----------------------------------
 
-    def adjoin_exp_x(self, c: "DFun", name=None):
+    def adjoin_exp_x(self, c: "DFun"):
         """Adjoin exp(c*x) for a nonzero constant c; returns the symbol."""
         c = self._as_fun(c)
         if not c.is_constant() or c.is_zero():
@@ -188,15 +188,15 @@ class Context:
         key = ("exp", "x", c.key())
         if key in self._sym_by_expr:
             return self.var_fun(self._sym_by_expr[key])
-        name = name or "exp(%s*x)" % c
+        name = "exp(%s*x)" % c
         vid = self._register(("s", name), name, (KIND_SYMBOL, name), laurent=True)
         self._sym_by_expr[key] = vid
         self.sym_dlog[vid] = c
         self.sym_plog[vid] = {}
-        self.sym_expr[vid] = ("exp", c * self.x(), None)
+        self.sym_expr[vid] = ("exp", c * self.x())
         return self.var_fun(vid)
 
-    def adjoin_exp_u(self, c: "DFun", i=0, name=None):
+    def adjoin_exp_u(self, c: "DFun", i=0):
         """Adjoin exp(c*u_i) for a nonzero constant c."""
         c = self._as_fun(c)
         if not c.is_constant() or c.is_zero():
@@ -204,15 +204,15 @@ class Context:
         key = ("exp", ("u", i), c.key())
         if key in self._sym_by_expr:
             return self.var_fun(self._sym_by_expr[key])
-        name = name or "exp(%s*%s)" % (c, self.gen_names[i])
+        name = "exp(%s*%s)" % (c, self.gen_names[i])
         vid = self._register(("s", name), name, (KIND_SYMBOL, name), laurent=True)
         self._sym_by_expr[key] = vid
         self.sym_dlog[vid] = c * self.gen(i, 1)
         self.sym_plog[vid] = {(i, 0): c}
-        self.sym_expr[vid] = ("exp", c * self.gen(i, 0), i)
+        self.sym_expr[vid] = ("exp", c * self.gen(i, 0))
         return self.var_fun(vid)
 
-    def adjoin_sqrt(self, g: "DFun", name=None):
+    def adjoin_sqrt(self, g: "DFun"):
         """Adjoin s = sqrt(g) with relation s**2 = g (g relation-free, nonzero)."""
         g = self._as_fun(g)
         if g.is_zero():
@@ -222,7 +222,7 @@ class Context:
         key = ("sqrt", g.key())
         if key in self._sym_by_expr:
             return self.var_fun(self._sym_by_expr[key])
-        name = name or "sqrt(%s)" % g
+        name = "sqrt(%s)" % g
         vid = self._register(("s", name), name, (KIND_SYMBOL, name))
         self._sym_by_expr[key] = vid
         self.relations[vid] = g
@@ -234,7 +234,7 @@ class Context:
             if not p.is_zero():
                 plog[(i, n)] = p * half_over_g
         self.sym_plog[vid] = plog
-        self.sym_expr[vid] = ("sqrt", g, None)
+        self.sym_expr[vid] = ("sqrt", g)
         return self.var_fun(vid)
 
     # -- element constructors ------------------------------------------------

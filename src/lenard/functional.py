@@ -3,17 +3,18 @@
 A local functional is a density f understood modulo total derivatives.
 Equality of functionals is decided by is_null_functional: the variational
 derivative must vanish and an explicit antiderivative of the residue must
-exist inside the field (constants and x-polynomials times the catalog
-exponentials).  The procedure is sound; when the residue falls outside the
-decidable catalog it raises Undecidable instead of guessing.
+exist inside the field.  One kernel, antiderivative_in_var, integrates in a
+single variable t (x or a jet variable): every factor free of t, with
+denominators, is a constant, and its catalog is powers t^k (k != -1) times
+exp(c*t) symbols, the exponential terms polynomial in t.  The procedure is
+sound; when the residue falls outside the decidable catalog it raises
+Undecidable instead of guessing.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
-
 from .errors import Undecidable
-from .field import DFun, NEG_INF, ONE_MONO
+from .field import DFun, NEG_INF
 
 
 def variational_derivative(f: DFun):
@@ -41,142 +42,96 @@ def is_self_adjoint_frechet(xi):
     return (D - D.adjoint()).is_zero()
 
 
-def antiderivative_in_var(ctx, f: DFun, vid):
-    """Antiderivative of f with respect to the single variable vid, or None.
-
-    Handles rational dependence with v-free denominators plus pure negative
-    powers v^-k (k >= 2); a 1/v term has no antiderivative in the field.
-    Exponential symbols exp(c*u_i) are integrated by parts when vid is the
-    matching u_i; square-root symbols depending on vid make this bail out.
-    """
-    vkey = ctx.var_key(vid)
-    gen_pair = (vkey[1], vkey[2]) if vkey[0] == "u" else None
-    exp_syms = {}
-    for v in f._vars():
-        if not ctx.is_symbol_var(v):
-            continue
-        plog = ctx.sym_plog.get(v, {})
-        if gen_pair is not None and gen_pair in plog:
-            kind = ctx.sym_expr[v][0]
-            if kind != "exp":
-                return None
-            exp_syms[v] = plog[gen_pair]
-    # split off denominator powers of v
-    v_pow_den = 0
-    rest_den = []
-    for fac, e in f.den:
-        if len(fac) == 1:
-            (mono, coeff), = fac.items()
-            if len(mono) == 1 and mono[0][0] == vid:
-                v_pow_den += mono[0][1] * e
-                if coeff != 1:
-                    rest_den.append(({ONE_MONO: Q(coeff) ** e}, 1))
-                continue
-        if any(vv == vid for m in fac for vv, _ in m):
-            return None
-        rest_den.append((fac, e))
-    if exp_syms and (v_pow_den or rest_den):
+def _symbol_rate(ctx, sid, vid):
+    """d log(s)/d vid for the symbol s: None when s is free of vid, False
+    when s depends on vid other than as exp(c*vid)."""
+    kind, arg = ctx.sym_expr[sid]
+    if vid == ctx.x_id:
+        if any(v == vid or (ctx.is_symbol_var(v) and _symbol_rate(ctx, v, vid) is not None)
+               for v in arg._vars()):
+            return ctx.sym_dlog[sid] if kind == "exp" else False
         return None
-    if exp_syms:
-        # group terms by total exponential rate and integrate by parts
-        groups = {}
-        for mono, c in f.num.items():
-            rate = ctx.zero()
-            for vv, e in mono:
-                if vv in exp_syms:
-                    rate = rate + exp_syms[vv] * e
-            groups.setdefault(rate.key(), [ctx.zero(), rate])
-            groups[rate.key()][0] = groups[rate.key()][0] \
-                + DFun(ctx, {mono: c}, (), normalized=True)
-        out = ctx.zero()
-        for part, rate in groups.values():
-            if rate.is_zero():
-                plain = antiderivative_in_var(ctx, part, vid)
-                if plain is None:
-                    return None
-                out = out + plain
-            else:
-                acc = ctx.zero()
-                q = part
-                rinv = 1 / rate
-                guard = 0
-                while not q.is_zero():
-                    acc = acc + rinv * q
-                    q = -(rinv * q._formal_partial(vid))
-                    guard += 1
-                    if guard > 120:
-                        return None
-                out = out + acc
-        return out
+    _, i, n = ctx.var_key(vid)
+    rate = ctx.sym_plog[sid].get((i, n))
+    if rate is None:
+        return None
+    return rate if kind == "exp" else False
+
+
+def _by_parts(q: DFun, rate, vid):
+    """sum_j (-1)^j rate^-(j+1) d^j q/d vid^j, or None past the guard.
+
+    For q polynomial in vid and E = exp(rate*vid), q*E integrates in vid to
+    E times this sum; the symbols inside q ride along as constants.
+    """
+    rinv = 1 / rate
+    acc = q.ctx.zero()
+    for _ in range(120):
+        if q.is_zero():
+            return acc
+        acc = acc + rinv * q
+        q = -(rinv * q._formal_partial(vid))
+    return None
+
+
+def antiderivative_in_var(ctx, f: DFun, vid):
+    """Antiderivative of f with respect to the single variable vid (x or a
+    jet variable), or None.
+
+    Every factor free of vid is a constant, denominators included.  f may
+    hold powers of vid (a 1/vid term has no antiderivative in the field) and
+    exponential symbols exp(c*vid), whose terms must be polynomial in vid
+    and are integrated by parts; any other symbol depending on vid, or a
+    denominator factor depending on vid other than a power of vid, makes
+    this return None.
+    """
+    rates = {}
+    for v in f._vars():
+        if ctx.is_symbol_var(v):
+            r = _symbol_rate(ctx, v, vid)
+            if r is False:
+                return None
+            if r is not None:
+                rates[v] = r
+    v_pow_den = 0
+    const_den = []
+    for fac, e in f.den:
+        if not any(vv == vid or vv in rates for m in fac for vv, _ in m):
+            const_den.append((fac, e))
+        elif fac == {((vid, 1),): 1}:
+            v_pow_den = e
+        else:
+            return None
+    const_den = tuple(const_den)
     out = ctx.zero()
+    groups = {}     # rate key -> [rate, q]
     for mono, c in f.num.items():
-        k = 0
+        k = -v_pow_den
+        rate = ctx.zero()
         rest = []
         for vv, e in mono:
             if vv == vid:
-                k = e
+                k += e
             else:
                 rest.append((vv, e))
-        k -= v_pow_den
-        if k == -1:
-            return None
-        term = DFun(ctx, {tuple(rest): c / (k + 1)}, tuple(rest_den))
-        term = term * ctx.var_fun(vid) ** (k + 1)
-        out = out + term
-    return out
-
-
-def _exp_x_antiderivative(ctx, f: DFun):
-    """Antiderivative of a quasiconstant that is an x-polynomial times
-    exponentials exp(c*x); None when outside that catalog."""
-    if f.den:
-        return None
-    groups = {}
-    for mono, c in f.num.items():
-        rate = None
-        x_deg = 0
-        rest = []
-        for v, e in mono:
-            key = ctx.var_key(v)
-            if key[0] == "x":
-                x_deg = e
-            elif key[0] == "p":
-                rest.append((v, e))
-            elif key[0] == "s":
-                kind, arg, gi = ctx.sym_expr[v]
-                if kind != "exp" or gi is not None:
-                    return None
-                r = ctx.sym_dlog[v] * e
-                rate = r if rate is None else rate + r
-                rest.append((v, e))
-            else:
+                if vv in rates:
+                    rate = rate + rates[vv] * e
+        if rate.is_zero():
+            if k == -1:
                 return None
-        rkey = "0" if rate is None else str(rate)
-        groups.setdefault(rkey, []).append((rate, x_deg, tuple(rest), c))
-    out = ctx.zero()
-    for items in groups.values():
-        rate = items[0][0]
-        if rate is None:
-            # plain x-polynomial: integrate term by term
-            for _, x_deg, rest, c in items:
-                out = out + DFun(ctx, {rest: c / (x_deg + 1)}, ()) * ctx.x() ** (x_deg + 1)
+            out = out + DFun(ctx, {tuple(rest): c / (k + 1)}, const_den) \
+                * ctx.var_fun(vid) ** (k + 1)
+        elif k < 0:
+            return None
         else:
-            # p(x) e^{rx}: repeated integration by parts; the symbol factors ride
-            # along inertly inside q, only the explicit x is differentiated
-            p = ctx.zero()
-            for _, x_deg, rest, c in items:
-                p = p + DFun(ctx, {rest: c}, ()) * ctx.x() ** x_deg
-            acc = ctx.zero()
-            sign = ctx.one() / rate
-            q = p
-            guard = 0
-            while not q.is_zero():
-                acc = acc + sign * q
-                q = -(sign * q._formal_partial(ctx.x_id))
-                guard += 1
-                if guard > 200:
-                    return None
-            out = out + acc
+            group = groups.setdefault(rate.key(), [rate, ctx.zero()])
+            group[1] = group[1] + DFun(ctx, {tuple(rest): c}, const_den) \
+                * ctx.var_fun(vid) ** k
+    for rate, q in groups.values():
+        part = _by_parts(q, rate, vid)
+        if part is None:
+            return None
+        out = out + part
     return out
 
 
@@ -262,7 +217,7 @@ def antiderivative(f: DFun):
         return parts
     d = residue.dord()
     if d == NEG_INF:
-        anti = _exp_x_antiderivative(ctx, residue)
+        anti = antiderivative_in_var(ctx, residue, ctx.x_id)
         if anti is not None:
             return parts + anti
         raise Undecidable("quasiconstant residue outside the antiderivative catalog: %s"

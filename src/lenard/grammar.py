@@ -36,7 +36,7 @@ def _var_text(ctx, vid, latex=False):
             return name + "'" * n
         return "%s^(%d)" % (name, n) if not latex else "%s^{(%d)}" % (name, n)
     if key[0] == "s":
-        kind, arg, _ = ctx.sym_expr[vid]
+        kind, arg = ctx.sym_expr[vid]
         inner = fun_latex(arg) if latex else fun_text(arg)
         if kind == "exp":
             return ("e^{%s}" % inner) if latex else "exp(%s)" % inner
@@ -326,8 +326,6 @@ class _Parser:
 
     def _op_matrix_arg(self, node):
         """Convert a parsed sum-of-chains into an exact matrix operator."""
-        from .jacobi import AtomStructure
-        from .operators import OperatorSum
         acc = None
         for coeff, chain in node:
             op = chain.scaled(coeff).to_operator()

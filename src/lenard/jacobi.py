@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InsufficientTruncation
 from .field import DFun, NEG_INF
-from .operators import MatrixPsdOp, OperatorSum, RationalOpPair, ScalarPsdOp, binom
+from .operators import MatrixPsdOp, OperatorSum, ScalarPsdOp, binom
 from .series import BiSeries, LambdaSeries
 
 
@@ -174,13 +174,12 @@ class SumChain:
 
 
 class AtomStructure:
-    """A structure given by an atom chain plus (optionally) a fraction form."""
+    """A structure given by an atom chain."""
 
-    __slots__ = ("chain", "fraction", "_cache")
+    __slots__ = ("chain", "_cache")
 
-    def __init__(self, chain: AtomChain, fraction: Optional[RationalOpPair] = None):
+    def __init__(self, chain: AtomChain):
         self.chain = chain
-        self.fraction = fraction
         self._cache = {}
 
     @property

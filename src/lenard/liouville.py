@@ -16,7 +16,7 @@ from typing import Tuple
 from .chains import verify_association
 from .errors import ParamDegenerate, Proportional
 from .field import Context, DFun
-from .functional import variational_derivative
+from .functional import _by_parts, antiderivative_in_var, variational_derivative
 from .operators import binom
 from .presets import liouville_fraction
 
@@ -123,22 +123,16 @@ def pq_recursion(ctx, a1, ax, b1, bx, n, var_is_x=True):
     c = ctx.param(name)
     tid = ctx.x_id if var_is_x else ctx.gen_var(0, 0)
 
-    def d_t(f):
-        return f._formal_partial(tid)
-
     def solve_q(p):
         # polynomial solution of q'' + 2c q' = p, constant term zero:
-        # q' = sum_j (-1)^j (2c)^-(j+1) p^(j), then integrate once
-        qp = ctx.zero()
-        pw = p
-        j = 0
-        while not pw.is_zero():
-            qp = qp + ctx.const(Q(-1) ** j) / (2 * c) ** (j + 1) * pw
-            pw = d_t(pw)
-            j += 1
-            if j > 80:
-                raise ParamDegenerate("recursion failed to terminate")
-        return _poly_antiderivative_t(ctx, qp, tid)
+        # (q' e^(2ct))' = p e^(2ct) gives q' by parts, then integrate once
+        qp = _by_parts(p, 2 * c, tid)
+        if qp is None:
+            raise ParamDegenerate("recursion failed to terminate")
+        q = antiderivative_in_var(ctx, qp, tid)
+        if q is None:
+            raise ParamDegenerate("antiderivative of a genuine fraction in t")
+        return q
 
     pairs = []
     p = ctx.zero()
@@ -149,26 +143,6 @@ def pq_recursion(ctx, a1, ax, b1, bx, n, var_is_x=True):
         q = solve_q(p)
         pairs.append((p, q))
     return pairs, c
-
-
-def _poly_antiderivative_t(ctx, p: DFun, tid):
-    """Antiderivative in the variable tid of a t-polynomial (constant-field
-    coefficients may be fractions, but the denominator must be t-free)."""
-    for fac, _ in p.den:
-        if any(v == tid for m in fac for v, _ in m):
-            raise ParamDegenerate("antiderivative of a genuine fraction in t")
-    acc = ctx.zero()
-    for mono, c in p.num.items():
-        deg = 0
-        rest = []
-        for v, e in mono:
-            if v == tid:
-                deg = e
-            else:
-                rest.append((v, e))
-        acc = acc + DFun(ctx, {tuple(rest): c}, p.den) \
-            * ctx.var_fun(tid) ** (deg + 1) / (deg + 1)
-    return acc
 
 
 def family_exp_x(ctx, a1, a2, b1, b2, n):
@@ -229,14 +203,13 @@ def family_case6(ctx, a1, ax, b1, n, in_u=False):
     u = ctx.gen(0, 0)
     u1 = ctx.u(1)
 
-    def anti(f):
-        return _poly_antiderivative_t(ctx, f, tid)
-
     out = []
     p = ctx.one() / b1
     for _ in range(n + 1):
-        r = anti(p)
-        s = anti(r)
+        r = antiderivative_in_var(ctx, p, tid)
+        s = None if r is None else antiderivative_in_var(ctx, r, tid)
+        if s is None:
+            raise ParamDegenerate("antiderivative of a genuine fraction in t")
         if not in_u:
             P = b1 * p
             h = r * u
@@ -450,7 +423,6 @@ def empirical_class(a_pattern, b_pattern):
                          extend_right)
     from .errors import AnsatzExhausted
     from .field import Context, vec_is_zero
-    from .functional import variational_derivative
     from .presets import load_liouville, liouville_spaces
     from .solve import AnsatzSpace, in_span, kernel_of, solve_operator_equation
 

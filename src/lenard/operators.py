@@ -513,7 +513,7 @@ def _mat_inverse_once(B: MatrixPsdOp, floor: int, extra=0) -> MatrixPsdOp:
     return MatrixPsdOp(cols).truncate(floor)
 
 
-def is_nondegenerate(B: MatrixPsdOp, floor=None) -> bool:
+def is_nondegenerate(B: MatrixPsdOp) -> bool:
     """Invertibility in the skew field of matrix pseudodifferential operators."""
     if B.is_zero():
         return False
@@ -524,9 +524,8 @@ def is_nondegenerate(B: MatrixPsdOp, floor=None) -> bool:
     lead = B.leading_matrix()
     if B.rows == 2 and not _det2(lead).is_zero():
         return True
-    fl = floor if floor is not None else default_floor(B)
     try:
-        B.inverse(fl)
+        B.inverse(default_floor(B))
         return True
     except (SingularLeadingSymbol, ZeroDivisor):
         return False
@@ -572,12 +571,6 @@ class RationalOpPair:
     @property
     def ell(self):
         return self.pairs[0][0].rows
-
-    def numerator(self):
-        return self.pairs[0][0]
-
-    def denominator(self):
-        return self.pairs[0][1]
 
     def is_single(self):
         return len(self.pairs) == 1
@@ -728,12 +721,12 @@ def verify_fraction(X, H, floor: int) -> bool:
     return got.eq_to_floor(ref, floor)
 
 
-def check_fraction_times_denominator(H: RationalOpPair, floor=None) -> bool:
+def check_fraction_times_denominator(H: RationalOpPair) -> bool:
     """Re-expansion check: expand(H) o B reproduces A on the computed window."""
     if not H.is_single():
         return True
     A, B = H.pairs[0]
-    fl = floor if floor is not None else default_floor(A, B)
+    fl = default_floor(A, B)
     exp = H.expand(fl)
     prod = exp.compose(B, fl + int(B.order() if B.order() != NEG_INF else 0))
     pf = prod.floor()

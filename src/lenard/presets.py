@@ -299,10 +299,9 @@ def load_kn(a_value=None) -> Preset:
     sok = AtomStructure(_ch(ctx, _ms(u1), ("d", -1), _ms(u1)))
     dorf = AtomStructure(_ch(ctx, ("d", -1), _ms(u1), ("d", -1), _ms(u1), ("d", -1)))
     pre = Preset("kn", ctx, H, K, chain, {
-        "a": a, "kernel_B": [f1, f2, f3, f4], "h3": h3,
+        "a": a, "kernel_B": [f1, f2, f3, f4],
         "H_sum": OperatorSum([(one, sok), (a, dorf)]),
         "K_sum": OperatorSum([(one, dorf)]),
-        "sokolov": sok, "dorfman": dorf,
     })
     _validate(pre)
     return pre
@@ -335,7 +334,7 @@ def load_kn0() -> Preset:
     chain = Chain(H, K, steps)
     sok = AtomStructure(_ch(ctx, _ms(u1), ("d", -1), _ms(u1)))
     pre = Preset("kn0", ctx, H, K, chain, {
-        "h0": h0, "H_sum": OperatorSum([(one, sok)]), "sokolov": sok,
+        "H_sum": OperatorSum([(one, sok)]),
     })
     _validate(pre)
     return pre
@@ -410,9 +409,7 @@ def load_nls() -> Preset:
     pre = Preset("nls", ctx, H, K, chain, {
         "H_sum": OperatorSum([(one, L1s), (a2, L2s), (a3, L3s)]),
         "K_sum": OperatorSum([(one, L2s), (b3, L3s)]),
-        "L": (L1s, L2s, L3s),
         "P2": P2,
-        "ker_B": [zero, 1 / u], "ker_C": [-b3 * u, 1 / u],
     })
     _validate(pre)
     return pre

@@ -37,8 +37,8 @@ class LambdaSeries:
         return cls(ctx, {}, floor)
 
     @classmethod
-    def of_fun(cls, f: DFun, power=0):
-        return cls(f.ctx, {power: f}, None)
+    def of_fun(cls, f: DFun):
+        return cls(f.ctx, {0: f}, None)
 
     def is_zero_to(self, floor):
         if self.floor is not None and self.floor > floor:

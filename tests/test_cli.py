@@ -221,3 +221,35 @@ def test_malformed_arguments_rejected_at_the_boundary(argv, flag, capsys):
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: " + flag + ": ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--op", "D", "--ansatz", "1"],
+    ["check", "--op", "D", "--params", "a=1"],
+    ["chain", "--preset", "nls", "--steps", "0", "--verify-only", "--floor", "-6"],
+    ["classify", "--preset", "kn"],
+    ["classify", "--floor", "3"],
+    ["classify", "--ansatz", "1"],
+    ["classify", "--params", "a=1"],
+    ["export", "--session", "s.json", "--format", "json"],
+    ["presets", "list", "--format", "text"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv):
+    # the flag it does not read comes last, with its value
+    proc = subprocess.run([sys.executable, "-m", "lenard.cli"] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "unrecognized arguments: " + argv[-2] in proc.stderr
+
+
+def test_config_key_the_command_does_not_read_is_a_usage_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = chain\npreset = nls\nfloor = -6\n")
+    proc = subprocess.run([sys.executable, "-m", "lenard.cli", "--config", str(cfg)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "unrecognized arguments: --floor -6" in proc.stderr

@@ -107,3 +107,26 @@ def test_local_functional_equality(ctx):
     b = LocalFunctional(u ** 2)
     assert a == b                     # differ by d(u^2/2)
     assert a != LocalFunctional(u)
+
+
+def test_antiderivative_in_x_treats_free_factors_as_constants():
+    # factors free of x are constants, denominators and the exp branch
+    # included; x^-k integrates for k >= 2, while 1/x and 1/(x+1) leave the field
+    ctx = Context(("u",), ("a1", "b2"))
+    x, a1 = ctx.x(), ctx.param("a1")
+    E = ctx.adjoin_exp_x(ctx.param("b2"))
+    for f in (1 / a1, x / a1, x * E / a1, 1 / x ** 2):
+        assert antiderivative(f).total_derivative() == f
+    assert is_null_functional(x / a1)
+    for f in (1 / x, 1 / (x + 1)):
+        with pytest.raises(Undecidable):
+            antiderivative(f)
+
+
+def test_reduce_by_parts_exp_u_over_a_constant():
+    ctx = Context(("u",), ("a1",))
+    E = ctx.adjoin_exp_u(ctx.const(3))
+    f = E * ctx.u(1) / ctx.param("a1")
+    residue, parts = reduce_by_parts(f)
+    assert residue.is_zero()
+    assert parts.total_derivative() == f

@@ -1,4 +1,5 @@
-"""Source hygiene: every module uses each name it imports."""
+"""Source hygiene: every import is used where it is made, every definition
+is referenced, and every defaulted parameter is passed by some call."""
 
 import ast
 import pathlib
@@ -9,20 +10,27 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lenard"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
+def _scoped_imports(node, scope, out):
+    """(scope, line, name) of each import; the scope is the innermost
+    enclosing def, or the module."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, (ast.Import, ast.ImportFrom))
+                and getattr(child, "module", None) != "__future__"):
+            for alias in child.names:
+                out.append((scope, child.lineno,
+                            (alias.asname or alias.name).split(".")[0]))
+        inner = child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        _scoped_imports(child, inner, out)
+    return out
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    """Each imported name is used in the scope that imports it."""
     tree = ast.parse(path.read_text())
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = (alias.asname or alias.name).split(".")[0]
-                imported[name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    unused = sorted((line, name) for name, line in imported.items()
-                    if name not in used)
+    unused = sorted((line, name) for scope, line, name in _scoped_imports(tree, tree, [])
+                    if not any(isinstance(n, ast.Name) and n.id == name
+                               for n in ast.walk(scope)))
     assert not unused, "unused imports (line, name): %s" % unused
 
 
@@ -71,3 +79,62 @@ def test_no_dead_definitions():
                   for line, qual in _definitions(ast.parse(path.read_text()))
                   if qual.rsplit(".", 1)[-1] not in names)
     assert not dead, "defined but never referenced: %s" % dead
+
+
+def _calls_by_name():
+    """{callee name: [(positional count, keyword names, uses * or **)]} over
+    every call in src, tests, bench and demos, matched by name only."""
+    calls = {}
+    for sub in USER_DIRS:
+        for path in (ROOT / sub).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = (f.id if isinstance(f, ast.Name)
+                        else f.attr if isinstance(f, ast.Attribute) else None)
+                if name is None:
+                    continue
+                star = (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords))
+                calls.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords}, star))
+    return calls
+
+
+def _defaulted_parameters(body, cls=None):
+    """(line, qualified name, callee name, positional index or None, param)
+    for each parameter with a default; __init__ is called by its class name
+    and a method's index does not count self or cls."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _defaulted_parameters(node.body, node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            pos = a.posonlyargs + a.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            skip = 1 if cls and not static else 0
+            callee = cls if node.name == "__init__" else node.name
+            qual = "%s.%s" % (cls, node.name) if cls else node.name
+            first = len(pos) - len(a.defaults)
+            for i in range(first, len(pos)):
+                yield node.lineno, qual, callee, i - skip, pos[i].arg
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield node.lineno, qual, callee, None, arg.arg
+            yield from _defaulted_parameters(node.body)
+
+
+def test_no_dead_parameters():
+    """A defaulted parameter no call passes is a dead option.  A call to the
+    same name passes it by keyword, by enough positional arguments, or
+    through * or **; a name clash can hide a dead parameter, never invent one."""
+    calls = _calls_by_name()
+    dead = sorted("%s:%d %s(%s)" % (path.name, line, qual, param)
+                  for path in MODULES
+                  for line, qual, callee, index, param
+                  in _defaulted_parameters(ast.parse(path.read_text()).body)
+                  if not any(param in kws or star or (index is not None and npos > index)
+                             for npos, kws, star in calls.get(callee, ())))
+    assert not dead, "defaulted parameters no call passes: %s" % dead
