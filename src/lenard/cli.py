@@ -8,8 +8,9 @@ Blocked or finite chain outcomes are data, not failures: exit 0.
 
 A run is reproducible from its config: the same --config file (or flags)
 produces byte-identical machine output.  The config format is a flat
-key = value file, one per line, # comments; unknown keys are rejected
-(grammar in docs/config_grammar.ebnf).
+key = value file, one per line, # comments; its keys are the flags of the
+chosen command and any other key is rejected (grammar in
+docs/config_grammar.ebnf).
 """
 
 from __future__ import annotations
@@ -28,21 +29,19 @@ from .field import Context
 from .grammar import parse_operator
 from .liouville import (EMPIRICAL_PATTERNS, classification_table, classify,
                         empirical_class)
+from .operators import RationalOpPair, is_nondegenerate
 from .presets import (liouville_spaces, load_preset, nls_k_solver, nls_h_solver,
                       nls_spaces, preset_ids)
 from .report import (chain_record, classification_record, to_json,
                      verdict_record)
 from .solve import AnsatzSpace
 
-_CONFIG_KEYS = {
-    "preset", "command", "what", "op", "direction", "steps", "floor",
-    "ansatz", "params", "format", "generators", "pattern",
-    "verify_only", "empirical",
-}
+def read_config(path, default_command, commands):
+    """The argv a config file stands for: its command, then one flag per key.
 
-
-def read_config(path):
-    out = {}
+    A key is accepted exactly when the command has the flag --<key> (with _
+    for -); "true"/"yes" switch a flag on."""
+    entries = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -51,10 +50,26 @@ def read_config(path):
             if "=" not in line:
                 raise ParseError("expected key = value", lineno, 0)
             key, val = [s.strip() for s in line.split("=", 1)]
-            if key not in _CONFIG_KEYS:
-                raise ParseError("unknown config key %r" % key, lineno, 0)
-            out[key] = val
-    return out
+            entries.append((lineno, key, val))
+    command = default_command
+    for _, key, val in entries:
+        if key == "command":
+            command = val
+    argv = [command]
+    if command not in commands:
+        return argv  # argparse names the unknown command
+    for lineno, key, val in entries:
+        if key == "command":
+            continue
+        flag = "--" + key.replace("_", "-")
+        piece = [flag] if val in ("true", "yes") else [flag, val]
+        action = commands[command]._option_string_actions.get(flag)
+        if action is None or action.dest == "help":
+            raise ParseError("unknown config key %r for %s: unrecognized "
+                             "arguments: %s" % (key, command, " ".join(piece)),
+                             lineno, 0)
+        argv.extend(piece)
+    return argv
 
 
 _PATTERN = re.compile(r"([ab])=\(([01]),([01]),([01])\),([ab])=\(([01]),([01]),([01])\)")
@@ -78,6 +93,13 @@ def _structure_from_args(args):
     if args.op:
         ctx = Context(tuple((args.generators or "u").split(",")))
         op = parse_operator(ctx, args.op)
+        if isinstance(op, RationalOpPair):
+            for _, b in op.pairs:
+                if not is_nondegenerate(b):
+                    raise LenardError("--op: denominator %s is not invertible" % b)
+            if args.what == "jacobi":
+                raise LenardError("--op: the Jacobi check needs an atom-chain "
+                                  "operator, not the fraction %s" % op)
         return None, op, None
     raise LenardError("need --preset or --op")
 
@@ -379,6 +401,7 @@ def build_parser():
     pp.add_argument("action", nargs="?", default="list",
                     choices=("list", "equations"))
     pp.add_argument("target", nargs="?", help="preset id for `equations`")
+    ap.commands = sub.choices
     return ap
 
 
@@ -387,15 +410,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         if args.config:
-            cfg = read_config(args.config)
-            merged = [cfg.pop("command", args.command or "check")]
-            for k, v in cfg.items():
-                flag = "--" + k.replace("_", "-")
-                if v in ("true", "yes"):
-                    merged.append(flag)
-                else:
-                    merged.extend([flag, v])
-            args = ap.parse_args(merged)
+            args = ap.parse_args(read_config(args.config, args.command or "check",
+                                             ap.commands))
         if args.command == "check":
             return cmd_check(args)
         if args.command == "chain":

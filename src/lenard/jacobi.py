@@ -24,13 +24,12 @@ completion and breaks on genuinely non-local structures.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InsufficientTruncation
 from .field import DFun, NEG_INF
-from .operators import MatrixPsdOp, OperatorSum, ScalarPsdOp, binom
-from .series import BiSeries, LambdaSeries
+from .operators import MatrixPsdOp, OperatorSum, ScalarPsdOp, _binomial_shift
+from .series import BiSeries, LambdaSeries, _jf
 
 
 # ---------------------------------------------------------------------------
@@ -252,29 +251,13 @@ def _grid_scale_fun(g: BiSeries, f: DFun) -> BiSeries:
     return BiSeries(g.ctx, {pq: f * c for pq, c in g.coeffs.items()}, g.floors)
 
 
-def _grid_of_lambda(ser: LambdaSeries) -> BiSeries:
-    return BiSeries(ser.ctx, {(p, 0): c for p, c in ser.coeffs.items()},
-                    (ser.floor, None))
-
-
-def _series_mul_floors(fa, ta, fb, tb):
-    """Accuracy floor of a product of two series with floors/tops."""
-    out = None
-    if fa is not None:
-        out = fa + tb
-    if fb is not None:
-        v = fb + ta
-        out = v if out is None else max(out, v)
-    return out
-
-
-def _grid_mul_series(g: BiSeries, s: LambdaSeries, axis: int) -> BiSeries:
-    """Multiply by a series in the first (axis 0) or second (axis 1) variable."""
+def _grid_mul_series(g: BiSeries, s: LambdaSeries) -> BiSeries:
+    """Multiply by a series in the first variable."""
     ctx = g.ctx
     out: Dict[Tuple[int, int], DFun] = {}
     for (p, q), c in g.coeffs.items():
         for n, c2 in s.coeffs.items():
-            key = (p + n, q) if axis == 0 else (p, q + n)
+            key = (p + n, q)
             v = c * c2
             acc = out.get(key)
             acc = v if acc is None else acc + v
@@ -282,69 +265,53 @@ def _grid_mul_series(g: BiSeries, s: LambdaSeries, axis: int) -> BiSeries:
                 out.pop(key, None)
             else:
                 out[key] = acc
-    gt = max((pq[axis] for pq in g.coeffs), default=0)
+    # a floor of either factor, raised by the other factor's top power
+    gt = max((p for p, _ in g.coeffs), default=0)
     st = int(s.top()) if s.coeffs else 0
-    floors = list(g.floors)
-    floors[axis] = _series_mul_floors(g.floors[axis], gt, s.floor, st)
-    return BiSeries(ctx, out, tuple(floors))
+    fl = _jf(None if g.floors[0] is None else g.floors[0] + st,
+             None if s.floor is None else s.floor + gt)
+    return BiSeries(ctx, out, (fl, g.floors[1]))
+
+
+def _lambda_rows(g: BiSeries) -> Dict[int, LambdaSeries]:
+    """The grid as l-power -> m-series, ascending in l, each with g's m floor."""
+    rows: Dict[int, Dict[int, DFun]] = {}
+    for (p, q), c in g.coeffs.items():
+        rows.setdefault(p, {})[q] = c
+    return {p: LambdaSeries(g.ctx, rows[p], g.floors[1]) for p in sorted(rows)}
+
+
+def _grid_of_rows(ctx, rows: Dict[int, LambdaSeries], floors) -> BiSeries:
+    return BiSeries(ctx, {(p, q): c for p, ser in rows.items()
+                          for q, c in ser.coeffs.items()}, floors)
 
 
 def _grid_mu_shift(g: BiSeries, r: int, mu_floor: Optional[int]) -> BiSeries:
     """(m+d)^r along the second variable of a grid."""
-    ctx = g.ctx
     if r >= 0 and g.floors[1] is None:
         mu_floor = None  # finite binomial of an exact series stays exact
-    slices: Dict[int, Dict[int, DFun]] = {}
-    for (p, q), c in g.coeffs.items():
-        slices.setdefault(p, {})[q] = c
-    out: Dict[Tuple[int, int], DFun] = {}
-    fm = mu_floor
-    for p, sl in slices.items():
-        ser = LambdaSeries(ctx, sl, g.floors[1]).apply_shift(r, floor=mu_floor)
-        if ser.floor is not None:
-            fm = ser.floor if fm is None else max(fm, ser.floor)
-        for q, c in ser.coeffs.items():
-            out[(p, q)] = c
-    if not slices and g.floors[1] is not None:
-        v = g.floors[1] + (r if r > 0 else 0)
-        fm = v if fm is None else max(fm, v)
-    return BiSeries(ctx, out, (g.floors[0], fm))
+    rows = {p: ser.apply_shift(r, floor=mu_floor)
+            for p, ser in _lambda_rows(g).items()}
+    fm = g.floors[1]
+    if fm is not None and r > 0:
+        fm += r
+    return _grid_of_rows(g.ctx, rows, (g.floors[0], _jf(fm, mu_floor)))
 
 
 def _grid_trinomial(g: BiSeries, r: int, lam_floor: int, mu_floor: int) -> BiSeries:
-    """(l+m+d)^r on a grid: sum_k binom(r,k) (m+d)^k l^(r-k)."""
+    """(l+m+d)^r on a grid: the shift kernel h(l+D) with h = l^r and D = m+d,
+    applied to the grid's l-rows."""
     ctx = g.ctx
     if not g.coeffs:
-        fl = g.floors[0]
-        fl = lam_floor if fl is None else max(fl, lam_floor)
-        return BiSeries(ctx, {}, (fl, g.floors[1]))
-    top_l = max(p for p, _ in g.coeffs)
-    kmax = r if r >= 0 else top_l + r - lam_floor
+        return BiSeries(ctx, {}, (_jf(g.floors[0], lam_floor), g.floors[1]))
+    kmax = r if r >= 0 else max(p for p, _ in g.coeffs) + r - lam_floor
     if kmax < 0:
         return BiSeries(ctx, {}, (lam_floor, g.floors[1]))
-    acc = None
-    for k in range(kmax + 1):
-        b = binom(r, k)
-        if b == 0:
-            continue
-        part = _grid_mu_shift(g, k, mu_floor)
-        part = BiSeries(ctx,
-                        {(p + r - k, q): (c if b == 1 else c * Q(b))
-                         for (p, q), c in part.coeffs.items()
-                         if p + r - k >= lam_floor},
-                        (max(lam_floor,
-                             part.floors[0] + r - k if part.floors[0] is not None
-                             else lam_floor),
-                         part.floors[1]))
-        acc = part if acc is None else acc + part
-    if acc is None:
-        acc = BiSeries(ctx, {}, (lam_floor, g.floors[1]))
-    # unknown l-content of g also shifts: floor rises by r-0 at worst for r>0
-    if g.floors[0] is not None and r > 0:
-        fl = max(acc.floors[0] if acc.floors[0] is not None else lam_floor,
-                 g.floors[0] + r)
-        acc = BiSeries(ctx, acc.coeffs, (fl, acc.floors[1]))
-    return acc
+    rows = _binomial_shift({r: ctx.one()}, _lambda_rows(g), lam_floor,
+                           step=lambda ser: ser.apply_shift(1))
+    fl = lam_floor if g.floors[0] is None else max(lam_floor, g.floors[0] + r)
+    fm = None if g.floors[1] is None else max(mu_floor, g.floors[1] + kmax)
+    return _grid_of_rows(ctx, rows, (fl, fm))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +419,10 @@ class JacobiEngine:
                 br = self._bracket_gen_fun(i, f, lam_floor)
                 cur = _grid_scale_fun(cur, f)
                 if br.coeffs or br.floor is not None:
-                    cur = cur + _grid_mul_series(_grid_of_lambda(br), suffix, 1)
+                    cur = cur + BiSeries(ctx, {(p, q): a * b
+                                               for p, a in br.coeffs.items()
+                                               for q, b in suffix.coeffs.items()},
+                                         (br.floor, suffix.floor))
                 suffix = suffix.scale(f)
         return cur
 
@@ -476,13 +446,7 @@ class JacobiEngine:
             if ser.floor is not None:
                 fm_out = max(fm_out, ser.floor)
             for q, c in ser.coeffs.items():
-                key = (p, q)
-                acc = coeffs.get(key)
-                acc = c if acc is None else acc + c
-                if acc.is_zero():
-                    coeffs.pop(key, None)
-                else:
-                    coeffs[key] = acc
+                coeffs[(p, q)] = c
         return BiSeries(ctx, coeffs, (fl, fm_out))
 
     # -- third term --------------------------------------------------------------
@@ -526,7 +490,7 @@ class JacobiEngine:
         f = data
         # piece 1: {f_s u_k} -> (suffix value * carrier)
         xval = self._path_value(rest, lam_floor)
-        prod = _grid_mul_series(carrier, xval, 0)
+        prod = _grid_mul_series(carrier, xval)
         ptop = max((p for p, _ in prod.coeffs), default=0)
         nu_floor = self.floors[0] - max(0, ptop) - 1
         dser = self._bracket_fun_gen(f, k, nu_floor)

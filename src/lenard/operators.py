@@ -34,13 +34,16 @@ def binom(m: int, k: int) -> int:
 
 
 def _binomial_shift(h: Dict[int, DFun], t: Dict[int, DFun], floor: Optional[int] = None,
-                    out: Optional[Dict[int, DFun]] = None) -> Dict[int, DFun]:
-    """h(l+d) applied to t: sum of binom(q, k) h_q t_p^(k) at degree q+p-k.
+                    out: Optional[Dict[int, DFun]] = None,
+                    step=DFun.total_derivative) -> Dict[int, DFun]:
+    """h(l+D) applied to t: sum of binom(q, k) h_q D^k(t_p) at degree q+p-k.
 
-    Degrees below the floor are dropped.  For q >= 0 the k-sum is finite; for
-    q < 0 it runs down to the floor, or, without one, until a derivative
-    vanishes (InsufficientTruncation past k = 80).  Terms are added into
-    `out` when it is given.
+    D is `step`, the total derivative unless given; a coefficient t_p only
+    needs a zero test, + and products with h_q and with a rational.  Degrees
+    below the floor are dropped.  For q >= 0 the k-sum is finite; for q < 0
+    it runs down to the floor, or, without one, until D^k(t_p) vanishes
+    (InsufficientTruncation past k = 80).  Terms are added into `out` when
+    it is given.
     """
     if out is None:
         out = {}
@@ -53,7 +56,7 @@ def _binomial_shift(h: Dict[int, DFun], t: Dict[int, DFun], floor: Optional[int]
             k = 0
             while kmax is None or k <= kmax:
                 if k:
-                    c = c.total_derivative()
+                    c = step(c)
                 if c.is_zero():
                     break
                 if kmax is None and k > 80:
@@ -587,8 +590,7 @@ class RationalOpPair:
     def expand(self, floor: int) -> MatrixPsdOp:
         """Laurent expansion of the chain product, accurate to the floor."""
         if floor not in self._cache:
-            self._cache[floor] = _expand_chain(
-                self.pairs, lambda a, b, fl: a.compose(b.inverse(fl)), floor)
+            self._cache[floor] = _expand_chain(self.pairs, floor)
         return self._cache[floor]
 
     def adjoint_sum(self) -> "OperatorSum":
@@ -603,11 +605,11 @@ class RationalOpPair:
     __repr__ = __str__
 
 
-def _expand_chain(pairs, factor, floor: int) -> MatrixPsdOp:
-    """Product of factor(a, b, fl) over the ordered pairs, accurate to the floor.
+def _expand_chain(pairs, floor: int) -> MatrixPsdOp:
+    """Product of a b^-1 over the ordered pairs, accurate to the floor.
 
-    fl is the floor each pair's inverse needs; the whole product is retried
-    with a deeper margin (extra 1, 4, 16) when truncation falls short.
+    Each b^-1 is expanded to the floor its pair needs; the whole product is
+    retried with a deeper margin (extra 1, 4, 16) when truncation falls short.
     """
     tops = [max(0, int(a.order() - b.order())) if a.order() != NEG_INF else 0
             for a, b in pairs]
@@ -617,7 +619,7 @@ def _expand_chain(pairs, factor, floor: int) -> MatrixPsdOp:
         for (a, b), top in zip(pairs, tops):
             need = floor - (total - top) - extra
             a_top = int(a.order()) if a.order() != NEG_INF else 0
-            part = factor(a, b, need - max(0, a_top))
+            part = a.compose(b.inverse(need - max(0, a_top)))
             acc = part if acc is None else acc.compose(part)
         try:
             return acc.truncate(floor)
@@ -646,9 +648,8 @@ class _AdjointChain:
         return self.base.order()
 
     def expand(self, floor: int) -> MatrixPsdOp:
-        return _expand_chain(
-            list(reversed(self.base.pairs)),
-            lambda a, b, fl: b.adjoint().inverse(fl).compose(a.adjoint()), floor)
+        # exact to the floor: a_n d^n only reaches degrees <= n under adjoint
+        return self.base.expand(floor).adjoint(floor)
 
     def adjoint_sum(self) -> "OperatorSum":
         return structure_sum(self.base)

@@ -1,9 +1,11 @@
 """Built-in structures, fractions, kernels, seed chains and expected outputs.
 
-Every preset is self-validating: loading it re-checks the fractional
-decompositions by Laurent expansion, the stored kernel bases, and every
-stored association witness as an exact identity.  Parameters stay symbolic
-by default; bind_params gives a numeric copy for faster regression runs.
+Every preset is self-validating: loading it re-checks the stored kernel
+bases and every stored association witness as an exact identity.  The
+hand-written H_sum/K_sum of a preset equal its fractions H and K by Laurent
+expansion to floor -8; tests/test_presets.py checks that identity once for
+every preset, so a load does not repeat it.  Parameters stay symbolic by
+default; bind_params gives a numeric copy for faster regression runs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .errors import UnknownPreset, ValidationFailure
 from .field import Context
 from .functional import LocalFunctional, variational_derivative
 from .jacobi import AtomChain, AtomStructure, SumChain
-from .operators import OperatorSum, RationalOpPair, verify_fraction
+from .operators import OperatorSum
 from .solve import AnsatzSpace
 
 
@@ -474,22 +476,10 @@ def nls_k_solver(pre: Preset):
 
 
 def _validate(pre: Preset):
-    """Embedded checks: fraction expansions and every stored witness."""
+    """Embedded checks: every stored witness and kernel element."""
     chain = pre.chain
     if not chain.verify():
         raise ValidationFailure("%s: a stored association witness fails" % pre.id)
-    H_sum = pre.extras.get("H_sum")
-    if H_sum is not None:
-        frac = RationalOpPair.fraction(pre.H.num_op(), pre.H.den_op())
-        if not verify_fraction(H_sum, frac, -8):
-            raise ValidationFailure("%s: H fraction does not expand to the sum"
-                                    % pre.id)
-    K_sum = pre.extras.get("K_sum")
-    if K_sum is not None:
-        frac = RationalOpPair.fraction(pre.K.num_op(), pre.K.den_op())
-        if not verify_fraction(K_sum, frac, -8):
-            raise ValidationFailure("%s: K fraction does not expand to the sum"
-                                    % pre.id)
     kerB = pre.extras.get("kernel_B")
     if kerB is not None:
         for f in kerB:

@@ -40,6 +40,10 @@ class LambdaSeries:
     def of_fun(cls, f: DFun):
         return cls(f.ctx, {0: f}, None)
 
+    def is_zero(self):
+        """No stored coefficient (the floor is not consulted)."""
+        return not self.coeffs
+
     def is_zero_to(self, floor):
         if self.floor is not None and self.floor > floor:
             return False
@@ -64,6 +68,11 @@ class LambdaSeries:
 
     def __sub__(self, other):
         return self + (-other)
+
+    def __mul__(self, q):
+        """Product with a rational."""
+        return LambdaSeries(self.ctx, {p: c * q for p, c in self.coeffs.items()},
+                            self.floor)
 
     def scale(self, f: DFun):
         return LambdaSeries(self.ctx, {p: f * c for p, c in self.coeffs.items()},

@@ -10,8 +10,9 @@ from lenard.brackets import (check_compatible, check_jacobi, check_skewadjoint,
 from lenard.errors import InvalidWitness
 from lenard.field import Context, vec_is_zero
 from lenard.functional import LocalFunctional
-from lenard.jacobi import AtomChain, AtomStructure
-from lenard.operators import OperatorSum, RationalOpPair, ScalarPsdOp
+from lenard.jacobi import AtomChain, AtomStructure, _grid_trinomial
+from lenard.operators import OperatorSum, RationalOpPair, ScalarPsdOp, binom
+from lenard.series import BiSeries, LambdaSeries
 
 from conftest import random_dfun
 
@@ -163,3 +164,38 @@ def test_functional_bracket_with_unit_field(ctx):
     g = LocalFunctional(u ** 2 / 2)
     out = functional_action([ctxp.one()], g)
     assert out == LocalFunctional(u)
+
+
+def _trinomial_by_definition(g, r, lam_floor, mu_floor):
+    """sum_k binom(r,k) l^(r-k) (m+d)^k on a grid, one apply_shift per l-row."""
+    ctx = g.ctx
+    rows = {}
+    for (p, q), c in g.coeffs.items():
+        rows.setdefault(p, {})[q] = c
+    kmax = r if r >= 0 else max(rows) + r - lam_floor
+    fm = None if g.floors[1] is None else mu_floor
+    out = {}
+    for k in range(kmax + 1):
+        for p, row in rows.items():
+            ser = LambdaSeries(ctx, row, g.floors[1]).apply_shift(k, floor=fm)
+            for q, c in ser.coeffs.items():
+                key = (p + r - k, q)
+                out[key] = out.get(key, ctx.zero()) + c * Q(binom(r, k))
+    return out, kmax
+
+
+@pytest.mark.parametrize("floors", [(None, None), (-3, None), (None, -4), (-3, -4)])
+@pytest.mark.parametrize("r", range(-3, 4))
+def test_grid_trinomial_against_definition(ctx, rng, r, floors):
+    g = BiSeries(ctx, {(p, q): random_dfun(ctx, rng, max_dord=1)
+                       for p in (-1, 0, 2) for q in (-2, 0, 1)}, floors)
+    lam_floor, mu_floor = -5, -6
+    got = _grid_trinomial(g, r, lam_floor, mu_floor)
+    ref, kmax = _trinomial_by_definition(g, r, lam_floor, mu_floor)
+    fl = lam_floor if floors[0] is None else max(lam_floor, floors[0] + r)
+    fm = None if floors[1] is None else max(mu_floor, floors[1] + kmax)
+    assert got.floors == (fl, fm)
+    assert got.coeffs
+    for p, q in set(got.coeffs) | set(ref):
+        if p >= fl and (fm is None or q >= fm):
+            assert got.coeffs.get((p, q), ctx.zero()) == ref.get((p, q), ctx.zero())

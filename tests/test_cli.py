@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, exports, configs."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -167,6 +168,35 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert code == 2
 
 
+def test_config_keys_are_the_command_flags(tmp_path, capsys):
+    # a prefix of a flag is not a key
+    cfg = tmp_path / "prefix.cfg"
+    cfg.write_text("command = chain\npreset = nls\nverify = true\n")
+    assert run_cli("--config", str(cfg)) == (2, "")
+    assert "unknown config key 'verify'" in capsys.readouterr().err
+
+
+def test_config_export(tmp_path):
+    session = tmp_path / "s.json"
+    session.write_text(json.dumps({"check": "skew", "floor": -8}))
+    out_tex = tmp_path / "out.tex"
+    cfg = tmp_path / "export.cfg"
+    cfg.write_text("command = export\nsession = %s\ntarget = latex\nout = %s\n"
+                   % (session, out_tex))
+    assert run_cli("--config", str(cfg)) == (0, "")
+    assert out_tex.read_text().startswith("% generated report\n")
+
+
+def test_config_keep_constants(tmp_path):
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text("command = chain\npreset = liouville-v\nsteps = 1\n"
+                   "keep_constants = true\n")
+    code, out = run_cli("--config", str(cfg))
+    assert code == 0
+    assert out == run_cli("chain", "--preset", "liouville-v", "--steps", "1",
+                          "--keep-constants")[1]
+
+
 def test_presets_list():
     code, out = run_cli("presets")
     assert code == 0
@@ -214,6 +244,8 @@ def test_chain_kn_rational_param():
     (["classify", "--pattern", "a=(1,0),b=(0,1,1)"], "--pattern"),
     (["classify", "--pattern", "a=(1,0,0),a=(0,1,1)"], "--pattern"),
     (["classify", "--pattern", "a=(1,0,2),b=(0,1,1)"], "--pattern"),
+    (["check", "--op", "frac(D,D^2)", "--what", "jacobi"], "--op"),
+    (["check", "--op", "frac(D,0)", "--what", "skew"], "--op"),
 ])
 def test_malformed_arguments_rejected_at_the_boundary(argv, flag, capsys):
     code, out = run_cli(*argv)
@@ -253,3 +285,42 @@ def test_config_key_the_command_does_not_read_is_a_usage_error(tmp_path):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "unrecognized arguments: --floor -6" in proc.stderr
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def _golden(name):
+    with open(os.path.join(GOLDEN, name)) as fh:
+        return fh.read()
+
+
+# the fast commands of the README's command-line block: name, argv, exit code
+README_COMMANDS = [
+    ("check_skew_d2", ["check", "--op", "D^2", "--what", "skew"], 1),
+    ("check_jacobi_sokolov",
+     ["check", "--op", "u' D^-1 u'", "--what", "jacobi", "--floor", "-6"], 0),
+    ("chain_kn", ["chain", "--preset", "kn", "--steps", "1"], 0),
+    ("chain_liouville_iv_left", ["chain", "--preset", "liouville-iv",
+                                 "--direction", "left", "--steps", "2"], 0),
+    ("chain_nls_verify_only",
+     ["chain", "--preset", "nls", "--steps", "0", "--verify-only"], 0),
+    ("classify", ["classify"], 0),
+    ("classify_pattern", ["classify", "--pattern", "b=(0,1,1),a=(1,0,0)"], 0),
+    ("presets", ["presets"], 0),
+]
+
+
+@pytest.mark.parametrize("name, argv, code", README_COMMANDS,
+                         ids=[c[0] for c in README_COMMANDS])
+def test_readme_command_output_is_unchanged(name, argv, code):
+    assert run_cli(*argv) == (code, _golden(name + ".out"))
+
+
+def test_readme_session_export_is_unchanged(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("chain", "--preset", "kn", "--steps", "1",
+                   "--session", "s.json") == (0, _golden("chain_kn.out"))
+    assert run_cli("export", "--session", "s.json", "--target", "latex",
+                   "--out", "out.tex") == (0, "")
+    assert (tmp_path / "out.tex").read_text() == _golden("export_latex.tex")
