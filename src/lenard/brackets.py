@@ -5,9 +5,11 @@ The bracket {f_l g} of a structure H is evaluated by the master formula
     sum over i, j, m, n of
         dg/du_j^(n) (l+d)^n H_ji(l+d) (-l-d)^m df/du_i^(m),
 
-with H's symbol expanded deep enough that the requested accuracy floor of
-the result is certified: the expansion depth is the target floor minus the
-maximal m and n that occur.  Jacobi and compatibility verdicts are always
+where the symbol H(l) is read off H's expansion: entry (j, i) of the
+expanded MatrixPsdOp holds the coefficient of l^n at degree n.  H is
+expanded deep enough that the requested accuracy floor of the result is
+certified: the expansion depth is the target floor minus the maximal m
+and n that occur.  Jacobi and compatibility verdicts are always
 floor-qualified; the comparison domain expands (l+mu)^q by the geometric
 series in mu/l.
 """
@@ -20,31 +22,13 @@ from typing import Optional, Tuple
 from .errors import InvalidWitness
 from .field import DFun
 from .functional import LocalFunctional
-from .operators import MatrixPsdOp, _binomial_shift, structure_sum
+from .operators import MatrixPsdOp, ScalarPsdOp, _binomial_shift, structure_sum
 from .series import LambdaSeries
 
 DEFAULT_JACOBI_FLOORS = (-8, -8)
 
 
-class SymbolTable:
-    """The expanded symbol matrix of a structure, at one depth."""
-
-    __slots__ = ("ctx", "ell", "floor", "entries")
-
-    def __init__(self, H, floor):
-        S = structure_sum(H)
-        self.ctx = S.ctx
-        self.ell = S.ell
-        self.floor = floor
-        mat = S.expand(floor)
-        self.entries = [[mat.entries[r][c].symbol_series(floor)
-                         for c in range(self.ell)] for r in range(self.ell)]
-
-    def entry(self, j, i) -> LambdaSeries:
-        return self.entries[j][i]
-
-
-def apply_symbol(sym: LambdaSeries, t: LambdaSeries, floor) -> LambdaSeries:
+def apply_symbol(sym: ScalarPsdOp, t: LambdaSeries, floor) -> LambdaSeries:
     """H(l+d) applied to a series: sum_q h_q (l+d)^q t, to the floor."""
     ctx = sym.ctx
     if not t.coeffs:
@@ -62,10 +46,14 @@ def apply_symbol(sym: LambdaSeries, t: LambdaSeries, floor) -> LambdaSeries:
     return LambdaSeries(ctx, acc, fl)
 
 
-def master_bracket(sym: SymbolTable, f_parts, g_parts, floor) -> LambdaSeries:
-    """The master formula given precomputed partials of f and g."""
+def master_bracket(sym: MatrixPsdOp, f: DFun, g: DFun, floor) -> LambdaSeries:
+    """The master formula for {f_l g}, with sym H's expansion (its symbol)."""
     ctx = sym.ctx
-    ell = sym.ell
+    ell = sym.rows
+    f_parts = [f.jet_partials(i) for i in range(ell)]
+    g_parts = [g.jet_partials(j) for j in range(ell)]
+    if all(not ps for ps in f_parts) or all(not ps for ps in g_parts):
+        return LambdaSeries.zero(ctx, None)
     # t_i = sum_m (-l-d)^m f_{i,m}
     tvec = []
     for i in range(ell):
@@ -94,15 +82,13 @@ def master_bracket(sym: SymbolTable, f_parts, g_parts, floor) -> LambdaSeries:
 def lambda_bracket(H, f: DFun, g: DFun, floor: int) -> LambdaSeries:
     """{f_l g}_H to the floor."""
     S = structure_sum(H)
-    ell = S.ell
-    f_parts = [f.jet_partials(i) for i in range(ell)]
-    g_parts = [g.jet_partials(j) for j in range(ell)]
-    M = max([m for ps in f_parts for m in ps], default=0)
-    N = max([n for ps in g_parts for n in ps], default=0)
+    f_parts = [f.jet_partials(i) for i in range(S.ell)]
+    g_parts = [g.jet_partials(j) for j in range(S.ell)]
     if all(not ps for ps in f_parts) or all(not ps for ps in g_parts):
         return LambdaSeries.zero(S.ctx, None)
-    sym = SymbolTable(S, floor - M - N)
-    return master_bracket(sym, f_parts, g_parts, floor)
+    M = max(m for ps in f_parts for m in ps)
+    N = max(n for ps in g_parts for n in ps)
+    return master_bracket(S.expand(floor - M - N), f, g, floor)
 
 
 # ---------------------------------------------------------------------------

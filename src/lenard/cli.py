@@ -72,6 +72,9 @@ def read_config(path, default_command, commands):
     return argv
 
 
+# a name token of the expression grammar
+_GENERATOR = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
 _PATTERN = re.compile(r"([ab])=\(([01]),([01]),([01])\),([ab])=\(([01]),([01]),([01])\)")
 
 
@@ -91,8 +94,17 @@ def _structure_from_args(args):
         pre = load_preset(args.preset)
         return pre, pre.extras.get("H_sum"), pre.extras.get("K_sum")
     if args.op:
-        ctx = Context(tuple((args.generators or "u").split(",")))
-        op = parse_operator(ctx, args.op)
+        names = (args.generators or "u").split(",")
+        if (len(set(names)) != len(names) or not all(
+                _GENERATOR.fullmatch(n) and n not in ("x", "D", "frac", "chain")
+                for n in names)):
+            raise LenardError("--generators: expected distinct names of letters, "
+                              "digits and _ (not x, D, frac or chain), got %r"
+                              % args.generators)
+        try:
+            op = parse_operator(Context(tuple(names)), args.op)
+        except ParseError as e:
+            raise LenardError("--op: %s" % e)
         if isinstance(op, RationalOpPair):
             for _, b in op.pairs:
                 if not is_nondegenerate(b):

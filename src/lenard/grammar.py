@@ -20,6 +20,7 @@ from fractions import Fraction as Q
 
 from .errors import ParseError
 from .field import DFun, ONE_MONO
+from .operators import OperatorSum, RationalOpPair
 
 # ---------------------------------------------------------------------------
 # printing
@@ -319,64 +320,82 @@ class _Parser:
     # parsed lazily into atom chains: no nonlocal composition is expanded
 
     def parse_op(self):
+        """A structure on the context's l generators: a matrix operator must
+        come out l x l, and a frac or chain must fit together to one."""
+        ell = self.ctx.ell
         t = self.peek()
-        if t.kind == "name" and t.text in ("frac", "chain"):
-            return self.op_fraction()
-        return _sum_of_terms(self.ctx, self.op_sum())
-
-    def _op_matrix_arg(self, node):
-        """Convert a parsed sum-of-chains into an exact matrix operator."""
-        acc = None
-        for coeff, chain in node:
-            op = chain.scaled(coeff).to_operator()
-            acc = op if acc is None else acc + op
-        return acc
-
-    def op_fraction(self):
-        from .operators import RationalOpPair
-        t = self.next()
+        if not (t.kind == "name" and t.text in ("frac", "chain")):
+            terms, shape = self.op_sum()
+            if shape not in (None, (ell, ell)):
+                self.error(_SIZE_ERROR % (_shape_text(shape), ell, ell))
+            from .jacobi import AtomStructure
+            return OperatorSum([(c, AtomStructure(ch))
+                                for c, ch in (terms if shape else _diagonal(terms, ell))])
+        self.next()
         if t.text == "frac":
+            pairs = [self._op_pair()]
+        else:
             self.expect("(")
-            a = self._op_matrix_arg(self.op_sum())
-            self.expect(",")
-            b = self._op_matrix_arg(self.op_sum())
+            pairs = [self._op_pair()]
+            while self.peek().text == ",":
+                self.next()
+                pairs.append(self._op_pair())
             self.expect(")")
-            return RationalOpPair([(a, b)])
-        if t.text == "chain":
-            self.expect("(")
-            pairs = []
-            while True:
-                self.expect("(")
-                a = self._op_matrix_arg(self.op_sum())
-                self.expect(",")
-                b = self._op_matrix_arg(self.op_sum())
-                self.expect(")")
-                pairs.append((a, b))
-                if self.peek().text == ",":
-                    self.next()
-                    continue
-                break
-            self.expect(")")
-            return RationalOpPair(pairs)
-        raise ParseError("expected frac(...) or chain(...)", t.line, t.col)
+        cols = ell
+        for a, b in pairs:
+            if b.rows != b.cols:
+                self.error("denominator %s is %dx%d, not square" % (b, b.rows, b.cols))
+            if (a.rows, a.cols) != (cols, b.rows):
+                self.error("numerator %s is %dx%d, but %dx%d is needed"
+                           % (a, a.rows, a.cols, cols, b.rows))
+            cols = b.cols
+        if cols != ell:
+            self.error(_SIZE_ERROR % ("%dx%d" % (ell, cols), ell, ell))
+        return RationalOpPair(pairs)
+
+    def _op_pair(self):
+        """(A, B) of exact matrix differential operators."""
+        self.expect("(")
+        pair = []
+        for sep in (",", ")"):
+            t = self.peek()
+            terms, shape = self.op_sum()
+            if any(kind == "d" and data < 0 for _, ch in terms for kind, data in ch.atoms):
+                raise ParseError("frac and chain take differential operators, "
+                                 "without D^-k", t.line, t.col)
+            if shape is None:
+                terms = _diagonal(terms, self.ctx.ell)
+            ops = [ch.scaled(c).to_operator() for c, ch in terms]
+            pair.append(sum(ops[1:], ops[0]))
+            self.expect(sep)
+        return tuple(pair)
 
     def op_sum(self):
-        """Returns a list of (constant coefficient, AtomChain) summands."""
+        """(summands, shape): a list of (constant coefficient, AtomChain) and
+        the operator's (rows, cols), or None for a scalar expression, which
+        acts diagonally in whatever dimension it meets."""
         t = self.peek()
         sign = 1
         if t.text in ("+", "-"):
             self.next()
             sign = -1 if t.text == "-" else 1
-        a = self.op_compose()
+        a, shape = self.op_compose()
         if sign < 0:
             a = [(-c, ch) for c, ch in a]
         while self.peek().text in ("+", "-"):
-            op = self.next().text
-            b = self.op_compose()
-            if op == "-":
+            tok = self.next()
+            b, bshape = self.op_compose()
+            if tok.text == "-":
                 b = [(-c, ch) for c, ch in b]
+            if shape != bshape:
+                square = shape or bshape
+                if shape and bshape or square[0] != square[1]:
+                    raise ParseError("cannot add %s and %s operators"
+                                     % (_shape_text(shape), _shape_text(bshape)),
+                                     tok.line, tok.col)
+                a, b, shape = _diagonal(a, square[0]), _diagonal(b, square[0]), square
             a = a + b
-        return a
+        return a, shape
 
     def op_compose(self):
         a = self.op_atom()
@@ -384,11 +403,24 @@ class _Parser:
             t = self.peek()
             if t.text == "*":
                 self.next()
-                a = _compose_terms(self.ctx, a, self.op_atom())
-            elif t.kind in ("name", "num") or t.text in ("(", "["):
-                a = _compose_terms(self.ctx, a, self.op_atom())
-            else:
+            elif not (t.kind in ("name", "num") or t.text in ("(", "[")):
                 return a
+            a = self._compose(a, self.op_atom())
+
+    def _compose(self, a, b):
+        """a o b; a scalar factor takes the dimension of the matrix it meets."""
+        from .jacobi import AtomChain
+        (ta, sa), (tb, sb) = a, b
+        if sa and sb and sa[1] != sb[0]:
+            self.error("cannot compose %s and %s operators"
+                       % (_shape_text(sa), _shape_text(sb)))
+        if sa is None and sb:
+            ta = _diagonal(ta, sb[0])
+        if sb is None and sa:
+            tb = _diagonal(tb, sa[1])
+        out = [(c1 * c2, AtomChain(self.ctx, ch1.atoms + ch2.atoms, ch1.ell))
+               for c1, ch1 in ta for c2, ch2 in tb]
+        return out, sb if sa is None else sa if sb is None else (sa[0], sb[1])
 
     def op_atom(self):
         from .jacobi import AtomChain
@@ -401,6 +433,9 @@ class _Parser:
             a = self.op_sum()
             self.expect(")")
             return a
+        if t.kind == "name" and t.text in ("frac", "chain"):
+            raise ParseError("%s(...) must be the whole operator" % t.text,
+                             t.line, t.col)
         if t.kind == "name" and t.text == "D":
             self.next()
             k = 1
@@ -414,14 +449,14 @@ class _Parser:
                 if tn.kind != "num":
                     raise ParseError("integer power of D expected", tn.line, tn.col)
                 k = -int(tn.text) if neg else int(tn.text)
-            return [(ctx.one(), AtomChain(ctx, [("d", k)], 1))]
+            return [(ctx.one(), AtomChain(ctx, [("d", k)], 1))], None
         # a scalar function literal (multiplication operator)
         self._opmode = True
         try:
             f = self.fun_term()
         finally:
             self._opmode = False
-        return [(ctx.one(), AtomChain(ctx, [("mult", [[f]])], 1))]
+        return [(ctx.one(), AtomChain(ctx, [("mult", [[f]])], 1))], None
 
     def op_matrix(self):
         from .jacobi import AtomChain
@@ -444,39 +479,31 @@ class _Parser:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             self.error("ragged matrix literal")
+        if any(shape for r in rows for _, shape in r):
+            self.error("a matrix literal's entries must be scalar operators")
         ell = len(rows)
         out = []
         one = ctx.one()
         for i in range(ell):
             for j in range(width):
-                for coeff, chain in rows[i][j]:
+                for coeff, chain in rows[i][j][0]:
                     col = [[one if r == i else ctx.zero()] for r in range(ell)]
                     rowm = [[one if c == j else ctx.zero() for c in range(width)]]
                     atoms = [("mult", col)] + list(chain.atoms) + [("mult", rowm)]
                     out.append((coeff, AtomChain(ctx, atoms, ell)))
-        return out
+        return out, (ell, width)
 
 
-def _compose_terms(ctx, a, b):
-    from .jacobi import AtomChain
-    out = []
-    for c1, ch1 in a:
-        for c2, ch2 in b:
-            ell = max(ch1.ell, ch2.ell)
-            ch1e = ch1.diagonalized(ell) if ch1.ell != ell else ch1
-            ch2e = ch2.diagonalized(ell) if ch2.ell != ell else ch2
-            out.append((c1 * c2,
-                        AtomChain(ctx, list(ch1e.atoms) + list(ch2e.atoms), ell)))
-    return out
+_SIZE_ERROR = "the operator is %s, not %dx%d (a row and a column per generator)"
 
 
-def _sum_of_terms(ctx, terms):
-    from .jacobi import AtomStructure
-    from .operators import OperatorSum
-    ell = max(max((ch.ell for _, ch in terms), default=1), ctx.ell)
-    return OperatorSum([(c, AtomStructure(ch.diagonalized(ell)
-                                          if ch.ell != ell else ch))
-                        for c, ch in terms])
+def _shape_text(shape):
+    return "%dx%d" % shape if shape else "scalar"
+
+
+def _diagonal(terms, n):
+    """Scalar summands acting diagonally on n components."""
+    return [(c, ch.diagonalized(n)) for c, ch in terms]
 
 
 def _resolve_exp(ctx, arg: DFun, tok):

@@ -28,7 +28,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InsufficientTruncation
 from .field import DFun, NEG_INF
-from .operators import MatrixPsdOp, OperatorSum, ScalarPsdOp, _binomial_shift
+from .brackets import master_bracket
+from .operators import (MatrixPsdOp, OperatorSum, RationalOpPair, ScalarPsdOp,
+                        _binomial_shift, structure_sum)
 from .series import BiSeries, LambdaSeries, _jf
 
 
@@ -65,8 +67,9 @@ class AtomChain:
                  for i in range(self.ell)]
         return AtomChain(self.ctx, [("mult", ident)] + self.atoms, self.ell)
 
-    def to_operator(self, floor=None) -> MatrixPsdOp:
-        """Compose the atoms into a matrix operator (floored when d^-k occurs)."""
+    def to_operator(self) -> MatrixPsdOp:
+        """Compose the atoms into an exact matrix operator (a d^-k before a
+        non-constant factor has an infinite tail: InsufficientTruncation)."""
         ctx = self.ctx
         acc = None
         for kind, data in self.atoms:
@@ -75,13 +78,7 @@ class AtomChain:
             else:
                 cols = acc.cols if acc is not None else self.ell
                 step = MatrixPsdOp.diag([ScalarPsdOp.d(ctx, data)] * cols)
-            if acc is None:
-                acc = step
-            else:
-                try:
-                    acc = acc.compose(step)
-                except InsufficientTruncation:
-                    acc = acc.compose(step, floor)
+            acc = step if acc is None else acc.compose(step)
         return acc
 
     def diagonalized(self, ell):
@@ -103,8 +100,7 @@ class AtomChain:
 
     def scalar_paths(self):
         """All (row, col, [scalar atoms]) index paths through the chain."""
-        ctx = self.ctx
-        paths = [(r, r, []) for r in range(self._rows())]
+        paths = [(r, r, []) for r in range(self.ell)]
         for kind, data in self.atoms:
             if kind == "d":
                 paths = [(r0, c, ats + [("d", data)]) for r0, c, ats in paths]
@@ -135,12 +131,6 @@ class AtomChain:
                            ctx.zero()) for r in range(rows)]
         return cur
 
-    def _rows(self):
-        for kind, data in self.atoms:
-            if kind == "mult":
-                return len(data)
-        return self.ell
-
 
 class SumChain:
     """A sum of atom chains (matrix differential operators that do not factor)."""
@@ -160,10 +150,10 @@ class SumChain:
             out = part if out is None else [a + b for a, b in zip(out, part)]
         return out
 
-    def to_operator(self, floor=None) -> MatrixPsdOp:
+    def to_operator(self) -> MatrixPsdOp:
         acc = None
         for ch in self.summands:
-            op = ch.to_operator(floor)
+            op = ch.to_operator()
             acc = op if acc is None else acc + op
         return acc
 
@@ -173,13 +163,36 @@ class SumChain:
 
 
 class AtomStructure:
-    """A structure given by an atom chain."""
+    """A structure given by an atom chain, expanded as the fraction chain
+    A1 B1^-1 ... An Bn^-1 split at its d^-k atoms: each A is the exact
+    product of the differential run before a d^-k, each B = d^k, and a
+    trailing run ends the chain over the identity."""
 
-    __slots__ = ("chain", "_cache")
+    __slots__ = ("chain", "fraction")
 
     def __init__(self, chain: AtomChain):
         self.chain = chain
-        self._cache = {}
+        ctx = chain.ctx
+        pairs = []
+        run, rows, cols = [], chain.ell, chain.ell
+
+        def numerator():
+            if not run:
+                return MatrixPsdOp.identity(ctx, cols)
+            return AtomChain(ctx, run, rows).to_operator()
+
+        for kind, data in chain.atoms:
+            if kind == "d" and data < 0:
+                pairs.append((numerator(),
+                              MatrixPsdOp.diag([ScalarPsdOp.d(ctx, -data)] * cols)))
+                run, rows = [], cols
+            else:
+                run.append((kind, data))
+                if kind == "mult":
+                    cols = len(data[0])
+        if run or not pairs:
+            pairs.append((numerator(), MatrixPsdOp.identity(ctx, cols)))
+        self.fraction = RationalOpPair(pairs)
 
     @property
     def ctx(self):
@@ -193,9 +206,7 @@ class AtomStructure:
         return sum(d for kind, d in self.chain.atoms if kind == "d")
 
     def expand(self, floor: int) -> MatrixPsdOp:
-        if floor not in self._cache:
-            self._cache[floor] = self.chain.to_operator(floor).truncate(floor)
-        return self._cache[floor]
+        return self.fraction.expand(floor)
 
     def adjoint_sum(self):
         """Adjoint chain: reverse atoms, transpose mults, sign (-1)^(sum d)."""
@@ -322,50 +333,22 @@ class JacobiEngine:
     """Per-structure state for the generator-triple Jacobi checks."""
 
     def __init__(self, H, floors):
-        from .brackets import SymbolTable
-        self.terms = atoms_of(H)
-        self.ctx = self.terms[0][1].ctx
-        self.ell = self.terms[0][1].ell
+        S = structure_sum(H)
+        self.ctx = S.ctx
+        self.ell = S.ell
         self.floors = floors
         fl, fm = floors
-        probe = SymbolTable(H, min(fl, fm) - 2)
-        self.sym_top = max((int(max(e.coeffs)) for row in probe.entries for e in row
-                            if e.coeffs), default=0)
-        dmax = 0
-        for row in probe.entries:
-            for e in row:
-                for c in e.coeffs.values():
-                    d = c.dord()
-                    if d != NEG_INF:
-                        dmax = max(dmax, int(d))
-        self.dmax = dmax
-        depth = min(fl, fm) - dmax - self.sym_top - 2
-        self.sym = SymbolTable(H, depth)
+        probe = S.expand(min(fl, fm) - 2)
+        top, dord = probe.order(), probe.dord()
+        self.sym_top = 0 if top == NEG_INF else int(top)
+        self.dmax = 0 if dord == NEG_INF else max(0, int(dord))
+        self.sym = S.expand(min(fl, fm) - self.dmax - self.sym_top - 2)
+        self.gens = [self.ctx.gen(i, 0) for i in range(self.ell)]
         self._t1_cache = {}
         self._paths = []
-        for coeff, chain in self.terms:
+        for coeff, chain in atoms_of(H):
             for r0, c0, ats in chain.scalar_paths():
                 self._paths.append((coeff, r0, c0, ats))
-
-    # -- brackets of plain functions ------------------------------------------
-
-    def _bracket_gen_fun(self, i, f: DFun, floor: int) -> LambdaSeries:
-        """{u_i v f} to the floor."""
-        from .brackets import master_bracket
-        ui = [{0: self.ctx.one()} if r == i else {} for r in range(self.ell)]
-        g_parts = [f.jet_partials(r) for r in range(self.ell)]
-        if all(not ps for ps in g_parts):
-            return LambdaSeries.zero(self.ctx, None)
-        return master_bracket(self.sym, ui, g_parts, floor)
-
-    def _bracket_fun_gen(self, f: DFun, k, floor: int) -> LambdaSeries:
-        """{f v u_k} to the floor."""
-        from .brackets import master_bracket
-        uk = [{0: self.ctx.one()} if r == k else {} for r in range(self.ell)]
-        f_parts = [f.jet_partials(r) for r in range(self.ell)]
-        if all(not ps for ps in f_parts):
-            return LambdaSeries.zero(self.ctx, None)
-        return master_bracket(self.sym, f_parts, uk, floor)
 
     def _path_value(self, atoms, floor: int) -> LambdaSeries:
         """The symbol value of a scalar atom suffix, as a series."""
@@ -416,7 +399,7 @@ class JacobiEngine:
                 suffix = suffix.apply_shift(data, floor=mu_floor if data < 0 else None)
             else:
                 f = data
-                br = self._bracket_gen_fun(i, f, lam_floor)
+                br = master_bracket(self.sym, self.gens[i], f, lam_floor)
                 cur = _grid_scale_fun(cur, f)
                 if br.coeffs or br.floor is not None:
                     cur = cur + BiSeries(ctx, {(p, q): a * b
@@ -429,25 +412,18 @@ class JacobiEngine:
     # -- second term -------------------------------------------------------------
 
     def t2_grid(self, i, j, k) -> BiSeries:
-        from .brackets import master_bracket
-        ctx = self.ctx
         fl, fm = self.floors
-        uj = [{0: ctx.one()} if r == j else {} for r in range(self.ell)]
-        inner = self.sym.entry(k, i)
         coeffs: Dict[Tuple[int, int], DFun] = {}
         fm_out = fm
-        for p, e in inner.coeffs.items():
+        for p, e in self.sym.entry(k, i).coeffs.items():
             if p < fl:
                 continue
-            eparts = [e.jet_partials(r) for r in range(self.ell)]
-            if all(not ps for ps in eparts):
-                continue
-            ser = master_bracket(self.sym, uj, eparts, fm)
+            ser = master_bracket(self.sym, self.gens[j], e, fm)
             if ser.floor is not None:
                 fm_out = max(fm_out, ser.floor)
             for q, c in ser.coeffs.items():
                 coeffs[(p, q)] = c
-        return BiSeries(ctx, coeffs, (fl, fm_out))
+        return BiSeries(self.ctx, coeffs, (fl, fm_out))
 
     # -- third term --------------------------------------------------------------
 
@@ -493,7 +469,7 @@ class JacobiEngine:
         prod = _grid_mul_series(carrier, xval)
         ptop = max((p for p, _ in prod.coeffs), default=0)
         nu_floor = self.floors[0] - max(0, ptop) - 1
-        dser = self._bracket_fun_gen(f, k, nu_floor)
+        dser = master_bracket(self.sym, f, self.gens[k], nu_floor)
         piece1 = BiSeries.zero(ctx, (lam_floor, prod.floors[1]))
         for r, dr in dser.coeffs.items():
             t = _grid_trinomial(prod, r, lam_floor, mu_floor)

@@ -257,14 +257,6 @@ class ScalarPsdOp:
         fl = d.floor
         return fl is None or fl <= floor
 
-    def symbol_series(self, floor=None):
-        """The symbol as a LambdaSeries (degree -> coefficient)."""
-        from .series import LambdaSeries
-        fl = self.floor if floor is None else floor
-        if fl is None:
-            fl = self.min_degree() if self.coeffs else 0
-        return LambdaSeries(self.ctx, dict(self.coeffs), fl)
-
     def __str__(self):
         if not self.coeffs:
             return "0"

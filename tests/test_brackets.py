@@ -11,7 +11,8 @@ from lenard.errors import InvalidWitness
 from lenard.field import Context, vec_is_zero
 from lenard.functional import LocalFunctional
 from lenard.jacobi import AtomChain, AtomStructure, _grid_trinomial
-from lenard.operators import OperatorSum, RationalOpPair, ScalarPsdOp, binom
+from lenard.operators import (MatrixPsdOp, OperatorSum, RationalOpPair,
+                              ScalarPsdOp, binom)
 from lenard.series import BiSeries, LambdaSeries
 
 from conftest import random_dfun
@@ -28,6 +29,33 @@ def trio(ctx):
     L2 = chain(("d", -1))
     L3 = chain(("mult", [[u1]]), ("d", -1), ("mult", [[u1]]))
     return L1, L2, L3
+
+
+def test_atom_chain_expands_as_its_fraction_pairs(ctx, trio):
+    # each chain split at its d^-k atoms, written out by hand as A B^-1 pairs
+    _, _, L3 = trio
+    u, u1 = ctx.u(0), ctx.u(1)
+    D, one = ScalarPsdOp.d(ctx), ScalarPsdOp.identity(ctx)
+    ctx2 = Context(("u", "v"))
+    uu, vv = ctx2.gen(0, 0), ctx2.gen(1, 0)
+    fun = ScalarPsdOp.of_fun
+    cases = [
+        (L3, [(fun(u1), D), (fun(u1), one)]),
+        (AtomStructure(AtomChain(ctx, [("d", -1), ("mult", [[u1]]), ("d", -1),
+                                       ("mult", [[u1]]), ("d", -1)])),
+         [(one, D), (fun(u1), D), (fun(u1), D)]),
+        (AtomStructure(AtomChain(ctx2, [("mult", [[vv], [-uu]]), ("d", -1),
+                                        ("mult", [[vv, -uu]])], 2)),
+         [(MatrixPsdOp([[fun(vv)], [fun(-uu)]]), ScalarPsdOp.d(ctx2)),
+          (MatrixPsdOp([[fun(vv), fun(-uu)]]), MatrixPsdOp.identity(ctx2, 2))]),
+        (AtomStructure(AtomChain(ctx, [("d", -1), ("mult", [[u]]), ("d", 1)])),
+         [(one, D), (fun(u).compose(D), one)]),
+    ]
+    for H, pairs in cases:
+        for floor in (-8, -12):
+            got, ref = H.expand(floor), RationalOpPair(pairs).expand(floor)
+            assert (got.rows, got.cols, got.floor()) == (ref.rows, ref.cols, floor)
+            assert got.eq_to_floor(ref, floor)
 
 
 def test_symbol_on_generators(ctx, trio):

@@ -2,10 +2,13 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenard.cli import main
 
@@ -47,6 +50,27 @@ def test_check_jacobi_failure_witness():
     data = json.loads(out)
     assert any(r["verdict"] == "fails" and "witness" in r
                for r in data["results"])
+
+
+def test_check_skew_d_inverse_u_d():
+    # (D^-1 u D)* = D u D^-1, and with D^-1 a = a D^-1 - a' D^-2 + a'' D^-3 - ...
+    #   D^-1 u D = u - D^-1 u' = u - u' D^-1 + u'' D^-2 - ...
+    #   D u D^-1 = u + u' D^-1,
+    # so H + H* = 2u + 0 D^-1 + u'' D^-2 + ...: the first witness is 2u at degree 0
+    code, out = run_cli("check", "--op", "D^-1 u D", "--what", "skew",
+                        "--floor", "-6")
+    assert code == 1
+    wit = json.loads(out)["results"][0]["witness"]
+    assert wit == {"entry": "(0, 0)", "degree": "0", "coefficient": "2*u"}
+
+
+def test_check_matrix_literals_around_a_scalar_inverse():
+    # [[v],[-u]] D^-1 [[v,-u]]: D^-1 acts on the 1-dimensional middle
+    code, out = run_cli("check", "--op", "[[v],[-u]] D^-1 [[v,-u]]",
+                        "--generators", "u,v", "--what", "jacobi", "--floor", "-3")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert [r["verdict"] for r in results] == ["holds-to-floor"] * 2
 
 
 def test_chain_verify_only():
@@ -246,6 +270,14 @@ def test_chain_kn_rational_param():
     (["classify", "--pattern", "a=(1,0,2),b=(0,1,1)"], "--pattern"),
     (["check", "--op", "frac(D,D^2)", "--what", "jacobi"], "--op"),
     (["check", "--op", "frac(D,0)", "--what", "skew"], "--op"),
+    (["check", "--op", "[[D]]", "--generators", "u,v", "--what", "jacobi"], "--op"),
+    (["check", "--op", "[[D],[D]]", "--what", "skew"], "--op"),
+    (["check", "--op", "[[D],[D]]", "--what", "jacobi"], "--op"),
+    (["check", "--op", "D", "--generators", ",", "--what", "skew"], "--generators"),
+    (["check", "--op", "D", "--generators", "u,", "--what", "skew"], "--generators"),
+    (["check", "--op", "D", "--generators", "u,u", "--what", "skew"], "--generators"),
+    (["check", "--op", "x D x", "--generators", "x", "--what", "skew"], "--generators"),
+    (["check", "--op", "D", "--generators", "u v", "--what", "skew"], "--generators"),
 ])
 def test_malformed_arguments_rejected_at_the_boundary(argv, flag, capsys):
     code, out = run_cli(*argv)
@@ -253,6 +285,20 @@ def test_malformed_arguments_rejected_at_the_boundary(argv, flag, capsys):
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: " + flag + ": ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("op, message", [
+    ("frac(D,[[1,0],[0,1]])", "numerator D is 1x1, but 1x2 is needed"),
+    ("frac(D,[[D,0]])", "denominator [[D, 0]] is 1x2, not square"),
+    ("chain((D,D),([[1],[0]],1))", "numerator [[1], [0]] is 2x1, but 1x1 is needed"),
+    ("chain((D,D),([[1,0]],[[1,0],[0,1]]))", "the operator is 1x2, not 1x1"),
+], ids=["numerator", "denominator", "second-numerator", "product"])
+def test_fraction_shapes_checked_at_the_boundary(op, message):
+    proc = subprocess.run([sys.executable, "-m", "lenard.cli", "check", "--op", op,
+                           "--what", "skew"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: --op: " + message)
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -285,6 +331,54 @@ def test_config_key_the_command_does_not_read_is_a_usage_error(tmp_path):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "unrecognized arguments: --floor -6" in proc.stderr
+
+
+_OP_PIECES = ["D", "D^2", "D^-1", "D^-2", "u", "u'", "u''", "v", "1/u'", "0", "2",
+              "x", "[[D]]", "[[D,0],[0,D]]", "[[u],[v]]", "[[v,-u]]", "[[1,0]]",
+              "[[0,1],[-1,0]]"]
+
+
+def _op_forms(inner):
+    return st.one_of(
+        st.tuples(inner, inner).map(" ".join),
+        st.tuples(inner, st.sampled_from(["+", "-"]), inner).map(" ".join),
+        inner.map("({})".format),
+        st.tuples(inner, inner).map(lambda ab: "frac(%s, %s)" % ab),
+        st.tuples(inner, inner, inner, inner).map(
+            lambda p: "chain((%s, %s), (%s, %s))" % p))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(op=st.recursive(st.sampled_from(_OP_PIECES), _op_forms, max_leaves=6),
+       generators=st.none() | st.lists(st.sampled_from(["u", "v", "w", "", "x", "D"]),
+                                       min_size=1, max_size=3).map(",".join),
+       what=st.sampled_from([None, "skew", "jacobi", "compat"]),
+       floor=st.integers(-3, -1), via_config=st.booleans())
+def test_check_boundary_fuzz(op, generators, what, floor, via_config):
+    """Any check input ends in exit 0, 1 or 2, never in the generic crash branch."""
+    import io
+    import tempfile
+    from contextlib import redirect_stderr, redirect_stdout
+    flags = [("op", op), ("floor", str(floor)), ("generators", generators),
+             ("what", what)]
+    flags = [(k, v) for k, v in flags if v is not None]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
+            redirect_stderr(err):
+        if via_config:
+            cfg = os.path.join(tmp, "run.cfg")
+            with open(cfg, "w") as fh:
+                fh.write("command = check\n"
+                         + "".join("%s = %s\n" % kv for kv in flags))
+            argv = ["--config", cfg]
+        else:
+            argv = ["check"] + [a for k, v in flags for a in ("--" + k, v)]
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse usage errors
+            code = e.code
+    assert code in (0, 1, 2)
+    assert not re.match(r"error: [A-Za-z_]\w*: ", err.getvalue()), err.getvalue()
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
