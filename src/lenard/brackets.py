@@ -23,7 +23,7 @@ from .errors import InvalidWitness
 from .field import DFun
 from .functional import LocalFunctional
 from .operators import MatrixPsdOp, ScalarPsdOp, _binomial_shift, structure_sum
-from .series import LambdaSeries
+from .series import LambdaSeries, _jf
 
 DEFAULT_JACOBI_FLOORS = (-8, -8)
 
@@ -54,18 +54,12 @@ def master_bracket(sym: MatrixPsdOp, f: DFun, g: DFun, floor) -> LambdaSeries:
     g_parts = [g.jet_partials(j) for j in range(ell)]
     if all(not ps for ps in f_parts) or all(not ps for ps in g_parts):
         return LambdaSeries.zero(ctx, None)
-    # t_i = sum_m (-l-d)^m f_{i,m}
-    tvec = []
-    for i in range(ell):
-        t = LambdaSeries.zero(ctx, None)
-        for m, fm in f_parts[i].items():
-            t = t + LambdaSeries.of_fun(fm).apply_shift(m, sign=-1)
-        tvec.append(t)
-    n_max = 0
-    for j in range(ell):
-        for n in g_parts[j]:
-            n_max = max(n_max, n)
-    out = LambdaSeries.zero(ctx, None)
+    # t_i = sum_m (-l-d)^m f_{i,m}, the symbol of the adjoint of f's partials
+    tvec = [LambdaSeries(ctx, ScalarPsdOp(ctx, ps).adjoint().coeffs, None)
+            for ps in f_parts]
+    n_max = max(max(ps, default=0) for ps in g_parts)
+    # sum_j sum_n g_{j,n} (l+d)^n s_j, with s_j = sum_i H_ji(l+d) t_i
+    out, fl = {}, None
     for j in range(ell):
         if not g_parts[j]:
             continue
@@ -74,9 +68,10 @@ def master_bracket(sym: MatrixPsdOp, f: DFun, g: DFun, floor) -> LambdaSeries:
             if not tvec[i].coeffs:
                 continue
             s = s + apply_symbol(sym.entry(j, i), tvec[i], floor - n_max)
-        for n, gn in g_parts[j].items():
-            out = out + s.apply_shift(n).scale(gn)
-    return out.truncate(floor)
+        _binomial_shift(g_parts[j], s.coeffs, None, out)
+        if s.floor is not None:
+            fl = _jf(fl, s.floor + max(g_parts[j]))
+    return LambdaSeries(ctx, out, fl).truncate(floor)
 
 
 def lambda_bracket(H, f: DFun, g: DFun, floor: int) -> LambdaSeries:

@@ -171,7 +171,7 @@ class BlockedEquation:
                     else:
                         body = "(%s)_x" % body
                 else:
-                    g = data[0][0] if isinstance(data, list) else data
+                    g = data[0][0]
                     ginv = 1 / g
                     if not ginv.den and len(ginv.num) == 1:
                         body = "%s/%s" % (body, ginv)
@@ -532,7 +532,7 @@ def formal_solve_factored(den: AtomChain, xi: DFun):
     atoms = list(den.atoms)
     for pos, (kind, data) in enumerate(atoms):
         if kind == "mult":
-            g = data[0][0] if isinstance(data, list) else data
+            g = data[0][0]
             z = _formal_divide(z, g)
         else:
             if data < 0:
@@ -570,7 +570,7 @@ def formal_apply(chain_atoms, nv: NonlocalVectorField):
             for _ in range(data):
                 cur = _formal_derivative(cur)
         else:
-            g = data[0][0] if isinstance(data, list) else data
+            g = data[0][0]
             cur = _formal_multiply(cur, g)
     return _merge_terms(cur)
 

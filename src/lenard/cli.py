@@ -41,16 +41,20 @@ def read_config(path, default_command, commands):
 
     A key is accepted exactly when the command has the flag --<key> (with _
     for -); "true"/"yes" switch a flag on."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, ValueError) as e:  # missing, a directory, not text
+        raise LenardError("--config: cannot read %r: %s" % (path, e))
     entries = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError("expected key = value", lineno, 0)
-            key, val = [s.strip() for s in line.split("=", 1)]
-            entries.append((lineno, key, val))
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError("expected key = value", lineno, 0)
+        key, val = [s.strip() for s in line.split("=", 1)]
+        entries.append((lineno, key, val))
     command = default_command
     for _, key, val in entries:
         if key == "command":
@@ -292,6 +296,8 @@ def cmd_export(args):
             data = json.load(fh)
     except FileNotFoundError:
         raise NothingToExport("no session file %r" % args.session)
+    except (OSError, ValueError) as e:  # a directory, unreadable, not JSON
+        raise LenardError("--session: cannot read %r as JSON: %s" % (args.session, e))
     if not data:
         raise NothingToExport("session is empty")
     if args.target == "json":
@@ -299,11 +305,18 @@ def cmd_export(args):
     else:
         text = _latex_of(data)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write("--out", args.out, text)
     else:
         print(text)
     return 0
+
+
+def _write(flag, path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as e:
+        raise LenardError("%s: cannot write %r: %s" % (flag, path, e))
 
 
 def _latex_of(data):
@@ -339,8 +352,7 @@ def _latex_of(data):
 def _emit(args, payload):
     text = to_json(payload)
     if args.session:
-        with open(args.session, "w") as fh:
-            fh.write(text + "\n")
+        _write("--session", args.session, text)
     if args.format == "text":
         _print_text(payload)
     else:

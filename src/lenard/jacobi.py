@@ -30,7 +30,7 @@ from .errors import InsufficientTruncation
 from .field import DFun, NEG_INF
 from .brackets import master_bracket
 from .operators import (MatrixPsdOp, OperatorSum, RationalOpPair, ScalarPsdOp,
-                        _binomial_shift, structure_sum)
+                        _accumulate, _binomial_shift, structure_sum)
 from .series import BiSeries, LambdaSeries, _jf
 
 
@@ -268,14 +268,7 @@ def _grid_mul_series(g: BiSeries, s: LambdaSeries) -> BiSeries:
     out: Dict[Tuple[int, int], DFun] = {}
     for (p, q), c in g.coeffs.items():
         for n, c2 in s.coeffs.items():
-            key = (p + n, q)
-            v = c * c2
-            acc = out.get(key)
-            acc = v if acc is None else acc + v
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            _accumulate(out, (p + n, q), c * c2)
     # a floor of either factor, raised by the other factor's top power
     gt = max((p for p, _ in g.coeffs), default=0)
     st = int(s.top()) if s.coeffs else 0
@@ -309,19 +302,29 @@ def _grid_mu_shift(g: BiSeries, r: int, mu_floor: Optional[int]) -> BiSeries:
     return _grid_of_rows(g.ctx, rows, (g.floors[0], _jf(fm, mu_floor)))
 
 
-def _grid_trinomial(g: BiSeries, r: int, lam_floor: int, mu_floor: int) -> BiSeries:
-    """(l+m+d)^r on a grid: the shift kernel h(l+D) with h = l^r and D = m+d,
-    applied to the grid's l-rows."""
+def _grid_trinomial(g: BiSeries, h: LambdaSeries, lam_floor: int,
+                    mu_floor: int) -> BiSeries:
+    """h(l+m+d) on a grid, for h a series in l (l^r for (l+m+d)^r): the
+    shift kernel with D = m+d, applied to the grid's l-rows in one pass.
+
+    The floors join those of each (l+m+d)^r that reaches lam_floor: l at
+    lam_floor or g's l floor + r, m at g's m floor + the last k reached.
+    h's floor caps l at h.floor + the grid's top l-power, the rule
+    apply_symbol applies to a symbol's floor."""
     ctx = g.ctx
+    fl, fm = lam_floor, g.floors[1]
     if not g.coeffs:
-        return BiSeries(ctx, {}, (_jf(g.floors[0], lam_floor), g.floors[1]))
-    kmax = r if r >= 0 else max(p for p, _ in g.coeffs) + r - lam_floor
-    if kmax < 0:
-        return BiSeries(ctx, {}, (lam_floor, g.floors[1]))
-    rows = _binomial_shift({r: ctx.one()}, _lambda_rows(g), lam_floor,
+        return BiSeries(ctx, {}, (_jf(g.floors[0], fl) if h.coeffs else fl, fm))
+    ptop = max(p for p, _ in g.coeffs)
+    for r in h.coeffs:
+        kmax = r if r >= 0 else ptop + r - lam_floor
+        if kmax >= 0:
+            fl = fl if g.floors[0] is None else max(fl, g.floors[0] + r)
+            fm = None if fm is None else max(fm, mu_floor, g.floors[1] + kmax)
+    if h.floor is not None:
+        fl = max(fl, h.floor + ptop)
+    rows = _binomial_shift(h.coeffs, _lambda_rows(g), lam_floor,
                            step=lambda ser: ser.apply_shift(1))
-    fl = lam_floor if g.floors[0] is None else max(lam_floor, g.floors[0] + r)
-    fm = None if g.floors[1] is None else max(mu_floor, g.floors[1] + kmax)
     return _grid_of_rows(ctx, rows, (fl, fm))
 
 
@@ -350,16 +353,20 @@ class JacobiEngine:
             for r0, c0, ats in chain.scalar_paths():
                 self._paths.append((coeff, r0, c0, ats))
 
-    def _path_value(self, atoms, floor: int) -> LambdaSeries:
-        """The symbol value of a scalar atom suffix, as a series."""
-        ctx = self.ctx
-        val = LambdaSeries.of_fun(ctx.one())
-        for kind, data in reversed(atoms):
+    def _suffix_values(self, atoms, floor: int) -> List[LambdaSeries]:
+        """The symbol values of the scalar atom suffixes, in one right-to-left
+        walk: entry n is the value of atoms[n+1:], a negative d power
+        truncated at the floor."""
+        val = LambdaSeries.of_fun(self.ctx.one())
+        vals = [val]
+        for kind, data in reversed(atoms[1:]):
             if kind == "d":
                 val = val.apply_shift(data, floor=floor if data < 0 else None)
             else:
                 val = val.scale(data)
-        return val
+            vals.append(val)
+        vals.reverse()
+        return vals
 
     # -- first term -------------------------------------------------------------
 
@@ -374,39 +381,39 @@ class JacobiEngine:
         for coeff, k0, j0, ats in self._paths:
             up = sum(d for kind, d in ats if kind == "d" and d > 0)
             down = sum(-d for kind, d in ats if kind == "d" and d < 0)
-            grid = None
-            for margin in (down + 2, 3 * (down + 4) + self.dmax):
-                cand = self._t1_path(i, ats, fl - up - 1, fm - margin)
-                if cand.accurate_at((fl, fm)):
-                    grid = cand
-                    break
-            if grid is None:
-                raise InsufficientTruncation("first Jacobi term did not reach floors")
-            if not coeff.is_one():
-                grid = _grid_scale_fun(grid, coeff)
-            total[k0][j0] = total[k0][j0] + grid
+            tries = (self._t1_path(i, ats, fl - up - 1, fm - margin)
+                     for margin in (down + 2, 3 * (down + 4) + self.dmax))
+            total[k0][j0] = total[k0][j0] + self._accurate(tries, coeff, "first")
         self._t1_cache[i] = total
         return total
+
+    def _accurate(self, tries, coeff: DFun, term: str) -> BiSeries:
+        """coeff times the first grid of `tries` accurate at the floors."""
+        for grid in tries:
+            if grid.accurate_at(self.floors):
+                return grid if coeff.is_one() else _grid_scale_fun(grid, coeff)
+        raise InsufficientTruncation("%s Jacobi term did not reach floors" % term)
 
     def _t1_path(self, i, atoms, lam_floor, mu_floor) -> BiSeries:
         """{u_i l (value of scalar atom chain at m)} by Leibniz + shift rules."""
         ctx = self.ctx
         cur = BiSeries.zero(ctx, (lam_floor, None))
-        suffix = LambdaSeries.of_fun(ctx.one())  # mu-series value of the suffix
-        for kind, data in reversed(atoms):
+        suffixes = self._suffix_values(atoms, mu_floor)  # mu-series values
+        for n in reversed(range(len(atoms))):
+            kind, data = atoms[n]
             if kind == "d":
-                cur = _grid_trinomial(cur, data, lam_floor, mu_floor)
-                suffix = suffix.apply_shift(data, floor=mu_floor if data < 0 else None)
+                lam_r = LambdaSeries.of_fun(ctx.one()).shift_power(data)
+                cur = _grid_trinomial(cur, lam_r, lam_floor, mu_floor)
             else:
                 f = data
                 br = master_bracket(self.sym, self.gens[i], f, lam_floor)
                 cur = _grid_scale_fun(cur, f)
                 if br.coeffs or br.floor is not None:
+                    suffix = suffixes[n]
                     cur = cur + BiSeries(ctx, {(p, q): a * b
                                                for p, a in br.coeffs.items()
                                                for q, b in suffix.coeffs.items()},
                                          (br.floor, suffix.floor))
-                suffix = suffix.scale(f)
         return cur
 
     # -- second term -------------------------------------------------------------
@@ -430,61 +437,43 @@ class JacobiEngine:
     def t3_grid(self, i, j, k) -> BiSeries:
         fl, fm = self.floors
         total = BiSeries.zero(self.ctx, (fl, fm))
-        one = BiSeries(self.ctx, {(0, 0): self.ctx.one()}, (None, None))
         base = self.sym_top + self.dmax + 2
         for coeff, r0, c0, ats in self._paths:
             if r0 != j or c0 != i:
                 continue
             down = sum(-d for kind, d in ats if kind == "d" and d < 0)
-            grid = None
-            for extra in (0, 8):
-                lam_work = fl - base - down - extra
-                mu_work = fm - (fl - lam_work) - self.sym_top - down - 4 - extra
-                cand = self._t3_path(ats, k, one, lam_work, mu_work)
-                if cand.accurate_at((fl, fm)):
-                    grid = cand
-                    break
-            if grid is None:
-                raise InsufficientTruncation("third Jacobi term did not reach floors")
-            if not coeff.is_one():
-                grid = _grid_scale_fun(grid, coeff)
-            total = total + grid
+            # mu works as far below fm as lam below fl, and sym_top+down+4+extra more
+            tries = (self._t3_path(ats, k, fl - (base + down + extra),
+                                   fm - base - self.sym_top - 4 - 2 * (down + extra))
+                     for extra in (0, 8))
+            total = total + self._accurate(tries, coeff, "third")
         return total
 
-    def _t3_path(self, atoms, k, carrier: BiSeries, lam_floor, mu_floor) -> BiSeries:
-        """{(value of atoms at l)_s u_k} -> carrier, with s = l+m+d."""
+    def _t3_path(self, atoms, k, lam_floor, mu_floor) -> BiSeries:
+        """{(value of atoms at l)_s u_k}, with s = l+m+d, in one left-to-right
+        walk by right Leibniz.  The carrier is the m-side value of the prefix
+        read so far: a d atom shifts it by (-(m+d))^r, and a mult atom f adds
+        {f_s u_k} -> (suffix value * carrier), one trinomial call with h =
+        the bracket series of f, before f joins the carrier."""
         ctx = self.ctx
-        if not atoms:
-            return BiSeries.zero(ctx, (lam_floor, carrier.floors[1]))
-        kind, data = atoms[0]
-        rest = atoms[1:]
-        if kind == "d":
-            carrier2 = _grid_mu_shift(carrier, data, mu_floor)
-            if data % 2:
-                carrier2 = _grid_scale_fun(carrier2, ctx.const(-1))
-            return self._t3_path(rest, k, carrier2, lam_floor, mu_floor)
-        f = data
-        # piece 1: {f_s u_k} -> (suffix value * carrier)
-        xval = self._path_value(rest, lam_floor)
-        prod = _grid_mul_series(carrier, xval)
-        ptop = max((p for p, _ in prod.coeffs), default=0)
-        nu_floor = self.floors[0] - max(0, ptop) - 1
-        dser = master_bracket(self.sym, f, self.gens[k], nu_floor)
-        piece1 = BiSeries.zero(ctx, (lam_floor, prod.floors[1]))
-        for r, dr in dser.coeffs.items():
-            t = _grid_trinomial(prod, r, lam_floor, mu_floor)
-            piece1 = piece1 + _grid_scale_fun(t, dr)
-        if dser.floor is not None and prod.coeffs:
-            # unknown nu-powers below dser.floor reach lambda <= dser.floor+ptop-1
-            fl2 = dser.floor + ptop
-            piece1 = BiSeries(ctx, piece1.coeffs,
-                              (max(piece1.floors[0], fl2)
-                               if piece1.floors[0] is not None else fl2,
-                               piece1.floors[1]))
-        # piece 2: {(rest value)_s u_k} -> (f * carrier)
-        piece2 = self._t3_path(rest, k, _grid_scale_fun(carrier, f),
-                               lam_floor, mu_floor)
-        return piece1 + piece2
+        carrier = BiSeries(ctx, {(0, 0): ctx.one()}, (None, None))
+        suffixes = self._suffix_values(atoms, lam_floor)
+        total = None
+        for n, (kind, data) in enumerate(atoms):
+            if kind == "d":
+                carrier = _grid_mu_shift(carrier, data, mu_floor)
+                if data % 2:
+                    carrier = _grid_scale_fun(carrier, ctx.const(-1))
+                continue
+            prod = _grid_mul_series(carrier, suffixes[n])
+            ptop = max((p for p, _ in prod.coeffs), default=0)
+            dser = master_bracket(self.sym, data, self.gens[k],
+                                  self.floors[0] - max(0, ptop) - 1)
+            piece = _grid_trinomial(prod, dser, lam_floor, mu_floor)
+            total = piece if total is None else total + piece
+            carrier = _grid_scale_fun(carrier, data)
+        end = BiSeries.zero(ctx, (lam_floor, carrier.floors[1]))
+        return end if total is None else total + end
 
     # -- the verdict ----------------------------------------------------------------
 

@@ -310,12 +310,9 @@ def _verify_links(family, H, K, rows):
     for k, (P, grad, wK, wH) in enumerate(rows):
         if not verify_association(K, grad, [P], [wK]):
             raise ParamDegenerate("%s family: K-link failed at %d" % (family, k))
-        if k + 1 < len(rows):
-            if not (H.num.apply(wH)[0] - rows[k + 1][0]).is_zero():
-                raise ParamDegenerate("%s family: H-link failed at %d" % (family, k))
-            if not (H.den.apply(wH)[0] - grad[0]).is_zero():
-                raise ParamDegenerate(
-                    "%s family: H denominator failed at %d" % (family, k))
+        if k + 1 < len(rows) and not verify_association(
+                H, grad, [rows[k + 1][0]], [wH]):
+            raise ParamDegenerate("%s family: H-link failed at %d" % (family, k))
 
 
 # ---------------------------------------------------------------------------

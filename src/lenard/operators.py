@@ -38,43 +38,58 @@ def _binomial_shift(h: Dict[int, DFun], t: Dict[int, DFun], floor: Optional[int]
                     step=DFun.total_derivative) -> Dict[int, DFun]:
     """h(l+D) applied to t: sum of binom(q, k) h_q D^k(t_p) at degree q+p-k.
 
-    D is `step`, the total derivative unless given; a coefficient t_p only
-    needs a zero test, + and products with h_q and with a rational.  Degrees
-    below the floor are dropped.  For q >= 0 the k-sum is finite; for q < 0
-    it runs down to the floor, or, without one, until D^k(t_p) vanishes
-    (InsufficientTruncation past k = 80).  Terms are added into `out` when
-    it is given.
+    The one place that sums over h.  D is `step`, the total derivative
+    unless given; a coefficient t_p only needs a zero test, + and products
+    with a rational and (on the right) with h_q.  Each t_p's D-tower is
+    walked once and serves every q; h_q multiplies each degree's sum over
+    (p, k) once.  Degrees below the floor are dropped.  For q >= 0 the
+    k-sum is finite; for q < 0 it runs down to the floor, or, without one,
+    until D^k(t_p) vanishes, which never happens when t_p has a jet variable
+    (its top jet partial survives every D): InsufficientTruncation at once
+    for such a t_p, and past k = 80 for a quasiconstant.  Terms are added
+    into `out` when it is given.
     """
     if out is None:
         out = {}
+    sums: Dict[int, Dict[int, DFun]] = {q: {} for q in h}
+    for p, c in t.items():
+        reach = {}  # q -> last k; None runs until D^k(t_p) vanishes
+        for q in h:
+            kmax = None if floor is None else q + p - floor
+            if q >= 0:
+                kmax = q if kmax is None else min(q, kmax)
+            if kmax is None or kmax >= 0:
+                reach[q] = kmax
+        top = None if None in reach.values() else max(reach.values(), default=-1)
+        k = 0
+        while top is None or k <= top:
+            if k:
+                c = step(c)
+            if c.is_zero():
+                break
+            if top is None and (k > 80 or c.dord() != NEG_INF):
+                raise InsufficientTruncation(
+                    "composition has an infinite tail; pass a floor")
+            for q, kmax in reach.items():
+                if kmax is None or k <= kmax:
+                    b = binom(q, k)
+                    _accumulate(sums[q], q + p - k, c if b == 1 else c * Q(b))
+            k += 1
     for q, a in h.items():
         unit = a.is_one()
-        for p, c in t.items():
-            kmax = q if q >= 0 else None
-            if floor is not None:
-                kmax = q + p - floor if kmax is None else min(kmax, q + p - floor)
-            k = 0
-            while kmax is None or k <= kmax:
-                if k:
-                    c = step(c)
-                if c.is_zero():
-                    break
-                if kmax is None and k > 80:
-                    raise InsufficientTruncation(
-                        "composition has an infinite tail; pass a floor")
-                b = binom(q, k)
-                term = c if unit else a * c
-                if b != 1:
-                    term = term * Q(b)
-                deg = q + p - k
-                s = out.get(deg)
-                s = term if s is None else s + term
-                if s.is_zero():
-                    out.pop(deg, None)
-                else:
-                    out[deg] = s
-                k += 1
+        for deg, s in sums[q].items():
+            _accumulate(out, deg, s if unit else s * a)
     return out
+
+
+def _accumulate(acc: dict, key, term) -> None:
+    """acc[key] += term, dropping a sum that cancels."""
+    s = acc.get(key)
+    s = term if s is None else s + term
+    if s.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = s
 
 
 class ScalarPsdOp:
@@ -151,12 +166,7 @@ class ScalarPsdOp:
         if isinstance(other, ScalarPsdOp):
             out = dict(self.coeffs)
             for n, c in other.coeffs.items():
-                s = out.get(n)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(n, None)
-                else:
-                    out[n] = s
+                _accumulate(out, n, c)
             return ScalarPsdOp(self.ctx, out, self._join_floor(other))
         return NotImplemented
 

@@ -11,7 +11,7 @@ from typing import Dict, Optional
 
 from .errors import InsufficientTruncation
 from .field import DFun, NEG_INF
-from .operators import _binomial_shift
+from .operators import _accumulate, _binomial_shift
 
 
 def _jf(a, b):
@@ -55,12 +55,7 @@ class LambdaSeries:
     def __add__(self, other):
         out = dict(self.coeffs)
         for p, c in other.coeffs.items():
-            s = out.get(p)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(p, None)
-            else:
-                out[p] = s
+            _accumulate(out, p, c)
         return LambdaSeries(self.ctx, out, _jf(self.floor, other.floor))
 
     def __neg__(self):
@@ -70,7 +65,8 @@ class LambdaSeries:
         return self + (-other)
 
     def __mul__(self, q):
-        """Product with a rational."""
+        """Product with a rational or a function, each coefficient times q
+        (the shift kernel's h_q times a row)."""
         return LambdaSeries(self.ctx, {p: c * q for p, c in self.coeffs.items()},
                             self.floor)
 
@@ -83,10 +79,10 @@ class LambdaSeries:
         fl = None if self.floor is None else self.floor + k
         return LambdaSeries(self.ctx, {p + k: c for p, c in self.coeffs.items()}, fl)
 
-    def apply_shift(self, n, sign=1, floor=None):
-        """Apply (sign*(lambda + d))^n: binomial expansion with total
-        derivatives acting on the coefficients.  Exact for n >= 0 without a
-        floor; a negative n has an infinite tail and needs one."""
+    def apply_shift(self, n, floor=None):
+        """Apply (lambda + d)^n: binomial expansion with total derivatives
+        acting on the coefficients.  Exact for n >= 0 without a floor; a
+        negative n has an infinite tail and needs one."""
         if n < 0 and floor is None:
             raise InsufficientTruncation("negative shift needs a floor")
         out = _binomial_shift({n: self.ctx.one()}, self.coeffs, floor)
@@ -96,8 +92,7 @@ class LambdaSeries:
             fl = self.floor + n if floor is None else max(self.floor + n, floor)
         else:
             fl = max(floor, self.floor)
-        res = LambdaSeries(self.ctx, out, fl)
-        return res if sign == 1 or n % 2 == 0 else res.scale(self.ctx.const(-1))
+        return LambdaSeries(self.ctx, out, fl)
 
     def truncate(self, floor):
         fl = floor if self.floor is None else max(self.floor, floor)
@@ -141,12 +136,7 @@ class BiSeries:
     def __add__(self, other):
         out = dict(self.coeffs)
         for pq, c in other.coeffs.items():
-            s = out.get(pq)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(pq, None)
-            else:
-                out[pq] = s
+            _accumulate(out, pq, c)
         return BiSeries(self.ctx, out, self.join_floors(other))
 
     def __neg__(self):

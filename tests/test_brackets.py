@@ -212,16 +212,36 @@ def _trinomial_by_definition(g, r, lam_floor, mu_floor):
     return out, kmax
 
 
+# h = l^r (the first term's (l+m+d)^r), or (powers, floor) of an h with
+# function coefficients, exact or floored (the third term's bracket series)
+_SHIFT_POLYS = [*range(-3, 4),
+                pytest.param(((-2, 0, 1), None), id="h(-2,0,1)"),
+                pytest.param(((-2, 0, 1), -3), id="h(-2,0,1)_floor-3"),
+                pytest.param(((-1, 1, 2), -1), id="h(-1,1,2)_floor-1")]
+
+
 @pytest.mark.parametrize("floors", [(None, None), (-3, None), (None, -4), (-3, -4)])
-@pytest.mark.parametrize("r", range(-3, 4))
+@pytest.mark.parametrize("r", _SHIFT_POLYS)
 def test_grid_trinomial_against_definition(ctx, rng, r, floors):
     g = BiSeries(ctx, {(p, q): random_dfun(ctx, rng, max_dord=1)
                        for p in (-1, 0, 2) for q in (-2, 0, 1)}, floors)
     lam_floor, mu_floor = -5, -6
-    got = _grid_trinomial(g, r, lam_floor, mu_floor)
-    ref, kmax = _trinomial_by_definition(g, r, lam_floor, mu_floor)
-    fl = lam_floor if floors[0] is None else max(lam_floor, floors[0] + r)
-    fm = None if floors[1] is None else max(mu_floor, floors[1] + kmax)
+    powers, h_floor = ((r,), None) if isinstance(r, int) else r
+    h = LambdaSeries(ctx, {r: ctx.one() if len(powers) == 1
+                           else random_dfun(ctx, rng, max_dord=1)
+                           for r in powers}, h_floor)
+    got = _grid_trinomial(g, h, lam_floor, mu_floor)
+    # sum_r h_r (l+m+d)^r, with the floors of every r joined; h's floor
+    # caps l at h_floor + 2, the grid's top l-power
+    ref, fl, fm = {}, lam_floor, floors[1]
+    for r, hr in h.coeffs.items():
+        part, kmax = _trinomial_by_definition(g, r, lam_floor, mu_floor)
+        for key, c in part.items():
+            ref[key] = ref.get(key, ctx.zero()) + hr * c
+        fl = fl if floors[0] is None else max(fl, floors[0] + r)
+        fm = None if floors[1] is None else max(fm, mu_floor, floors[1] + kmax)
+    if h_floor is not None:
+        fl = max(fl, h_floor + 2)
     assert got.floors == (fl, fm)
     assert got.coeffs
     for p, q in set(got.coeffs) | set(ref):

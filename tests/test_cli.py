@@ -278,6 +278,8 @@ def test_chain_kn_rational_param():
     (["check", "--op", "D", "--generators", "u,u", "--what", "skew"], "--generators"),
     (["check", "--op", "x D x", "--generators", "x", "--what", "skew"], "--generators"),
     (["check", "--op", "D", "--generators", "u v", "--what", "skew"], "--generators"),
+    (["--config", os.path.join(os.path.dirname(__file__), "no-such.cfg")], "--config"),
+    (["--config", os.path.dirname(__file__)], "--config"),
 ])
 def test_malformed_arguments_rejected_at_the_boundary(argv, flag, capsys):
     code, out = run_cli(*argv)
@@ -356,29 +358,92 @@ def _op_forms(inner):
        floor=st.integers(-3, -1), via_config=st.booleans())
 def test_check_boundary_fuzz(op, generators, what, floor, via_config):
     """Any check input ends in exit 0, 1 or 2, never in the generic crash branch."""
-    import io
     import tempfile
-    from contextlib import redirect_stderr, redirect_stdout
     flags = [("op", op), ("floor", str(floor)), ("generators", generators),
              ("what", what)]
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_handled_at_the_boundary(tmp, "check", flags, via_config)
+
+
+def _assert_handled_at_the_boundary(tmp, command, flags, via_config):
+    """Run main in-process on the flags (None values left out), as argv or
+    as a config file in tmp: the exit is 0, 1 or 2 and stderr never comes
+    from the generic crash branch."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
     flags = [(k, v) for k, v in flags if v is not None]
+    if via_config:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w") as fh:
+            fh.write("command = %s\n" % command
+                     + "".join("%s = %s\n" % kv for kv in flags))
+        argv = ["--config", cfg]
+    else:
+        argv = [command] + [a for k, v in flags for a in ("--" + k, v)]
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
-            redirect_stderr(err):
-        if via_config:
-            cfg = os.path.join(tmp, "run.cfg")
-            with open(cfg, "w") as fh:
-                fh.write("command = check\n"
-                         + "".join("%s = %s\n" % kv for kv in flags))
-            argv = ["--config", cfg]
-        else:
-            argv = ["check"] + [a for k, v in flags for a in ("--" + k, v)]
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as e:  # argparse usage errors
             code = e.code
     assert code in (0, 1, 2)
     assert not re.match(r"error: [A-Za-z_]\w*: ", err.getvalue()), err.getvalue()
+
+
+# session files for export: a report, empty and non-dict JSON, text and
+# bytes that are not JSON, a directory, and no file at all
+_SESSIONS = {"report": '{"steps": [{"n": 1, "P_latex": ["u_{x}"]}]}', "empty": "{}",
+             "list": "[1, 2]", "null": "null", "text": "not json",
+             "bytes": b"\xff\xfe{", "dir": None, "missing": None}
+
+
+def _session_path(tmp, name):
+    path = os.path.join(tmp, name)
+    content = _SESSIONS.get(name)
+    if name == "dir":
+        os.mkdir(path)
+    elif content is not None:
+        with open(path, "wb") as fh:
+            fh.write(content if isinstance(content, bytes) else content.encode())
+    return path
+
+
+# --out / --session targets to write: a new file, a directory, a missing parent
+_TARGETS = {None: None, "file": "new.out", "dir": ".", "orphan": "no/such/dir/f"}
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(session=st.sampled_from(sorted(_SESSIONS)),
+       target=st.sampled_from([None, "latex", "json", "pdf"]),
+       out=st.sampled_from(sorted(_TARGETS, key=str)), via_config=st.booleans())
+def test_export_boundary_fuzz(session, target, out, via_config):
+    """Any export input ends in exit 0, 1 or 2, never in the generic crash branch."""
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = None if out is None else os.path.join(tmp, _TARGETS[out])
+        flags = [("session", _session_path(tmp, session)), ("target", target),
+                 ("out", out_path)]
+        _assert_handled_at_the_boundary(tmp, "export", flags, via_config)
+
+
+_PATTERN_PIECES = ["a=(1,0,0)", "b=(0,1,1)", "a=(1,1,1)", "b=(1,0,0)", "a=(0,0,0)",
+                   "b=(0,1)", "a=(1,0,2)", "c=(0,1,1)", "a=(1,0,0", "b=", "", " "]
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(pattern=st.lists(st.sampled_from(_PATTERN_PIECES), min_size=1,
+                        max_size=3).map(",".join)
+       | st.text(alphabet="ab=(),01 2-", min_size=1, max_size=14),
+       fmt=st.sampled_from([None, "text", "latex", "json", "csv"]),
+       session=st.sampled_from(sorted(_TARGETS, key=str)), via_config=st.booleans())
+def test_classify_pattern_boundary_fuzz(pattern, fmt, session, via_config):
+    """Any classify --pattern input ends in exit 0, 1 or 2, never in the
+    generic crash branch."""
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        session_path = None if session is None else os.path.join(tmp, _TARGETS[session])
+        flags = [("pattern", pattern), ("format", fmt), ("session", session_path)]
+        _assert_handled_at_the_boundary(tmp, "classify", flags, via_config)
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")

@@ -1,14 +1,17 @@
 """Pseudodifferential operator arithmetic and the fraction fixtures."""
 
+import time
 from fractions import Fraction as Q
 
 import pytest
 
-from lenard.errors import NotDifferential, ZeroDivisor
+from lenard.errors import InsufficientTruncation, NotDifferential, ZeroDivisor
 from lenard.field import Context
+from lenard.jacobi import AtomChain
 from lenard.operators import (MatrixPsdOp, OperatorSum, RationalOpPair,
-                              ScalarPsdOp, default_floor, is_nondegenerate,
-                              right_lcm, skew_divide, verify_fraction)
+                              ScalarPsdOp, _binomial_shift, binom, default_floor,
+                              is_nondegenerate, right_lcm, skew_divide,
+                              verify_fraction)
 from lenard.series import LambdaSeries
 
 from conftest import random_dfun
@@ -30,6 +33,50 @@ def test_compose_inverse_tail(ctx):
     u1, u2, u3 = ctx.u(1), ctx.u(2), ctx.u(3)
     c = ScalarPsdOp.d(ctx, -1).compose(m(u1), -4)
     assert c.coeffs[-1] == u1 and c.coeffs[-2] == -u2 and c.coeffs[-3] == u3
+
+
+def _shift_by_definition(h, t, floor):
+    """sum binom(q, k) h_q D^k(t_p) at degree q+p-k, one (q, p) at a time,
+    each D^k taken from t_p itself."""
+    ctx = next(iter(t.values())).ctx
+    out = {}
+    for q, a in h.items():
+        for p, c in t.items():
+            kmax = q if floor is None else q + p - floor  # q >= 0 without a floor
+            if q >= 0:
+                kmax = min(kmax, q)
+            for k in range(kmax + 1):
+                term = c.derivative(k) * a * Q(binom(q, k))
+                out[q + p - k] = out.get(q + p - k, ctx.zero()) + term
+    return {n: c for n, c in out.items() if not c.is_zero()}
+
+
+@pytest.mark.parametrize("powers, floor", [((0, 1, 3), None), ((-2, -1, 0, 2), -4)])
+def test_binomial_shift_against_definition(ctx, rng, powers, floor):
+    # several q and several p: each t_p's tower serves every q, and h_q
+    # (a function, never a unit) multiplies each degree's sum once
+    for _ in range(5):
+        h = {q: random_dfun(ctx, rng, max_dord=1) + ctx.const(2) for q in powers}
+        t = {p: random_dfun(ctx, rng, max_dord=1) for p in (-1, 0, 2)}
+        got = _binomial_shift(h, t, floor)
+        assert got == _shift_by_definition(h, t, floor)
+
+
+def test_shift_of_a_jet_function_without_floor_raises_at_once(ctx):
+    # no derivative of 1/u' vanishes, so d^-1 o 1/u' has an infinite tail
+    chain = AtomChain(ctx, [("d", -1), ("mult", [[1 / ctx.u(1)]])])
+    t0 = time.perf_counter()
+    with pytest.raises(InsufficientTruncation):
+        chain.to_operator()
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_shift_of_a_quasiconstant_keeps_its_finite_tail(ctx):
+    # d^-1 o x^2 = x^2 d^-1 - 2x d^-2 + 2 d^-3
+    x = ctx.x()
+    got = ScalarPsdOp.d(ctx, -1).compose(m(x * x))
+    assert got.floor is None
+    assert got.coeffs == {-1: x * x, -2: ctx.const(-2) * x, -3: ctx.const(2)}
 
 
 def test_compose_identity(ctx, rng):
