@@ -298,6 +298,8 @@ def cmd_export(args):
         raise NothingToExport("no session file %r" % args.session)
     except (OSError, ValueError) as e:  # a directory, unreadable, not JSON
         raise LenardError("--session: cannot read %r as JSON: %s" % (args.session, e))
+    if data is not None and not isinstance(data, dict):
+        raise LenardError("--session: %r does not hold a JSON object" % args.session)
     if not data:
         raise NothingToExport("session is empty")
     if args.target == "json":

@@ -15,6 +15,7 @@ Neither kind ever remains in a denominator.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Dict, Optional, Tuple
 
 from .errors import ZeroDivisor
@@ -31,6 +32,7 @@ KIND_GEN = 3
 
 Mono = Tuple[Tuple[int, int], ...]  # sorted ((var_id, exp), ...), exps nonzero
 ONE_MONO: Mono = ()
+_PAIRS_END = (float("inf"),)  # closes a mono_sortkey, after every (place, -exp)
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -110,6 +112,7 @@ class Context:
         self._ids = {}           # structural key -> id
         self._names = []         # id -> display name
         self._rank = []          # id -> canonical sort rank (tuple)
+        self._pos = []           # id -> place in descending rank order (int)
         self.laurent = []        # id -> bool (exponential symbols)
         self.relations = {}      # id -> DFun value of var**2 (relation-free)
         self.sym_dlog = {}       # id -> DFun, total derivative of log(symbol)
@@ -132,6 +135,10 @@ class Context:
         self._names.append(name)
         self._rank.append(rank)
         self.laurent.append(laurent)
+        pos = self._pos = [0] * len(self._rank)
+        for i, v in enumerate(sorted(range(len(pos)), key=self._rank.__getitem__,
+                                     reverse=True)):
+            pos[v] = i
         return vid
 
     def add_parameter(self, name):
@@ -272,22 +279,36 @@ class Context:
         return self.gen(0, n)
 
     def mono_sortkey(self, mono: Mono):
-        """Graded key ordering monomials canonically (degree, then ranked exps)."""
-        deg = sum(e for _, e in mono)
-        return (deg, tuple(sorted(((self._rank[v], e) for v, e in mono), reverse=True)))
+        """Key whose ascending order lists monomials leading first.
+
+        The canonical order is graded: higher total degree first, then the
+        (rank, exponent) pairs compared from the highest-ranked variable
+        down, a monomial outranking each proper prefix of its pairs.  Here
+        each pair becomes (place, -exponent), places counting down the
+        ranks, and _PAIRS_END outsorts every pair.  The key is only
+        comparable with keys made before the next variable is registered.
+        """
+        pos = self._pos
+        deg = 0
+        pairs = []
+        for v, e in mono:
+            deg -= e
+            pairs.append((pos[v], -e))
+        pairs.sort()
+        return (deg, *pairs, _PAIRS_END)
 
 
 # ---------------------------------------------------------------------------
 # raw polynomial helpers ({Mono: Q} dicts)
 
 
-def poly_add_into(acc: Dict[Mono, Q], other: Dict[Mono, Q], scale=QONE):
+def poly_add_into(acc: Dict[Mono, Q], other: Dict[Mono, Q]):
     for m, c in other.items():
         v = acc.get(m)
         if v is None:
-            acc[m] = c * scale
+            acc[m] = c
         else:
-            v = v + c * scale
+            v = v + c
             if v:
                 acc[m] = v
             else:
@@ -323,25 +344,50 @@ def poly_scale(a, q):
 
 
 def poly_lead(ctx, a: Dict[Mono, Q]) -> Mono:
-    return max(a, key=ctx.mono_sortkey)
+    return min(a, key=ctx.mono_sortkey)
 
 
 def poly_exact_div(ctx, a: Dict[Mono, Q], b: Dict[Mono, Q]) -> Optional[Dict[Mono, Q]]:
-    """a / b as a polynomial, or None when the division is not exact."""
+    """a / b as a polynomial, or None when the division is not exact.
+
+    Each step divides the remainder's leading monomial by b's and subtracts
+    c*m*(b - lead(b)); the leading term itself cancels exactly.  The leading
+    monomial comes off a heap of (mono_sortkey, monomial) entries, one
+    pushed whenever a monomial enters the remainder; an entry whose monomial
+    has cancelled since is skipped (Monagan and Pearce, CASC 2007).
+    """
     if not a:
         return {}
+    key = ctx.mono_sortkey
     lb = poly_lead(ctx, b)
     cb = b[lb]
+    tail = [(t, ct) for t, ct in b.items() if t != lb]
     rem = dict(a)
+    heap = [(key(m), m) for m in rem]
+    heapify(heap)
     quo: Dict[Mono, Q] = {}
     while rem:
-        la = poly_lead(ctx, rem)
+        la = heappop(heap)[1]
+        c = rem.pop(la, None)
+        if c is None:
+            continue
         m = mono_div(la, lb)
         if m is None:
             return None
-        c = rem[la] / cb
+        c = c / cb
         quo[m] = c
-        poly_add_into(rem, poly_mul({m: c}, b), Q(-1))
+        for t, ct in tail:
+            mt = mono_mul(m, t)
+            v = rem.get(mt)
+            if v is None:
+                rem[mt] = -(c * ct)
+                heappush(heap, (key(mt), mt))
+            else:
+                v = v - c * ct
+                if v:
+                    rem[mt] = v
+                else:
+                    del rem[mt]
     return quo
 
 

@@ -71,7 +71,7 @@ def _coeff_text(q: Q, latex=False):
 def _poly_text(ctx, poly, latex=False):
     if not poly:
         return "0"
-    terms = sorted(poly.items(), key=lambda t: ctx.mono_sortkey(t[0]), reverse=True)
+    terms = sorted(poly.items(), key=lambda t: ctx.mono_sortkey(t[0]))
     out = []
     for mono, c in terms:
         mt = _mono_text(ctx, mono, latex)

@@ -105,8 +105,9 @@ def _split_param_mono(ctx, mono):
     return tuple(par), tuple(rest)
 
 
-def _rows_of(ctx, f: DFun, den_lcm, rows, col, width):
-    """Scatter the numerator of f, cleared to den_lcm, into coefficient rows."""
+def _rows_of(ctx, f: DFun, den_lcm, rows, col):
+    """Scatter the numerator of f, cleared to den_lcm, into sparse coefficient
+    rows {column: DFun}; an entry whose sum cancels is dropped."""
     num = f.num
     cof = _den_cofactor(den_lcm, f.den)
     if cof != _POLY_ONE:
@@ -115,11 +116,15 @@ def _rows_of(ctx, f: DFun, den_lcm, rows, col, width):
         par, rest = _split_param_mono(ctx, mono)
         row = rows.get(rest)
         if row is None:
-            row = [None] * width
-            rows[rest] = row
-        cur = row[col]
+            row = rows[rest] = {}
         add = DFun(ctx, {par: q}, (), normalized=True)
-        row[col] = add if cur is None else cur + add
+        cur = row.get(col)
+        if cur is not None:
+            add = cur + add
+            if add.is_zero():
+                del row[col]
+                continue
+        row[col] = add
 
 
 def linear_solve(ctx, columns: Sequence[Sequence[DFun]], rhs: Sequence[DFun],
@@ -143,11 +148,9 @@ def linear_solve(ctx, columns: Sequence[Sequence[DFun]], rhs: Sequence[DFun],
         rows: Dict = {}
         for col_idx, f in enumerate(items):
             if not f.is_zero():
-                _rows_of(ctx, f, den_lcm, rows, col_idx, K + 1)
+                _rows_of(ctx, f, den_lcm, rows, col_idx)
         for rest in sorted(rows, key=lambda m: (len(m), m)):
-            row = rows[rest]
-            sparse_rows.append({c: e for c, e in enumerate(row) if e is not None
-                                and not e.is_zero()})
+            sparse_rows.append(rows[rest])
     return _gauss_sparse(ctx, sparse_rows, K, partial)
 
 

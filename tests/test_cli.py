@@ -426,6 +426,17 @@ def test_export_boundary_fuzz(session, target, out, via_config):
         _assert_handled_at_the_boundary(tmp, "export", flags, via_config)
 
 
+@pytest.mark.parametrize("content, code, err", [
+    ("[1, 2]", 2, "error: --session: "), ("5", 2, "error: --session: "),
+    ('"s"', 2, "error: --session: "), ("{}", 1, "nothing to export: "),
+    ("null", 1, "nothing to export: ")])
+def test_export_needs_a_json_object_session(tmp_path, capsys, content, code, err):
+    session = tmp_path / "session.json"
+    session.write_text(content)
+    assert main(["export", "--session", str(session)]) == code
+    assert capsys.readouterr().err.startswith(err)
+
+
 _PATTERN_PIECES = ["a=(1,0,0)", "b=(0,1,1)", "a=(1,1,1)", "b=(1,0,0)", "a=(0,0,0)",
                    "b=(0,1)", "a=(1,0,2)", "c=(0,1,1)", "a=(1,0,0", "b=", "", " "]
 

@@ -6,7 +6,8 @@ from fractions import Fraction as Q
 import pytest
 
 from lenard.errors import ZeroDivisor
-from lenard.field import Context, NEG_INF
+from lenard.field import (Context, NEG_INF, mono_div, poly_exact_div, poly_lead,
+                          poly_mul)
 
 from conftest import random_dfun
 
@@ -164,3 +165,155 @@ def test_bind_params(ctx):
     b2, b3 = ctx.param("b2"), ctx.param("b3")
     f = b2 * ctx.u(1) + b3
     assert f.bind_params({"b2": 2, "b3": Q(1, 3)}) == 2 * ctx.u(1) + Q(1, 3)
+
+
+# -- exact division: the heap loop against the max-scan loop it replaced -----
+
+
+def _max_scan_sortkey(ctx, mono):
+    """The graded key of the max-scan division: degree, then the (rank,
+    exponent) pairs from the highest-ranked variable down."""
+    deg = sum(e for _, e in mono)
+    return (deg, tuple(sorted(((ctx._rank[v], e) for v, e in mono), reverse=True)))
+
+
+_DIVERGES = "diverges"
+
+
+def _max_scan_div(ctx, a, b):
+    """Oracle: exact division that scans the whole remainder for its leading
+    monomial on every step.  Returns _DIVERGES after 200 steps: with Laurent
+    exponents the graded order is not a well-order, and a division such as
+    1 / (1 + exp(x)^-1) never ends."""
+    if not a:
+        return {}
+
+    def lead(p):
+        return max(p, key=lambda m: _max_scan_sortkey(ctx, m))
+
+    lb = lead(b)
+    cb = b[lb]
+    rem = dict(a)
+    quo = {}
+    for _ in range(200):
+        if not rem:
+            return quo
+        la = lead(rem)
+        m = mono_div(la, lb)
+        if m is None:
+            return None
+        c = rem[la] / cb
+        quo[m] = c
+        for mb, v in poly_mul({m: c}, b).items():
+            nv = rem.get(mb, 0) - v
+            if nv:
+                rem[mb] = nv
+            else:
+                del rem[mb]
+    return _DIVERGES if rem else quo
+
+
+def _var_id(f):
+    (mono,) = f.num
+    return mono[0][0]
+
+
+def _division_vars(ctx, laurent=True):
+    """(var id, lowest, highest exponent) for jets, x, parameters, a derived
+    parameter, a sqrt symbol and two exp symbols, whose exponents may be
+    negative unless laurent is False."""
+    b2, b3 = ctx.param("b2"), ctx.param("b3")
+    low = -2 if laurent else 0
+    out = [(_var_id(ctx.u(n)), 0, 3) for n in range(3)]
+    out += [(_var_id(ctx.x()), 0, 2), (_var_id(b2), 0, 2), (_var_id(b3), 0, 2)]
+    out.append((ctx.add_derived_parameter("c", -b3 / b2), 0, 1))
+    out.append((_var_id(ctx.adjoin_sqrt(b2 + b3 * ctx.u(1) ** 2)), 0, 1))
+    out.append((_var_id(ctx.adjoin_exp_x(b2)), low, 2))
+    out.append((_var_id(ctx.adjoin_exp_u(ctx.const(2))), low, 2))
+    return out
+
+
+def _random_mono(rng, pool):
+    picks = rng.sample(pool, rng.randint(0, 3))
+    return tuple(sorted((v, e) for v, lo, hi in picks
+                        for e in [rng.randint(lo, hi)] if e))
+
+
+def _random_poly(rng, pool, terms):
+    out = {}
+    for _ in range(terms):
+        c = Q(rng.randint(-5, 5), rng.randint(1, 3))
+        if c:
+            out[_random_mono(rng, pool)] = c
+    return out
+
+
+def _division_cases(rng, pool, count):
+    """(a, b, q): a = q*b, plus a random remainder in about half the cases."""
+    for _ in range(count):
+        b = {}
+        while not b:
+            b = _random_poly(rng, pool, rng.randint(1, 4))
+        q = _random_poly(rng, pool, rng.randint(0, 5))
+        a = poly_mul(q, b)
+        if rng.random() < 0.5:
+            for m, c in _random_poly(rng, pool, rng.randint(1, 3)).items():
+                a[m] = a.get(m, 0) + c
+                if not a[m]:
+                    del a[m]
+        yield a, b, q
+
+
+@pytest.mark.parametrize("laurent", [False, True], ids=["polynomial", "laurent"])
+def test_sortkey_order_matches_max_scan_key(ctx, rng, laurent):
+    pool = _division_vars(ctx, laurent)
+    monos = list({_random_mono(rng, pool) for _ in range(400)})
+    assert (sorted(monos, key=ctx.mono_sortkey)
+            == sorted(monos, key=lambda m: _max_scan_sortkey(ctx, m), reverse=True))
+    for _ in range(50):
+        p = _random_poly(rng, pool, 6)
+        if p:
+            assert poly_lead(ctx, p) == max(p, key=lambda m: _max_scan_sortkey(ctx, m))
+
+
+@pytest.mark.parametrize("laurent", [False, True], ids=["polynomial", "laurent"])
+def test_exact_div_matches_max_scan(ctx, rng, laurent):
+    """Same quotient, term for term and in the same order, and the same None.
+    The heap loop takes the oracle's steps, so it is only run where the
+    oracle ends."""
+    pool = _division_vars(ctx, laurent)
+    exact = inexact = 0
+    for a, b, q in _division_cases(rng, pool, 400):
+        want = _max_scan_div(ctx, a, b)
+        if want is _DIVERGES:
+            assert laurent
+            continue
+        got = poly_exact_div(ctx, a, b)
+        if want is None:
+            assert got is None
+            inexact += 1
+            continue
+        assert got is not None and list(got.items()) == list(want.items())
+        assert poly_mul(got, b) == a
+        if not laurent and a == poly_mul(q, b):
+            assert got == q
+        exact += 1
+    assert exact > 100 and inexact > 100
+
+
+def test_exact_div_against_sympy(ctx, rng):
+    sympy = pytest.importorskip("sympy")
+    pool = _division_vars(ctx, laurent=False)
+    gens = sympy.symbols("v0:%d" % (max(v for v, _, _ in pool) + 1))
+
+    def expr(p):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*[gens[v] ** e for v, e in m]) for m, c in p.items()),
+                   sympy.Integer(0))
+
+    for a, b, _ in _division_cases(rng, pool, 120):
+        got = poly_exact_div(ctx, a, b)
+        quo, rem = sympy.div(expr(a), expr(b), *gens, domain="QQ")
+        assert (got is None) == (rem != 0)
+        if got is not None:
+            assert sympy.expand(expr(got) - quo) == 0
