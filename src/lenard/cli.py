@@ -215,6 +215,8 @@ def _parse_ansatz(text):
     if not 1 <= len(parts) <= 3:
         raise LenardError("--ansatz: expected 1 to 3 comma-separated integers "
                           "N,d,p, got %r" % text)
+    if min(parts) < 0:
+        raise LenardError("--ansatz: bounds must not be negative, got %r" % text)
     return parts + [0] * (3 - len(parts))
 
 
@@ -223,8 +225,10 @@ def cmd_chain(args):
         raise LenardError("chain needs --preset")
     kwargs = _parse_params(args.params, args.preset)
     bounds = _parse_ansatz(args.ansatz) if args.ansatz else None
-    pre = load_preset(args.preset, **kwargs)
     steps = args.steps if args.steps is not None else 1
+    if steps < 0:
+        raise LenardError("--steps: must not be negative, got %d" % steps)
+    pre = load_preset(args.preset, **kwargs)
     spF, spG, ks, hs, ker = _preset_tooling(pre)
     if bounds is not None:
         spF = spG = AnsatzSpace(pre.ctx, *bounds)

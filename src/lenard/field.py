@@ -9,7 +9,9 @@ polynomial and den a product of monic polynomial factors with positive
 integer exponents.  Square-root symbols and derived parameters carry a
 quadratic relation v**2 = g and are reduced so no power >= 2 survives;
 exponential symbols are Laurent variables (negative powers allowed).
-Neither kind ever remains in a denominator.
+Neither kind ever remains in a denominator as a factor of its own, and a
+composite factor holds no power of an exponential symbol common to all
+its terms, nor a negative one.
 """
 
 from __future__ import annotations
@@ -391,24 +393,27 @@ def poly_exact_div(ctx, a: Dict[Mono, Q], b: Dict[Mono, Q]) -> Optional[Dict[Mon
     return quo
 
 
-def _poly_partial(a: Dict[Mono, Q], vid) -> Dict[Mono, Q]:
+def _poly_derive(a: Dict[Mono, Q], images: Dict[int, Mono]) -> Dict[Mono, Q]:
+    """The derivation v -> images[v] (a monomial; 0 for the variables not
+    listed) applied to a polynomial: sum over v of d(a)/dv * images[v]."""
     out: Dict[Mono, Q] = {}
     for m, c in a.items():
         for idx, (v, e) in enumerate(m):
-            if v == vid:
-                nm = list(m)
-                if e == 1:
-                    del nm[idx]
-                else:
-                    nm[idx] = (v, e - 1)
-                key = tuple(nm)
-                val = out.get(key)
-                nv = c * e if val is None else val + c * e
-                if nv:
-                    out[key] = nv
-                elif val is not None:
-                    del out[key]
-                break
+            image = images.get(v)
+            if image is None:
+                continue
+            nm = list(m)
+            if e == 1:
+                del nm[idx]
+            else:
+                nm[idx] = (v, e - 1)
+            key = mono_mul(tuple(nm), image)
+            val = out.get(key)
+            nv = c * e if val is None else val + c * e
+            if nv:
+                out[key] = nv
+            elif val is not None:
+                del out[key]
     return out
 
 
@@ -562,41 +567,67 @@ class DFun:
 
     # -- calculus ---------------------------------------------------------------
 
-    def _formal_partial(self, vid):
-        """d/d(var) treating every variable as independent (no chain rules)."""
+    def _derive(self, images):
+        """The derivation v -> images[v] of the polynomial ring (a monomial
+        per variable, 0 for the rest), extended to self = N / prod f^e by
+        one quotient rule over the factors f it moves (df != 0):
+
+            (dN * prod' f - N * sum' e df prod'_{g != f} g)
+              / (prod' f^(e+1) * prod'' f^e)
+
+        prod'' running over the factors it fixes; so one normalization."""
         ctx = self.ctx
-        dnum = _poly_partial(self.num, vid)
+        dnum = _poly_derive(self.num, images)
         if not self.den:
             return DFun(ctx, dnum, (), normalized=True)
-        out = DFun(ctx, dnum, self.den)
-        for idx, (f, e) in enumerate(self.den):
-            df = _poly_partial(f, vid)
-            if not df:
-                continue
-            den = list(self.den)
-            den[idx] = (f, e + 1)
-            out = out + DFun(ctx, poly_mul(poly_scale(self.num, Q(-e)), df), tuple(den))
-        return out
+        moved = []
+        den = []
+        for f, e in self.den:
+            df = _poly_derive(f, images)
+            if df:
+                moved.append((f, e, df))
+                den.append((f, e + 1))
+            else:
+                den.append((f, e))
+        if not moved:
+            return DFun(ctx, dnum, self.den)
+        cross: Dict[Mono, Q] = {}
+        for idx, (_, e, df) in enumerate(moved):
+            term = poly_scale(df, Q(-e))
+            for jdx, (g, _, _) in enumerate(moved):
+                if jdx != idx:
+                    term = poly_mul(term, g)
+            poly_add_into(cross, term)
+        for f, _, _ in moved:
+            dnum = poly_mul(dnum, f)
+        poly_add_into(dnum, poly_mul(self.num, cross))
+        return DFun(ctx, dnum, tuple(den))
+
+    def _formal_partial(self, vid):
+        """d/d(var) treating every variable as independent (no chain rules)."""
+        return self._derive({vid: ONE_MONO})
 
     def total_derivative(self):
         """d/dx through x, all jets (u_i^(n) -> u_i^(n+1)) and symbol rules."""
         if self._td is not None:
             return self._td
         ctx = self.ctx
-        out = ctx.zero()
+        images = {}
+        symbols = []
         for vid in sorted(self._vars()):
-            d = self._formal_partial(vid)
-            if d.is_zero():
-                continue
             key = ctx.var_key(vid)
             if key[0] == "x":
-                out = out + d
+                images[vid] = ONE_MONO
             elif key[0] == "u":
-                _, i, n = key
-                out = out + d * ctx.gen(i, n + 1)
+                images[vid] = ((ctx.gen_var(key[1], key[2] + 1), 1),)
             elif key[0] == "s":
-                out = out + d * ctx.sym_dlog[vid] * ctx.var_fun(vid)
+                symbols.append(vid)
             # parameters contribute nothing
+        out = self._derive(images)
+        for sid in symbols:
+            d = self._formal_partial(sid)
+            if not d.is_zero():
+                out = out + d * ctx.sym_dlog[sid] * ctx.var_fun(sid)
         self._td = out
         return out
 
@@ -808,10 +839,18 @@ def _normalize(ctx, num, den):
             strip = tuple(strip)
             num = {mono_div(m, strip): c for m, c in num.items()}
 
-    # exact-division cancellation of composite factors
+    # exact-division cancellation of composite factors, each first cleared
+    # of its Laurent content: a unit, so it moves to the numerator, and the
+    # factor left is a polynomial, which the division needs to end
     out_den = []
     merged = {}
     for f, e in composite:
+        unit = _laurent_content(ctx, f)
+        if unit:
+            inv = tuple((v, -k) for v, k in unit)
+            f = {mono_mul(m, inv): c for m, c in f.items()}
+            inv = tuple((v, -k * e) for v, k in unit)
+            num = {mono_mul(m, inv): c for m, c in num.items()}
         k = poly_key(f)
         if k in merged:
             merged[k] = (f, merged[k][1] + e)
@@ -838,6 +877,20 @@ def _normalize(ctx, num, den):
         return {}, ()
     out_den.sort(key=lambda fe: poly_key(fe[0]))
     return num, tuple(out_den)
+
+
+def _laurent_content(ctx, f) -> Mono:
+    """The lowest exponent in f of each exponential symbol, as a monomial
+    (an exponent counts as 0 in a term without the symbol)."""
+    laurent = ctx.laurent
+    if True not in laurent:
+        return ONE_MONO
+    low = None
+    for m in f:
+        part = {v: e for v, e in m if laurent[v]}
+        low = part if low is None else {v: min(low.get(v, 0), part.get(v, 0))
+                                        for v in low.keys() | part.keys()}
+    return tuple(sorted((v, e) for v, e in low.items() if e))
 
 
 def _reduce_relations(ctx, num):

@@ -363,7 +363,7 @@ class JacobiEngine:
             if kind == "d":
                 val = val.apply_shift(data, floor=floor if data < 0 else None)
             else:
-                val = val.scale(data)
+                val = val * data
             vals.append(val)
         vals.reverse()
         return vals

@@ -66,12 +66,9 @@ class LambdaSeries:
 
     def __mul__(self, q):
         """Product with a rational or a function, each coefficient times q
-        (the shift kernel's h_q times a row)."""
+        (the shift kernel's h_q times a row, a mult atom's function times a
+        suffix value)."""
         return LambdaSeries(self.ctx, {p: c * q for p, c in self.coeffs.items()},
-                            self.floor)
-
-    def scale(self, f: DFun):
-        return LambdaSeries(self.ctx, {p: f * c for p, c in self.coeffs.items()},
                             self.floor)
 
     def shift_power(self, k):

@@ -280,6 +280,9 @@ def test_chain_kn_rational_param():
     (["check", "--op", "D", "--generators", "u v", "--what", "skew"], "--generators"),
     (["--config", os.path.join(os.path.dirname(__file__), "no-such.cfg")], "--config"),
     (["--config", os.path.dirname(__file__)], "--config"),
+    (["chain", "--preset", "kn", "--ansatz", "0,-5", "--steps", "0"], "--ansatz"),
+    (["chain", "--preset", "kn", "--steps", "-1"], "--steps"),
+    (["chain", "--preset", "kn", "--steps", "-1", "--verify-only"], "--steps"),
 ])
 def test_malformed_arguments_rejected_at_the_boundary(argv, flag, capsys):
     code, out = run_cli(*argv)
@@ -366,9 +369,10 @@ def test_check_boundary_fuzz(op, generators, what, floor, via_config):
 
 
 def _assert_handled_at_the_boundary(tmp, command, flags, via_config):
-    """Run main in-process on the flags (None values left out), as argv or
-    as a config file in tmp: the exit is 0, 1 or 2 and stderr never comes
-    from the generic crash branch."""
+    """Run main in-process on the flags (None values left out, True ones
+    given as bare switches), as argv or as a config file in tmp: the exit is
+    0, 1 or 2 and stderr never comes from the generic crash branch.  Returns
+    the exit code."""
     import io
     from contextlib import redirect_stderr, redirect_stdout
     flags = [(k, v) for k, v in flags if v is not None]
@@ -376,10 +380,12 @@ def _assert_handled_at_the_boundary(tmp, command, flags, via_config):
         cfg = os.path.join(tmp, "run.cfg")
         with open(cfg, "w") as fh:
             fh.write("command = %s\n" % command
-                     + "".join("%s = %s\n" % kv for kv in flags))
+                     + "".join("%s = %s\n" % (k, "true" if v is True else v)
+                               for k, v in flags))
         argv = ["--config", cfg]
     else:
-        argv = [command] + [a for k, v in flags for a in ("--" + k, v)]
+        argv = [command] + [a for k, v in flags
+                            for a in (("--" + k,) if v is True else ("--" + k, v))]
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         try:
@@ -388,6 +394,7 @@ def _assert_handled_at_the_boundary(tmp, command, flags, via_config):
             code = e.code
     assert code in (0, 1, 2)
     assert not re.match(r"error: [A-Za-z_]\w*: ", err.getvalue()), err.getvalue()
+    return code
 
 
 # session files for export: a report, empty and non-dict JSON, text and
@@ -435,6 +442,29 @@ def test_export_needs_a_json_object_session(tmp_path, capsys, content, code, err
     session.write_text(content)
     assert main(["export", "--session", str(session)]) == code
     assert capsys.readouterr().err.startswith(err)
+
+
+# chain runs that extend nothing (--steps 0 or --verify-only), so each is quick
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(preset=st.sampled_from([None, "kn", "kn0", "nls", "liouville-i", "liouville-v",
+                               "zz"]),
+       params=st.sampled_from([None, "a=1", "a=3/2", "a=x", "a=1/0", "b=1", "a", ""]),
+       ansatz=st.sampled_from([None, "1,2", "2,2,2", "0", "0,-5", "-1", "1,-2,3", "x",
+                               "1,2,3,4", "", ","]),
+       steps=st.sampled_from(["0", "-1", "-7", "x", "1.5"]),
+       direction=st.sampled_from([None, "left", "right", "up"]),
+       verify_only=st.sampled_from([None, True]), via_config=st.booleans())
+def test_chain_boundary_fuzz(preset, params, ansatz, steps, direction, verify_only,
+                             via_config):
+    """Any chain input ends in exit 0, 1 or 2, never in the generic crash
+    branch; a negative --steps or --ansatz bound is an error."""
+    import tempfile
+    flags = [("preset", preset), ("params", params), ("ansatz", ansatz),
+             ("steps", steps), ("direction", direction), ("verify-only", verify_only)]
+    with tempfile.TemporaryDirectory() as tmp:
+        code = _assert_handled_at_the_boundary(tmp, "chain", flags, via_config)
+    if steps.startswith("-") or "-" in (ansatz or ""):
+        assert code == 2
 
 
 _PATTERN_PIECES = ["a=(1,0,0)", "b=(0,1,1)", "a=(1,1,1)", "b=(1,0,0)", "a=(0,0,0)",

@@ -6,8 +6,8 @@ from fractions import Fraction as Q
 import pytest
 
 from lenard.errors import ZeroDivisor
-from lenard.field import (Context, NEG_INF, mono_div, poly_exact_div, poly_lead,
-                          poly_mul)
+from lenard.field import (Context, DFun, NEG_INF, mono_div, poly_exact_div, poly_lead,
+                          poly_mul, poly_scale)
 
 from conftest import random_dfun
 
@@ -317,3 +317,136 @@ def test_exact_div_against_sympy(ctx, rng):
         assert (got is None) == (rem != 0)
         if got is not None:
             assert sympy.expand(expr(got) - quo) == 0
+
+
+def test_laurent_denominator_ends_and_is_canonical():
+    """A division by 1 + E^-1 need not end (its leading monomial 1 divides
+    every term), so the factor is cleared to E + 1 first; the same value
+    reached two ways gets one key."""
+    import signal
+
+    def timeout(signum, frame):
+        raise TimeoutError("field arithmetic did not end")
+
+    ctx = Context(("u",))
+    E = ctx.adjoin_exp_x(1)
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        a = ctx.one() / (1 + 1 / E)
+        b = E / (E + 1)
+        c = 1 / (E + E * E)
+        d = 1 / E / (1 + E)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert a.key() == b.key() and str(a) == str(b)
+    assert c.key() == d.key()
+
+
+# -- derivations: the one-quotient-rule kernel against per-variable loops ------
+
+
+def _poly_partial(a, vid):
+    out = {}
+    for m, c in a.items():
+        for idx, (v, e) in enumerate(m):
+            if v == vid:
+                nm = list(m)
+                if e == 1:
+                    del nm[idx]
+                else:
+                    nm[idx] = (v, e - 1)
+                key = tuple(nm)
+                out[key] = out.get(key, 0) + c * e
+                if not out[key]:
+                    del out[key]
+                break
+    return out
+
+
+def _loop_formal_partial(f, vid):
+    """Oracle: one field element per denominator factor, added one by one."""
+    ctx = f.ctx
+    out = DFun(ctx, _poly_partial(f.num, vid), f.den)
+    for idx, (g, e) in enumerate(f.den):
+        dg = _poly_partial(g, vid)
+        if dg:
+            den = list(f.den)
+            den[idx] = (g, e + 1)
+            out = out + DFun(ctx, poly_mul(poly_scale(f.num, Q(-e)), dg), tuple(den))
+    return out
+
+
+def _loop_total_derivative(f):
+    """Oracle: one field element per variable, added one by one."""
+    ctx = f.ctx
+    out = ctx.zero()
+    for vid in sorted(f._vars()):
+        d = _loop_formal_partial(f, vid)
+        if d.is_zero():
+            continue
+        key = ctx.var_key(vid)
+        if key[0] == "x":
+            out = out + d
+        elif key[0] == "u":
+            out = out + d * ctx.gen(key[1], key[2] + 1)
+        elif key[0] == "s":
+            out = out + d * ctx.sym_dlog[vid] * ctx.var_fun(vid)
+    return out
+
+
+def _random_fraction(ctx, rng, pool):
+    """A random numerator over one to three composite factors (two or more
+    terms each), a factor sometimes repeated or raised to a power."""
+    num = {}
+    while not num:
+        num = _random_poly(rng, pool, rng.randint(1, 4))
+    den = []
+    for _ in range(rng.randint(1, 3)):
+        g = {}
+        while len(g) < 2:
+            g = _random_poly(rng, pool, rng.randint(2, 3))
+        den.append((g, rng.randint(1, 2)))
+        if rng.random() < 0.3:
+            den.append((g, 1))
+    return DFun(ctx, num, tuple(den))
+
+
+@pytest.mark.parametrize("laurent", [False, True], ids=["polynomial", "laurent"])
+def test_derivations_match_per_variable_loops(ctx, rng, laurent):
+    pool = _division_vars(ctx, laurent)
+    for _ in range(60):
+        f = _random_fraction(ctx, rng, pool)
+        assert f.total_derivative().key() == _loop_total_derivative(f).key()
+        for vid in sorted(f._vars()):
+            assert f._formal_partial(vid).key() == _loop_formal_partial(f, vid).key()
+
+
+def test_total_derivative_against_sympy(ctx, rng):
+    """Symbol-free elements: the value of the total derivative is the chain
+    rule over x and the jets, u^(n) -> u^(n+1)."""
+    sympy = pytest.importorskip("sympy")
+    pool = [(v, lo, hi) for v, lo, hi in _division_vars(ctx, laurent=False)
+            if not ctx.is_symbol_var(v) and v not in ctx.relations]
+    nxt = {_var_id(ctx.u(n)): _var_id(ctx.u(n + 1)) for n in range(3)}
+    gens = sympy.symbols("v0:%d" % (max(nxt.values()) + 1))
+
+    def expr(f):
+        def poly(p):
+            return sum((sympy.Rational(c.numerator, c.denominator)
+                        * sympy.Mul(*[gens[v] ** e for v, e in m]) for m, c in p.items()),
+                       sympy.Integer(0))
+        return poly(f.num) / sympy.Mul(*[poly(g) ** e for g, e in f.den])
+
+    for _ in range(12):
+        f = _random_fraction(ctx, rng, pool)
+        e = expr(f)
+        want = sympy.diff(e, gens[ctx.x_id]) + sum(
+            sympy.diff(e, gens[v]) * gens[w] for v, w in nxt.items())
+        got = expr(f.total_derivative())
+        for _ in range(2):  # equal values at random points where both are defined
+            point = {g: sympy.Rational(rng.randint(-9, 9), rng.randint(1, 4)) for g in gens}
+            w = want.subs(point)
+            if w.is_finite:
+                assert got.subs(point) == w
