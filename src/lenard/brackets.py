@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import InvalidWitness
+from .errors import InsufficientTruncation, InvalidWitness
 from .field import DFun
 from .functional import LocalFunctional
-from .operators import MatrixPsdOp, ScalarPsdOp, _binomial_shift, structure_sum
-from .series import LambdaSeries, _jf
+from .operators import MatrixPsdOp, ScalarPsdOp, _binomial_shift, _jf, structure_sum
+from .series import LambdaSeries
 
 DEFAULT_JACOBI_FLOORS = (-8, -8)
 
@@ -133,7 +133,6 @@ def check_skewadjoint(H, floor: int = -8) -> Verdict:
 
 def check_jacobi(H, floors: Tuple[int, int] = DEFAULT_JACOBI_FLOORS) -> Verdict:
     """The Jacobi identity on every generator triple (floor-qualified)."""
-    from .errors import InsufficientTruncation
     from .jacobi import JacobiEngine
     eng = JacobiEngine(H, floors)
     for i in range(eng.ell):

@@ -21,7 +21,7 @@ from .functional import (LocalFunctional, antiderivative, is_self_adjoint_freche
                          reduce_by_parts)
 from .jacobi import AtomChain
 from .operators import MatrixPsdOp, RationalOpPair
-from .solve import AnsatzSpace, kernel_of, solve_operator_equation
+from .solve import AnsatzSpace, kernel_of, reduce_mod_span, solve_operator_equation
 
 
 class StructurePair:
@@ -137,9 +137,42 @@ class NonlocalTerm:
 
 @dataclass
 class NonlocalVectorField:
-    """Formal solution with genuine d^-1 content (scalar case)."""
+    """Formal solution with genuine d^-1 content (scalar case).
+
+    It supports what an atom chain's walk asks of a field element: + (with
+    a function or another formal field), a function factor on the left, /
+    by a function and the total derivative, so chains apply to it as they
+    apply to functions."""
     local: DFun
     terms: List[NonlocalTerm]
+
+    def __add__(self, other):
+        if isinstance(other, NonlocalVectorField):
+            return NonlocalVectorField(self.local + other.local, self.terms + other.terms)
+        return NonlocalVectorField(self.local + other, list(self.terms))
+
+    __radd__ = __add__
+
+    def __rmul__(self, g: DFun):
+        return NonlocalVectorField(self.local * g,
+                                   [NonlocalTerm(t.prefactor * g, t.kernel)
+                                    for t in self.terms])
+
+    def __truediv__(self, g: DFun):
+        return NonlocalVectorField(self.local / g,
+                                   [NonlocalTerm(t.prefactor / g, t.kernel)
+                                    for t in self.terms])
+
+    def total_derivative(self):
+        """D(p W) = p' W + p r for each term p W, W = d^-1(r)."""
+        local = self.local.total_derivative()
+        terms = []
+        for t in self.terms:
+            local = local + t.prefactor * t.kernel
+            dp = t.prefactor.total_derivative()
+            if not dp.is_zero():
+                terms.append(NonlocalTerm(dp, t.kernel))
+        return NonlocalVectorField(local, terms)
 
     def __str__(self):
         parts = [str(self.local)] if not self.local.is_zero() else []
@@ -315,7 +348,6 @@ def extend_right(chain: Chain, spaceF: AnsatzSpace, spaceG: AnsatzSpace,
         if solF_kernel:
             # canonical representative: reduce F modulo ker(B) by leading
             # monomials (reproduces the paper's displayed representatives)
-            from .solve import reduce_mod_span
             F, _ = reduce_mod_span(ctx, solF_kernel, F)
         P = H.num.apply(F)
         if keep_constants and solF_kernel:
@@ -463,29 +495,6 @@ def verify_higher_structures(chain: Chain, s: int) -> bool:
 # left extension with the formal nonlocal solver (scalar case)
 
 
-def _formal_divide(nv: NonlocalVectorField, g: DFun) -> NonlocalVectorField:
-    return NonlocalVectorField(nv.local / g,
-                               [NonlocalTerm(t.prefactor / g, t.kernel)
-                                for t in nv.terms])
-
-
-def _formal_multiply(nv: NonlocalVectorField, g: DFun) -> NonlocalVectorField:
-    return NonlocalVectorField(nv.local * g,
-                               [NonlocalTerm(t.prefactor * g, t.kernel)
-                                for t in nv.terms])
-
-
-def _formal_derivative(nv: NonlocalVectorField) -> NonlocalVectorField:
-    local = nv.local.total_derivative()
-    terms = []
-    for t in nv.terms:
-        local = local + t.prefactor * t.kernel
-        dp = t.prefactor.total_derivative()
-        if not dp.is_zero():
-            terms.append(NonlocalTerm(dp, t.kernel))
-    return NonlocalVectorField(local, terms)
-
-
 def _formal_antiderivative(ctx, nv: NonlocalVectorField, const_name):
     """d^-1 of a formal field; may add a nonlocal term for the local residue."""
     terms = []
@@ -532,8 +541,7 @@ def formal_solve_factored(den: AtomChain, xi: DFun):
     atoms = list(den.atoms)
     for pos, (kind, data) in enumerate(atoms):
         if kind == "mult":
-            g = data[0][0]
-            z = _formal_divide(z, g)
+            z = z / data[0][0]
         else:
             if data < 0:
                 raise ValueError("denominator chains must be differential")
@@ -549,30 +557,6 @@ def formal_solve_factored(den: AtomChain, xi: DFun):
                 if not residue.is_zero() and blocked_info is None:
                     blocked_info = (atoms[pos:], pre_local)
     return z, blocked_info
-
-
-def formal_apply(chain_atoms, nv: NonlocalVectorField):
-    """Apply a scalar differential atom chain (or sum of chains) to a formal field."""
-    from .jacobi import SumChain
-    if isinstance(chain_atoms, SumChain):
-        total = None
-        for ch in chain_atoms.summands:
-            part = formal_apply(ch, nv)
-            if total is None:
-                total = part
-            else:
-                total = NonlocalVectorField(total.local + part.local,
-                                            total.terms + part.terms)
-        return _merge_terms(total)
-    cur = nv
-    for kind, data in reversed(chain_atoms.atoms):
-        if kind == "d":
-            for _ in range(data):
-                cur = _formal_derivative(cur)
-        else:
-            g = data[0][0]
-            cur = _formal_multiply(cur, g)
-    return _merge_terms(cur)
 
 
 def _merge_terms(nv: NonlocalVectorField) -> NonlocalVectorField:
@@ -671,7 +655,7 @@ def extend_left(chain: Chain, spaceG: AnsatzSpace, spaceF: AnsatzSpace,
                 P_formal = None
                 eq = None
                 if G_formal is not None:
-                    P_formal = formal_apply(K.num, G_formal)
+                    P_formal = _merge_terms(K.num.apply([G_formal])[0])
                     all_const = all(t.prefactor.is_constant()
                                     for t in P_formal.terms)
                     if not all_const and blocked_info is not None:

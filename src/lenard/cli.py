@@ -30,8 +30,8 @@ from .grammar import parse_operator
 from .liouville import (EMPIRICAL_PATTERNS, classification_table, classify,
                         empirical_class)
 from .operators import RationalOpPair, is_nondegenerate
-from .presets import (liouville_spaces, load_preset, nls_k_solver, nls_h_solver,
-                      nls_spaces, preset_ids)
+from .presets import (expected_equations, liouville_spaces, load_preset, nls_k_solver,
+                      nls_h_solver, nls_spaces, preset_ids)
 from .report import (chain_record, classification_record, to_json,
                      verdict_record)
 from .solve import AnsatzSpace
@@ -392,10 +392,9 @@ def build_parser():
     ap.add_argument("--config", help="key = value config file")
     sub = ap.add_subparsers(dest="command")
 
-    # each subcommand takes only the flags it reads
-    def common(p):
-        p.add_argument("--format", choices=("text", "latex", "json"),
-                       default="json")
+    # each subcommand takes only the flags, and the values, it reads
+    def common(p, formats=("text", "json")):
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--session", help="write the machine result here")
 
     pc = sub.add_parser("check", help="skewadjointness / Jacobi / compatibility")
@@ -407,7 +406,7 @@ def build_parser():
     pc.add_argument("--generators", help="comma-separated generator names")
 
     pch = sub.add_parser("chain", help="run the Lenard-Magri recursion")
-    common(pch)
+    common(pch, ("text", "latex", "json"))
     pch.add_argument("--preset")
     pch.add_argument("--ansatz", help="N,d,p bounds for the solver")
     pch.add_argument("--params", help="comma-separated k=v bindings")
@@ -452,10 +451,14 @@ def main(argv=None):
             return cmd_export(args)
         if args.command == "presets":
             if args.action == "equations":
-                from .presets import expected_equations
-                for line in expected_equations(args.target or ""):
+                if args.target is None:
+                    raise LenardError("presets: equations needs a preset id")
+                for line in expected_equations(args.target):
                     print(line)
                 return 0
+            if args.target is not None:
+                raise LenardError("presets: list takes no preset id, got %r"
+                                  % args.target)
             for pid in preset_ids():
                 print(pid)
             return 0

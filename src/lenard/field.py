@@ -856,6 +856,13 @@ def _normalize(ctx, num, den):
             merged[k] = (f, merged[k][1] + e)
         else:
             merged[k] = (f, e)
+    # the numerator's own Laurent content is a unit too: divide it out for
+    # the divisions, so that a cancellation exact over the Laurent ring is
+    # found, and multiply it back after
+    num_unit = _laurent_content(ctx, num) if merged else ONE_MONO
+    if num_unit:
+        inv = tuple((v, -k) for v, k in num_unit)
+        num = {mono_mul(m, inv): c for m, c in num.items()}
     for f, e in merged.values():
         while e > 0:
             q = poly_exact_div(ctx, num, f)
@@ -870,6 +877,8 @@ def _normalize(ctx, num, den):
                 f = poly_scale(f, QONE / lc)
                 num = poly_scale(num, QONE / lc ** e)
             out_den.append((f, e))
+    if num_unit:
+        num = {mono_mul(m, num_unit): c for m, c in num.items()}
     for v, e in simple.items():
         if e > 0:
             out_den.append(({((v, 1),): QONE}, e))

@@ -13,8 +13,10 @@ Undecidable instead of guessing.
 
 from __future__ import annotations
 
-from .errors import Undecidable
+from .errors import AnsatzExhausted, Undecidable
 from .field import DFun, NEG_INF
+from .operators import MatrixPsdOp, ScalarPsdOp
+from .solve import AnsatzSpace, reduce_mod_span, solve_operator_equation
 
 
 def variational_derivative(f: DFun):
@@ -33,7 +35,6 @@ def variational_derivative(f: DFun):
 
 def is_self_adjoint_frechet(xi):
     """Helmholtz condition: the Frechet derivative of xi is formally self-adjoint."""
-    from .operators import MatrixPsdOp, ScalarPsdOp
     ctx = xi[0].ctx
     ell = len(xi)
     entries = [[ScalarPsdOp(ctx, xi[i].jet_partials(j)) for j in range(ell)]
@@ -176,8 +177,6 @@ def reduce_by_parts(f: DFun):
 def _antiderivative_ansatz(f: DFun):
     """Fallback: solve g' = f by undetermined coefficients over a space
     derived from f's own shape (its variables, denominators and symbols)."""
-    from .solve import AnsatzSpace, reduce_mod_span, solve_operator_equation
-    from .errors import AnsatzExhausted
     ctx = f.ctx
     d = f.dord()
     if d == NEG_INF:

@@ -20,6 +20,7 @@ from fractions import Fraction as Q
 
 from .errors import ParseError
 from .field import DFun, ONE_MONO
+from .jacobi import AtomChain, AtomStructure
 from .operators import OperatorSum, RationalOpPair
 
 # ---------------------------------------------------------------------------
@@ -328,7 +329,6 @@ class _Parser:
             terms, shape = self.op_sum()
             if shape not in (None, (ell, ell)):
                 self.error(_SIZE_ERROR % (_shape_text(shape), ell, ell))
-            from .jacobi import AtomStructure
             return OperatorSum([(c, AtomStructure(ch))
                                 for c, ch in (terms if shape else _diagonal(terms, ell))])
         self.next()
@@ -409,7 +409,6 @@ class _Parser:
 
     def _compose(self, a, b):
         """a o b; a scalar factor takes the dimension of the matrix it meets."""
-        from .jacobi import AtomChain
         (ta, sa), (tb, sb) = a, b
         if sa and sb and sa[1] != sb[0]:
             self.error("cannot compose %s and %s operators"
@@ -423,7 +422,6 @@ class _Parser:
         return out, sb if sa is None else sa if sb is None else (sa[0], sb[1])
 
     def op_atom(self):
-        from .jacobi import AtomChain
         ctx = self.ctx
         t = self.peek()
         if t.text == "[":
@@ -459,7 +457,6 @@ class _Parser:
         return [(ctx.one(), AtomChain(ctx, [("mult", [[f]])], 1))], None
 
     def op_matrix(self):
-        from .jacobi import AtomChain
         ctx = self.ctx
         self.expect("[")
         rows = []

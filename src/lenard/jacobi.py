@@ -30,8 +30,8 @@ from .errors import InsufficientTruncation
 from .field import DFun, NEG_INF
 from .brackets import master_bracket
 from .operators import (MatrixPsdOp, OperatorSum, RationalOpPair, ScalarPsdOp,
-                        _accumulate, _binomial_shift, structure_sum)
-from .series import BiSeries, LambdaSeries, _jf
+                        _accumulate, _binomial_shift, _jf, structure_sum)
+from .series import BiSeries, LambdaSeries
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +116,8 @@ class AtomChain:
         return paths
 
     def apply(self, vec):
-        """Apply the (differential) chain to a vector, factor by factor."""
+        """Apply the (differential) chain to a vector, factor by factor; the
+        entries are functions or formal fields (chains.NonlocalVectorField)."""
         ctx = self.ctx
         cur = list(vec)
         for kind, data in reversed(self.atoms):
@@ -201,9 +202,6 @@ class AtomStructure:
     @property
     def ell(self):
         return self.chain.ell
-
-    def order(self):
-        return sum(d for kind, d in self.chain.atoms if kind == "d")
 
     def expand(self, floor: int) -> MatrixPsdOp:
         return self.fraction.expand(floor)

@@ -13,12 +13,14 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from typing import Tuple
 
-from .chains import verify_association
-from .errors import ParamDegenerate, Proportional
-from .field import Context, DFun
+from .chains import (Chain, ChainStep, chain_linear_solver, dord_threshold, extend_right,
+                     verify_association)
+from .errors import AnsatzExhausted, ParamDegenerate, Proportional
+from .field import Context, DFun, vec_is_zero
 from .functional import _by_parts, antiderivative_in_var, variational_derivative
 from .operators import binom
-from .presets import liouville_fraction
+from .presets import liouville_fraction, liouville_spaces, load_liouville
+from .solve import AnsatzSpace, in_span, kernel_of, solve_operator_equation
 
 
 def double_factorial(n: int) -> int:
@@ -416,13 +418,6 @@ def empirical_class(a_pattern, b_pattern):
     class); raises for others.  Parameters are bound to numeric values that
     keep the needed square roots rational.
     """
-    from .chains import (Chain, ChainStep, chain_linear_solver, dord_threshold,
-                         extend_right)
-    from .errors import AnsatzExhausted
-    from .field import Context, vec_is_zero
-    from .presets import load_liouville, liouville_spaces
-    from .solve import AnsatzSpace, in_span, kernel_of, solve_operator_equation
-
     key = (tuple(a_pattern), tuple(b_pattern))
     if key not in EMPIRICAL_PATTERNS:
         raise ParamDegenerate("no empirical strategy for pattern %s" % (key,))

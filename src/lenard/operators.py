@@ -82,6 +82,15 @@ def _binomial_shift(h: Dict[int, DFun], t: Dict[int, DFun], floor: Optional[int]
     return out
 
 
+def _jf(a, b):
+    """Join two floors (None = exact)."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return max(a, b)
+
+
 def _accumulate(acc: dict, key, term) -> None:
     """acc[key] += term, dropping a sum that cancels."""
     s = acc.get(key)
@@ -154,20 +163,12 @@ class ScalarPsdOp:
         return ScalarPsdOp(self.ctx, {n: c for n, c in self.coeffs.items() if n >= floor},
                            floor)
 
-    def _join_floor(self, other):
-        a, b = self.floor, other.floor
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return max(a, b)
-
     def __add__(self, other):
         if isinstance(other, ScalarPsdOp):
             out = dict(self.coeffs)
             for n, c in other.coeffs.items():
                 _accumulate(out, n, c)
-            return ScalarPsdOp(self.ctx, out, self._join_floor(other))
+            return ScalarPsdOp(self.ctx, out, _jf(self.floor, other.floor))
         return NotImplemented
 
     def __neg__(self):
@@ -184,19 +185,9 @@ class ScalarPsdOp:
         """A o B by the symbol formula; floor required when the tail is infinite."""
         ctx = self.ctx
         if self.is_zero() or other.is_zero():
-            fl = floor
-            for part in (self.floor, other.floor):
-                if part is not None:
-                    fl = part if fl is None else max(fl, part)
-            return ScalarPsdOp.zero(ctx, fl)
-        top_a = self.order()
-        top_b = other.order()
-        derived = None
-        if self.floor is not None:
-            derived = self.floor + top_b
-        if other.floor is not None:
-            d2 = other.floor + top_a
-            derived = d2 if derived is None else max(derived, d2)
+            return ScalarPsdOp.zero(ctx, _jf(floor, _jf(self.floor, other.floor)))
+        derived = _jf(None if self.floor is None else self.floor + other.order(),
+                      None if other.floor is None else other.floor + self.order())
         if floor is not None and derived is not None and floor < derived:
             raise InsufficientTruncation(
                 "requested floor %d below supported %d" % (floor, derived))
@@ -210,9 +201,7 @@ class ScalarPsdOp:
     def adjoint(self, floor: Optional[int] = None) -> "ScalarPsdOp":
         """Formal adjoint: (a d^n)* = (-d)^n o a."""
         ctx = self.ctx
-        out_floor = floor
-        if self.floor is not None:
-            out_floor = self.floor if floor is None else max(floor, self.floor)
+        out_floor = _jf(floor, self.floor)
         out: Dict[int, DFun] = {}
         for n, a in self.coeffs.items():
             _binomial_shift({n: ctx.const(-1 if n % 2 else 1)}, {0: a}, out_floor, out)
@@ -353,8 +342,7 @@ class MatrixPsdOp:
         fl = None
         for row in self.entries:
             for e in row:
-                if e.floor is not None:
-                    fl = e.floor if fl is None else max(fl, e.floor)
+                fl = _jf(fl, e.floor)
         return fl
 
     def is_differential(self):
@@ -580,15 +568,6 @@ class RationalOpPair:
     def is_single(self):
         return len(self.pairs) == 1
 
-    def order(self):
-        o = 0
-        for a, b in self.pairs:
-            oa, ob = a.order(), b.order()
-            if oa == NEG_INF:
-                return NEG_INF
-            o += oa - ob
-        return o
-
     def expand(self, floor: int) -> MatrixPsdOp:
         """Laurent expansion of the chain product, accurate to the floor."""
         if floor not in self._cache:
@@ -646,9 +625,6 @@ class _AdjointChain:
     def ell(self):
         return self.base.ell
 
-    def order(self):
-        return self.base.order()
-
     def expand(self, floor: int) -> MatrixPsdOp:
         # exact to the floor: a_n d^n only reaches degrees <= n under adjoint
         return self.base.expand(floor).adjoint(floor)
@@ -672,14 +648,6 @@ class OperatorSum:
     @property
     def ell(self):
         return self.terms[0][1].ell
-
-    def order(self):
-        o = NEG_INF
-        for c, t in self.terms:
-            ot = t.order()
-            if ot != NEG_INF and (o == NEG_INF or ot > o):
-                o = ot
-        return o
 
     def expand(self, floor: int) -> MatrixPsdOp:
         acc = None

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 
 from .chains import Chain, ChainStep, StructurePair
-from .errors import UnknownPreset, ValidationFailure
+from .errors import Undecidable, UnknownPreset, ValidationFailure
 from .field import Context
-from .functional import LocalFunctional, variational_derivative
+from .functional import LocalFunctional, antiderivative, variational_derivative
 from .jacobi import AtomChain, AtomStructure, SumChain
 from .operators import OperatorSum
 from .solve import AnsatzSpace
@@ -432,8 +432,6 @@ def nls_h_solver(pre: Preset):
     v = ctx.gen(1, 0)
 
     def solver(xi):
-        from .functional import antiderivative
-        from .errors import Undecidable
         try:
             W = antiderivative(u * xi[1] - v * xi[0])
         except Undecidable:
@@ -457,8 +455,6 @@ def nls_k_solver(pre: Preset):
     b3 = ctx.param("b3")
 
     def solver(P):
-        from .functional import antiderivative
-        from .errors import Undecidable
         try:
             W = antiderivative(u * P[0] + v * P[1])
         except Undecidable:

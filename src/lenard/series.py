@@ -11,16 +11,7 @@ from typing import Dict, Optional
 
 from .errors import InsufficientTruncation
 from .field import DFun, NEG_INF
-from .operators import _accumulate, _binomial_shift
-
-
-def _jf(a, b):
-    """Join two floors (None = exact)."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
+from .operators import _accumulate, _binomial_shift, _jf
 
 
 class LambdaSeries:
@@ -92,7 +83,7 @@ class LambdaSeries:
         return LambdaSeries(self.ctx, out, fl)
 
     def truncate(self, floor):
-        fl = floor if self.floor is None else max(self.floor, floor)
+        fl = _jf(self.floor, floor)
         return LambdaSeries(self.ctx, {p: c for p, c in self.coeffs.items() if p >= fl},
                             fl)
 

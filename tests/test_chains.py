@@ -4,11 +4,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lenard.chains import (Chain, ChainStep, dord_threshold, extend_left,
-                           extend_right, predict_dord, verify_association,
+from lenard.chains import (Chain, ChainStep, NonlocalTerm, NonlocalVectorField,
+                           _merge_terms, dord_threshold, extend_left, extend_right,
+                           formal_solve_factored, predict_dord, verify_association,
                            verify_higher_structures)
 from lenard.errors import ThresholdNotMet
 from lenard.field import Context, vec_eq
+from lenard.jacobi import SumChain
 from lenard.presets import (kn_spaces, liouville_spaces, load_kn, load_kn0,
                             load_liouville, load_nls, nls_h_solver,
                             nls_k_solver, nls_spaces)
@@ -281,3 +283,81 @@ def test_higher_structures_insufficient_chain():
     pre = load_kn(a_value=1)
     with pytest.raises(InsufficientChain):
         verify_higher_structures(pre.chain, 5)
+
+
+def _formal_apply_oracle(chain, nv):
+    """A chain applied to a formal field by its own recursive walk: a sum of
+    chains summand by summand, each merged, the sum merged again; a d atom
+    adds each term's p r to the local part and keeps p' W."""
+    if isinstance(chain, SumChain):
+        total = None
+        for ch in chain.summands:
+            part = _formal_apply_oracle(ch, nv)
+            total = part if total is None else NonlocalVectorField(
+                total.local + part.local, total.terms + part.terms)
+        return _merge_terms(total)
+    cur = nv
+    for kind, data in reversed(chain.atoms):
+        if kind == "d":
+            for _ in range(data):
+                local = cur.local.total_derivative()
+                terms = []
+                for t in cur.terms:
+                    local = local + t.prefactor * t.kernel
+                    dp = t.prefactor.total_derivative()
+                    if not dp.is_zero():
+                        terms.append(NonlocalTerm(dp, t.kernel))
+                cur = NonlocalVectorField(local, terms)
+        else:
+            g = data[0][0]
+            cur = NonlocalVectorField(cur.local * g, [NonlocalTerm(t.prefactor * g, t.kernel)
+                                                      for t in cur.terms])
+    return _merge_terms(cur)
+
+
+def _formal_keys(nv):
+    return (str(nv), nv.local.key(),
+            [(t.prefactor.key(), t.kernel.key()) for t in nv.terms])
+
+
+def _blocked_left(case):
+    """A chain whose left extension is blocked, and the formal field its
+    K-link solve reached: for kn0, whose solve meets a second-level
+    obstruction, d^-1 of the gradient."""
+    if case == "kn0":
+        pre = load_kn0()
+        ctx = pre.ctx
+        sp = AnsatzSpace(ctx, 0, 2)
+        left = dict(left_P=[ctx.one()])
+    else:
+        pre = load_liouville(case.split("-")[0])
+        ctx = pre.ctx
+        sp = AnsatzSpace(ctx, 1, 2, x_power=1)
+        left = dict(left_P=[ctx.u(1)])
+        if case != "iv":
+            a1, a3 = ctx.param("a1"), ctx.param("a3")
+            ctx.add_derived_parameter("a13", -a3 / a1)
+            E = ctx.adjoin_exp_u(ctx.param("a13"))
+            F = E + ctx.param("al") / E if case.endswith("two") else E
+            left = dict(left_P=[ctx.zero()], left_F=[F])
+    extend_left(pre.chain, sp, sp, steps=2, **left)
+    assert pre.chain.left_status.kind == "blocked"
+    grad = pre.chain.left_steps[-1].grad[0]
+    G, _ = formal_solve_factored(pre.chain.K.den, grad)
+    if G is None:
+        G = NonlocalVectorField(ctx.zero(), [NonlocalTerm(ctx.one(), grad)])
+    return pre, G
+
+
+@pytest.mark.parametrize("case", ["iv", "iii", "iii-two", "vii", "kn0"])
+def test_chain_walk_of_formal_fields_matches_the_recursive_oracle(case):
+    # K's numerator is a sum of chains for iv and iii; K's denominator has
+    # several d and mult atoms for kn0
+    pre, G = _blocked_left(case)
+    K = pre.chain.K
+    for chain in (K.num, K.den):
+        got = _merge_terms(chain.apply([G])[0])
+        assert _formal_keys(got) == _formal_keys(_formal_apply_oracle(chain, G))
+    if case != "kn0":
+        field = pre.chain.left_status.blocked_field
+        assert field.terms and str(field) == str(_merge_terms(K.num.apply([G])[0]))

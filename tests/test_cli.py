@@ -283,6 +283,8 @@ def test_chain_kn_rational_param():
     (["chain", "--preset", "kn", "--ansatz", "0,-5", "--steps", "0"], "--ansatz"),
     (["chain", "--preset", "kn", "--steps", "-1"], "--steps"),
     (["chain", "--preset", "kn", "--steps", "-1", "--verify-only"], "--steps"),
+    (["presets", "list", "kn"], "presets"),
+    (["presets", "equations"], "presets"),
 ])
 def test_malformed_arguments_rejected_at_the_boundary(argv, flag, capsys):
     code, out = run_cli(*argv)
@@ -325,6 +327,19 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "unrecognized arguments: " + argv[-2] in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--op", "D", "--what", "skew", "--format", "latex"],
+    ["classify", "--pattern", "b=(0,1,1),a=(1,0,0)", "--format", "latex"],
+])
+def test_format_values_a_subcommand_does_not_read_are_usage_errors(argv):
+    # only chain writes LaTeX; check and classify print text or JSON
+    proc = subprocess.run([sys.executable, "-m", "lenard.cli"] + argv,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert "argument --format: invalid choice: 'latex'" in proc.stderr
 
 
 def test_config_key_the_command_does_not_read_is_a_usage_error(tmp_path):

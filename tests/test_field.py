@@ -344,6 +344,18 @@ def test_laurent_denominator_ends_and_is_canonical():
     assert c.key() == d.key()
 
 
+def test_numerator_laurent_content_cancels():
+    """(1 + E^-1)/(E + 1) is E^-1: the numerator's own Laurent content is a
+    unit, cleared before the exact division, so the cancellation is found."""
+    ctx = Context(("u",))
+    E = ctx.adjoin_exp_x(1)
+    u = ctx.u(0)
+    for got, want in [((1 + 1 / E) / (E + 1), 1 / E),
+                      ((E ** -2 + E ** -1) / (E + 1), E ** -2),
+                      ((E * u + u / E) / (E * E + 1), u / E)]:
+        assert got.key() == want.key() and str(got) == str(want)
+
+
 # -- derivations: the one-quotient-rule kernel against per-variable loops ------
 
 

@@ -2,6 +2,9 @@
 is referenced, and every defaulted parameter is passed by some call."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import pathlib
 
 import pytest
@@ -138,3 +141,69 @@ def test_no_dead_parameters():
                   if not any(param in kws or star or (index is not None and npos > index)
                              for npos, kws, star in calls.get(callee, ())))
     assert not dead, "defaulted parameters no call passes: %s" % dead
+
+
+def _relative_imports(nodes):
+    """The lenard modules named by `from .m import ...` among the nodes."""
+    return {n.module for n in nodes
+            if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module}
+
+
+def test_local_imports_only_break_cycles():
+    """A function-local `from .m import` in module f is allowed only when m
+    reaches f through top-level imports; any other belongs at the top."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    edges = {name: _relative_imports(tree.body) for name, tree in trees.items()}
+
+    def reaches(start, goal):
+        seen, todo = set(), [start]
+        while todo:
+            m = todo.pop()
+            if m == goal:
+                return True
+            if m not in seen:
+                seen.add(m)
+                todo.extend(edges.get(m, ()))
+        return False
+
+    needless = sorted("%s.py:%d from .%s" % (name, node.lineno, node.module)
+                      for name, tree in trees.items()
+                      for node in ast.walk(tree)
+                      if node not in tree.body and _relative_imports([node])
+                      and not reaches(node.module, name))
+    assert not needless, "function-local imports that close no cycle: %s" % needless
+
+
+def _load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        "_bench_" + name, ROOT / "bench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_names_the_benchmark_relies_on_exist():
+    """bench/ wraps and reads lenard names it cannot be changed to follow:
+    each traced (owner, attribute) is defined on its owner, and each name a
+    bench script imports from lenard, or reads off a lenard module, exists."""
+    tracing = _load_bench_module("tracing")
+    missing = ["%s.%s" % (owner.__name__, attr)
+               for targets in tracing.TARGETS.values()
+               for owner, attr in targets if attr not in vars(owner)]
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lenard"):
+                owner = importlib.import_module(node.module)
+                for alias in node.names:
+                    if not hasattr(owner, alias.name):
+                        missing.append("%s: %s.%s" % (path.name, node.module, alias.name))
+                    elif inspect.ismodule(getattr(owner, alias.name)):
+                        modules[alias.asname or alias.name] = getattr(owner, alias.name)
+        missing += ["%s: %s.%s" % (path.name, node.value.id, node.attr)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                    and not hasattr(modules[node.value.id], node.attr)]
+    assert not missing, "names bench/ relies on that lenard lacks: %s" % sorted(set(missing))

@@ -35,6 +35,23 @@ def test_compose_inverse_tail(ctx):
     assert c.coeffs[-1] == u1 and c.coeffs[-2] == -u2 and c.coeffs[-3] == u3
 
 
+@pytest.mark.parametrize("zero_left", [True, False], ids=["zero-left", "zero-right"])
+@pytest.mark.parametrize("floors, requested, expected", [
+    ((None, None), None, None), ((None, None), -5, -5),
+    ((-3, None), None, -3), ((None, -4), -6, -4),
+    ((-3, -7), None, -3), ((-7, -3), -2, -2),
+], ids=["exact", "exact-requested", "left-floor", "right-floor-requested",
+        "both-floors", "both-floors-requested"])
+def test_compose_with_a_zero_operand_joins_the_floors(ctx, zero_left, floors,
+                                                      requested, expected):
+    # a zero product is only as accurate as its least accurate input
+    u = ctx.u(0)
+    left = ScalarPsdOp(ctx, {} if zero_left else {1: u, -2: u}, floors[0])
+    right = ScalarPsdOp(ctx, {0: u, -1: u} if zero_left else {}, floors[1])
+    c = left.compose(right, requested)
+    assert c.is_zero() and c.floor == expected
+
+
 def _shift_by_definition(h, t, floor):
     """sum binom(q, k) h_q D^k(t_p) at degree q+p-k, one (q, p) at a time,
     each D^k taken from t_p itself."""
