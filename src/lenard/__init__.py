@@ -5,9 +5,8 @@ Lenard-Magri recursion for integrable hierarchies."""
 from .brackets import (check_compatible, check_jacobi, check_skewadjoint,
                        evolutionary_bracket, functional_action,
                        functional_bracket, lambda_bracket)
-from .chains import (Chain, ChainStep, StructurePair, chain_linear_solver,
-                     extend_left, extend_right, predict_dord,
-                     verify_association, verify_higher_structures)
+from .chains import (Chain, ChainStep, StructurePair, extend_left, extend_right,
+                     predict_dord, verify_association, verify_higher_structures)
 from .field import Context, DFun
 from .functional import (LocalFunctional, antiderivative, is_null_functional,
                          reduce_by_parts, variational_derivative)

@@ -3,10 +3,13 @@
 A structure used in a chain is a pair of matrix differential operators
 (numerator, denominator) kept in factored atom-chain form so applications
 are exact.  Associations are verified link by link as exact field
-identities; extensions solve the two links by undetermined coefficients;
-left extensions fall back to a formal solver that introduces d^-1(kernel)
-terms when an integration step hits a non-total-derivative, producing the
-non-evolutionary equation at the blockage.
+identities; extensions solve the two links by undetermined coefficients.
+A scalar denominator link B F = xi is solved by one walk,
+peel_denominator, which peels B factor by factor: strictly (exact
+antiderivatives, None at the first non-total-derivative) for the H-link
+and the first try of a K-link, and formally on the left, where an
+integration that hits a non-total-derivative introduces a d^-1(kernel)
+term and yields the non-evolutionary equation at the blockage.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import (AnsatzExhausted, HelmholtzFailure, InsufficientChain,
-                     InvalidWitness, LengthMismatch, ThresholdNotMet, Undecidable)
+                     InvalidWitness, LengthMismatch, ThresholdNotMet)
 from .field import DFun, NEG_INF, vec_eq, vec_is_zero
-from .functional import (LocalFunctional, antiderivative, is_self_adjoint_frechet,
-                         reduce_by_parts)
+from .functional import (LocalFunctional, antiderivative_or_none,
+                         is_self_adjoint_frechet, reduce_by_parts)
 from .jacobi import AtomChain
 from .operators import MatrixPsdOp, RationalOpPair
 from .solve import AnsatzSpace, kernel_of, reduce_mod_span, solve_operator_equation
@@ -264,35 +267,79 @@ class Chain:
 
 
 # ---------------------------------------------------------------------------
-# functional reconstruction
+# scalar denominator links: one peeler, strict or formal
 
 
-def chain_linear_solver(den: AtomChain):
-    """Closed-form solver for a scalar composition chain: peel the factors,
-    inverting multiplications by division and d by an exact antiderivative.
-    Returns a solver(xi_vector) -> F_vector or None (caller falls back)."""
-    if not isinstance(den, AtomChain) or den.ell != 1:
-        return None
-    for kind, data in den.atoms:
-        if kind == "d" and data < 0:
-            return None
+def _formal_antiderivative(ctx, nv: NonlocalVectorField, const_name):
+    """d^-1 of a formal field; may add a nonlocal term for the local residue.
 
-    def solver(xi):
-        z = xi[0]
-        for kind, data in den.atoms:
-            if kind == "mult":
-                g = data[0][0]
-                z = z / g
-            else:
-                for _ in range(data):
-                    try:
-                        z = antiderivative(z)
-                    except Undecidable:
-                        return None
-                    if z is None:
-                        return None
-        return [z]
-    return solver
+    Returns (the integrated field, the residue), or (None, None) at a
+    second-level obstruction: a prefactor or a by-parts tail that does not
+    integrate."""
+    terms = []
+    local_parts = ctx.zero()
+    for t in nv.terms:
+        # d^-1(p W) with W = d^-1(r): needs p = dq exact, then = qW - d^-1(q r)
+        q = antiderivative_or_none(t.prefactor)
+        inner = None if q is None else antiderivative_or_none(q * t.kernel)
+        if inner is None:
+            return None, None
+        terms.append(NonlocalTerm(q, t.kernel))
+        local_parts = local_parts - inner
+    residue, parts = reduce_by_parts(nv.local)
+    local_parts = local_parts + parts
+    if not residue.is_zero():
+        anti = antiderivative_or_none(residue)
+        if anti is not None:
+            local_parts = local_parts + anti
+        else:
+            terms.append(NonlocalTerm(ctx.one(), residue))
+    gamma = ctx.param(const_name)
+    return NonlocalVectorField(local_parts + gamma, terms), residue
+
+
+def peel_denominator(den: AtomChain, xi: List[DFun], strict):
+    """Solve den(G) = xi for one-component G by peeling den's factors in order:
+    divide by each multiplication, integrate once per power of d.
+
+    Strict: every integration is an exact antiderivative with no constant,
+    so G holds a function, and is None from the first non-total-derivative
+    on.  Formal: every integration adds a constant gamma<k>, and one that
+    meets a non-total-derivative adds a d^-1(kernel) term, so G holds a
+    NonlocalVectorField; it is None only at a second-level obstruction.
+
+    Returns (G, blocked_info): blocked_info is None while every integration
+    stayed local, else (remaining atoms incl. the failing d, the local
+    right-hand side at that point) for rendering the obstructed equation.
+    """
+    ctx = den.ctx
+    z = xi[0] if strict else NonlocalVectorField(xi[0], [])
+    const_idx = 0
+    blocked_info = None
+    atoms = list(den.atoms)
+    for pos, (kind, data) in enumerate(atoms):
+        if kind == "mult":
+            z = z / data[0][0]
+            continue
+        if data < 0:
+            raise ValueError("denominator chains must be differential")
+        for _ in range(data):
+            if strict:
+                anti = antiderivative_or_none(z)
+                if anti is None:
+                    return None, (atoms[pos:], z)
+                z = anti
+                continue
+            pre_local = z.local
+            const_idx += 1
+            z, residue = _formal_antiderivative(ctx, z, "gamma%d" % const_idx)
+            if z is None:
+                # a second-level obstruction: the first blockage already
+                # carries the renderable equation
+                return None, blocked_info
+            if not residue.is_zero() and blocked_info is None:
+                blocked_info = (atoms[pos:], pre_local)
+    return [z], blocked_info
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +366,12 @@ def extend_right(chain: Chain, spaceF: AnsatzSpace, spaceG: AnsatzSpace,
         n = chain.last().index + 1
         F = None
         kernel = chain._kerB_cache
-        hs = h_solver
-        if hs is None and isinstance(H.den, AtomChain) and H.ell == 1:
-            hs = chain_linear_solver(H.den)
-        if hs is not None:
-            F = hs(xi_prev)
-            if F is not None and not vec_eq(H.den.apply(F), xi_prev):
-                raise InvalidWitness("closed-form H-link solver returned a non-witness")
+        if h_solver is not None:
+            F = h_solver(xi_prev)
+        elif isinstance(H.den, AtomChain) and H.ell == 1:
+            F, _ = peel_denominator(H.den, xi_prev, strict=True)
+        if F is not None and not vec_eq(H.den.apply(F), xi_prev):
+            raise InvalidWitness("closed-form H-link solver returned a non-witness")
         if F is not None:
             if kernel is None:
                 if den_kernel is not None:
@@ -495,70 +541,6 @@ def verify_higher_structures(chain: Chain, s: int) -> bool:
 # left extension with the formal nonlocal solver (scalar case)
 
 
-def _formal_antiderivative(ctx, nv: NonlocalVectorField, const_name):
-    """d^-1 of a formal field; may add a nonlocal term for the local residue."""
-    terms = []
-    local_parts = ctx.zero()
-    for t in nv.terms:
-        # d^-1(p W) with W = d^-1(r): needs p = dq exact, then = qW - d^-1(q r)
-        q = antiderivative(t.prefactor)
-        if q is None:
-            raise Undecidable("second-level obstruction: %s not integrable"
-                              % t.prefactor)
-        terms.append(NonlocalTerm(q, t.kernel))
-        inner = antiderivative(q * t.kernel)
-        if inner is None:
-            raise Undecidable("second-level obstruction in the by-parts tail")
-        local_parts = local_parts - inner
-    residue, parts = reduce_by_parts(nv.local)
-    local_parts = local_parts + parts
-    if not residue.is_zero():
-        anti = None
-        try:
-            anti = antiderivative(residue)
-        except Undecidable:
-            anti = None
-        if anti is not None:
-            local_parts = local_parts + anti
-        else:
-            terms.append(NonlocalTerm(ctx.one(), residue))
-    gamma = ctx.param(const_name)
-    return NonlocalVectorField(local_parts + gamma, terms), residue
-
-
-def formal_solve_factored(den: AtomChain, xi: DFun):
-    """Solve den(G) = xi for scalar G, peeling factors; d^-1 steps that hit a
-    non-total-derivative introduce d^-1(kernel) terms.
-
-    Returns (G as NonlocalVectorField, blocked_info): blocked_info is None
-    when G is local, else (remaining atoms incl. the failing d, the local
-    right-hand side at that point) for rendering the obstructed equation.
-    """
-    ctx = den.ctx
-    z = NonlocalVectorField(xi, [])
-    const_idx = 0
-    blocked_info = None
-    atoms = list(den.atoms)
-    for pos, (kind, data) in enumerate(atoms):
-        if kind == "mult":
-            z = z / data[0][0]
-        else:
-            if data < 0:
-                raise ValueError("denominator chains must be differential")
-            for _ in range(data):
-                pre_local = z.local
-                const_idx += 1
-                try:
-                    z, residue = _formal_antiderivative(ctx, z, "gamma%d" % const_idx)
-                except Undecidable:
-                    # a second-level obstruction: the first blockage already
-                    # carries the renderable equation
-                    return None, blocked_info
-                if not residue.is_zero() and blocked_info is None:
-                    blocked_info = (atoms[pos:], pre_local)
-    return z, blocked_info
-
-
 def _merge_terms(nv: NonlocalVectorField) -> NonlocalVectorField:
     """Combine nonlocal terms with identical kernels; drop zero prefactors."""
     buckets = []
@@ -589,15 +571,9 @@ def render_blocked(P: NonlocalVectorField) -> BlockedEquation:
             # generic fallback: no massaged rendering
             return BlockedEquation([], P.local, None, None)
         kernel_part = kernel_part + t.prefactor * t.kernel
-    dxx = None
-    if not P.local.is_zero():
-        try:
-            dxx = antiderivative(P.local)
-        except Undecidable:
-            dxx = None
+    dxx = None if P.local.is_zero() else antiderivative_or_none(P.local)
     if dxx is None and not P.local.is_zero():
-        return BlockedEquation([], P.local.total_derivative() + kernel_part,
-                               rhs_kernel=None, rhs_dxx=None)
+        return BlockedEquation([], P.local.total_derivative() + kernel_part)
     return BlockedEquation([], ctx.zero(), rhs_kernel=kernel_part, rhs_dxx=dxx)
 
 
@@ -626,8 +602,12 @@ def extend_left(chain: Chain, spaceG: AnsatzSpace, spaceF: AnsatzSpace,
             if left_P is not None:
                 target = list(left_P) + [ctx.zero()] * H.ell
                 stacked = _stack_ops(K.num, K.den)
-                solP = solve_operator_equation(stacked, target, spaceG)
-                G = solP.particular
+                try:
+                    G = solve_operator_equation(stacked, target, spaceG).particular
+                except AnsatzExhausted as e:
+                    chain.left_status = ChainStatus("blocked", "left", n,
+                                                    "no K-link witness: " + str(e))
+                    return chain
             else:
                 kers = kernel_of(K.den.apply, spaceG, ell=K.ell)
                 if not kers:
@@ -636,10 +616,8 @@ def extend_left(chain: Chain, spaceG: AnsatzSpace, spaceF: AnsatzSpace,
                     return chain
                 G = kers[0]
         else:
-            G = None
-            solver = chain_linear_solver(K.den) if H.ell == 1 else None
-            if solver is not None:
-                G = solver(grad_prev)
+            if isinstance(K.den, AtomChain) and H.ell == 1:
+                G, _ = peel_denominator(K.den, grad_prev, strict=True)
             else:
                 try:
                     G = solve_operator_equation(K.den.apply, grad_prev,
@@ -651,17 +629,13 @@ def extend_left(chain: Chain, spaceG: AnsatzSpace, spaceF: AnsatzSpace,
                     chain.left_status = ChainStatus("blocked", "left", n,
                                                     "no local K-link solution")
                     return chain
-                G_formal, blocked_info = formal_solve_factored(K.den, grad_prev[0])
-                P_formal = None
-                eq = None
+                G_formal, blocked_info = peel_denominator(K.den, grad_prev, strict=False)
+                P_formal = eq = None
                 if G_formal is not None:
-                    P_formal = _merge_terms(K.num.apply([G_formal])[0])
-                    all_const = all(t.prefactor.is_constant()
-                                    for t in P_formal.terms)
-                    if not all_const and blocked_info is not None:
-                        eq = BlockedEquation(list(blocked_info[0]), blocked_info[1])
-                    else:
-                        eq = render_blocked(P_formal)
+                    P_formal = _merge_terms(K.num.apply(G_formal)[0])
+                if P_formal is not None and (blocked_info is None or all(
+                        t.prefactor.is_constant() for t in P_formal.terms)):
+                    eq = render_blocked(P_formal)
                 elif blocked_info is not None:
                     eq = BlockedEquation(list(blocked_info[0]), blocked_info[1])
                 chain.left_status = ChainStatus("blocked", "left", n,

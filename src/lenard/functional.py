@@ -233,6 +233,16 @@ def antiderivative(f: DFun):
     raise Undecidable("stuck integrating %s" % residue)
 
 
+def antiderivative_or_none(f: DFun):
+    """antiderivative(f), with Undecidable read as None: for callers that
+    fall back the same way whether no antiderivative exists or none was
+    found."""
+    try:
+        return antiderivative(f)
+    except Undecidable:
+        return None
+
+
 def is_null_functional(f: DFun) -> bool:
     """True iff the functional of f vanishes, i.e. f is a total derivative."""
     if f.is_zero():

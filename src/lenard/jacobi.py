@@ -317,7 +317,7 @@ def _grid_trinomial(g: BiSeries, h: LambdaSeries, lam_floor: int,
     for r in h.coeffs:
         kmax = r if r >= 0 else ptop + r - lam_floor
         if kmax >= 0:
-            fl = fl if g.floors[0] is None else max(fl, g.floors[0] + r)
+            fl = _jf(fl, None if g.floors[0] is None else g.floors[0] + r)
             fm = None if fm is None else max(fm, mu_floor, g.floors[1] + kmax)
     if h.floor is not None:
         fl = max(fl, h.floor + ptop)

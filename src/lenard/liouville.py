@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from typing import Tuple
 
-from .chains import (Chain, ChainStep, chain_linear_solver, dord_threshold, extend_right,
+from .chains import (Chain, ChainStep, dord_threshold, extend_right, peel_denominator,
                      verify_association)
 from .errors import AnsatzExhausted, ParamDegenerate, Proportional
 from .field import Context, DFun, vec_is_zero
@@ -546,8 +546,7 @@ def empirical_class(a_pattern, b_pattern):
         H = liouville_fraction(ctx, ctx.const(7), ctx.const(2), ctx.const(3))
         E = ctx.adjoin_exp_x(ctx.const(2))
         grad = [ctx.const(2) * E]
-        solver = chain_linear_solver(H.den)
-        if solver is not None and solver(grad) is None:
+        if peel_denominator(H.den, grad, strict=True)[0] is None:
             spF = AnsatzSpace(ctx, 2, 2, x_power=1, multipliers=[E, 1 / E],
                               denominators=[(ctx.u(2), 2)])
             try:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 
 from .chains import Chain, ChainStep, StructurePair
-from .errors import Undecidable, UnknownPreset, ValidationFailure
+from .errors import UnknownPreset, ValidationFailure
 from .field import Context
-from .functional import LocalFunctional, antiderivative, variational_derivative
+from .functional import LocalFunctional, antiderivative_or_none, variational_derivative
 from .jacobi import AtomChain, AtomStructure, SumChain
 from .operators import OperatorSum
 from .solve import AnsatzSpace
@@ -432,10 +432,7 @@ def nls_h_solver(pre: Preset):
     v = ctx.gen(1, 0)
 
     def solver(xi):
-        try:
-            W = antiderivative(u * xi[1] - v * xi[0])
-        except Undecidable:
-            return None
+        W = antiderivative_or_none(u * xi[1] - v * xi[0])
         if W is None:
             return None
         return [xi[0], W / u]
@@ -455,10 +452,7 @@ def nls_k_solver(pre: Preset):
     b3 = ctx.param("b3")
 
     def solver(P):
-        try:
-            W = antiderivative(u * P[0] + v * P[1])
-        except Undecidable:
-            return None
+        W = antiderivative_or_none(u * P[0] + v * P[1])
         if W is None:
             return None
         G2 = -W / u

@@ -74,12 +74,7 @@ class LambdaSeries:
         if n < 0 and floor is None:
             raise InsufficientTruncation("negative shift needs a floor")
         out = _binomial_shift({n: self.ctx.one()}, self.coeffs, floor)
-        if self.floor is None:
-            fl = floor
-        elif n >= 0:
-            fl = self.floor + n if floor is None else max(self.floor + n, floor)
-        else:
-            fl = max(floor, self.floor)
+        fl = _jf(floor, None if self.floor is None else self.floor + max(n, 0))
         return LambdaSeries(self.ctx, out, fl)
 
     def truncate(self, floor):

@@ -6,14 +6,15 @@ import pytest
 
 from lenard.chains import (Chain, ChainStep, NonlocalTerm, NonlocalVectorField,
                            _merge_terms, dord_threshold, extend_left, extend_right,
-                           formal_solve_factored, predict_dord, verify_association,
+                           peel_denominator, predict_dord, verify_association,
                            verify_higher_structures)
-from lenard.errors import ThresholdNotMet
+from lenard.errors import ThresholdNotMet, Undecidable
 from lenard.field import Context, vec_eq
-from lenard.jacobi import SumChain
-from lenard.presets import (kn_spaces, liouville_spaces, load_kn, load_kn0,
-                            load_liouville, load_nls, nls_h_solver,
-                            nls_k_solver, nls_spaces)
+from lenard.functional import antiderivative, variational_derivative
+from lenard.jacobi import AtomChain, SumChain
+from lenard.presets import (kn_spaces, liouville_fraction, liouville_spaces, load_kn,
+                            load_kn0, load_liouville, load_nls, load_preset,
+                            nls_h_solver, nls_k_solver, nls_spaces, preset_ids)
 from lenard.solve import AnsatzSpace, in_span
 
 
@@ -266,7 +267,6 @@ def test_left_finite_when_kernel_trivial():
 def test_predict_dord_degenerate_equal_orders():
     # |H| = |K|: the prediction is constant
     from lenard.chains import StructurePair, Chain, ChainStep, predict_dord
-    from lenard.jacobi import AtomChain
     ctx = Context(("u",))
     u1, u2 = ctx.u(1), ctx.u(2)
     H = StructurePair("H", AtomChain(ctx, [("d", 2)]), AtomChain(ctx, [("d", 1)]))
@@ -343,10 +343,10 @@ def _blocked_left(case):
     extend_left(pre.chain, sp, sp, steps=2, **left)
     assert pre.chain.left_status.kind == "blocked"
     grad = pre.chain.left_steps[-1].grad[0]
-    G, _ = formal_solve_factored(pre.chain.K.den, grad)
+    G, _ = peel_denominator(pre.chain.K.den, [grad], strict=False)
     if G is None:
-        G = NonlocalVectorField(ctx.zero(), [NonlocalTerm(ctx.one(), grad)])
-    return pre, G
+        G = [NonlocalVectorField(ctx.zero(), [NonlocalTerm(ctx.one(), grad)])]
+    return pre, G[0]
 
 
 @pytest.mark.parametrize("case", ["iv", "iii", "iii-two", "vii", "kn0"])
@@ -361,3 +361,77 @@ def test_chain_walk_of_formal_fields_matches_the_recursive_oracle(case):
     if case != "kn0":
         field = pre.chain.left_status.blocked_field
         assert field.terms and str(field) == str(_merge_terms(K.num.apply([G])[0]))
+
+
+# ---------------------------------------------------------------------------
+# the one denominator peeler, strict
+
+
+def test_strict_peel_solves_a_composition_denominator(ctx):
+    u1, u2 = ctx.u(1), ctx.u(2)
+    den = AtomChain(ctx, [("d", 1), ("mult", [[1 / u2]]), ("d", 1)])
+    b2, b3 = ctx.param("b2"), ctx.param("b3")
+    s = ctx.adjoin_sqrt(b2 + b3 * u1 ** 2)
+    xi = variational_derivative(s)
+    F, blocked_info = peel_denominator(den, xi, strict=True)
+    assert F is not None and blocked_info is None
+    assert den.apply(F)[0] == xi[0]
+
+
+def test_strict_peel_blocks_on_the_exponential_gradient():
+    # the blocked-b pattern: d (1/u'') d F = 2 exp(2x) has no local F, since
+    # u'' exp(2x) is not a total derivative
+    ctx = Context(("u",))
+    H = liouville_fraction(ctx, ctx.const(7), ctx.const(2), ctx.const(3))
+    E = ctx.adjoin_exp_x(ctx.const(2))
+    F, (atoms, rhs) = peel_denominator(H.den, [2 * E], strict=True)
+    assert F is None
+    assert atoms == H.den.atoms[2:] and rhs == ctx.u(2) * E
+
+
+def test_strict_peel_reads_undecidable_as_none():
+    ctx = Context(("u",))
+    xi = [1 / ctx.x()]
+    with pytest.raises(Undecidable):
+        antiderivative(xi[0])
+    F, _ = peel_denominator(AtomChain(ctx, [("d", 1)]), xi, strict=True)
+    assert F is None
+
+
+def _chain_linear_solver_oracle(den: AtomChain):
+    """The separate strict solver the peeler replaced, kept as an oracle:
+    solver(xi) -> F or None, or None when den is not peelable."""
+    if not isinstance(den, AtomChain) or den.ell != 1:
+        return None
+    for kind, data in den.atoms:
+        if kind == "d" and data < 0:
+            return None
+
+    def solver(xi):
+        z = xi[0]
+        for kind, data in den.atoms:
+            if kind == "mult":
+                z = z / data[0][0]
+            else:
+                for _ in range(data):
+                    try:
+                        z = antiderivative(z)
+                    except Undecidable:
+                        return None
+                    if z is None:
+                        return None
+        return [z]
+    return solver
+
+
+@pytest.mark.parametrize("pid", [p for p in preset_ids() if p != "nls"])
+def test_strict_peel_matches_the_separate_solver_on_seeded_gradients(pid):
+    pre = load_preset(pid)
+    for den in (pre.H.den, pre.K.den):
+        solver = _chain_linear_solver_oracle(den)
+        for step in pre.chain.steps:
+            want = solver(step.grad)
+            got, _ = peel_denominator(den, step.grad, strict=True)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0].key() == want[0].key()

@@ -108,6 +108,19 @@ def test_chain_left_blocked():
     assert "u_tx" in data["chain"]["left_status"]["equation"]
 
 
+@pytest.mark.parametrize("case", ["v", "vi", "vii", "viii"])
+def test_chain_left_without_k_link_witness_is_blocked(case):
+    # the first K-link (C G = P, D G = 0) has no solution in the ansatz
+    proc = subprocess.run([sys.executable, "-m", "lenard.cli", "chain", "--preset",
+                           "liouville-" + case, "--direction", "left", "--steps", "2"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "error:" not in proc.stderr
+    status = json.loads(proc.stdout)["chain"]["left_status"]
+    assert status["kind"] == "blocked" and status["index"] == -1
+    assert status["reason"].startswith("no K-link witness: ")
+
+
 def test_classify_pattern():
     code, out = run_cli("classify", "--pattern", "b=(0,1,1),a=(1,0,0)")
     assert code == 0

@@ -174,6 +174,33 @@ def test_local_imports_only_break_cycles():
     assert not needless, "function-local imports that close no cycle: %s" % needless
 
 
+def _inline_floor_joins(tree):
+    """Lines of each `X if Y is None else max(...)` whose X is not None (or
+    the same with `is not None` and the branches swapped): the None = exact
+    floor join written out again.  `None if Y is None else max(...)`
+    propagates None, so it is not a join."""
+    for node in ast.walk(tree):
+        test = node.test if isinstance(node, ast.IfExp) else None
+        if not (isinstance(test, ast.Compare) and len(test.ops) == 1
+                and isinstance(test.ops[0], (ast.Is, ast.IsNot))
+                and isinstance(test.comparators[0], ast.Constant)
+                and test.comparators[0].value is None):
+            continue
+        other, joined = ((node.body, node.orelse) if isinstance(test.ops[0], ast.Is)
+                         else (node.orelse, node.body))
+        if (isinstance(joined, ast.Call) and isinstance(joined.func, ast.Name)
+                and joined.func.id == "max"
+                and not (isinstance(other, ast.Constant) and other.value is None)):
+            yield node.lineno
+
+
+def test_floor_joins_go_through_jf():
+    """Floors join in one place, operators._jf (None = exact)."""
+    inline = ["%s:%d" % (path.name, line) for path in MODULES
+              for line in sorted(_inline_floor_joins(ast.parse(path.read_text())))]
+    assert not inline, "inline floor joins; use operators._jf: %s" % inline
+
+
 def _load_bench_module(name):
     spec = importlib.util.spec_from_file_location(
         "_bench_" + name, ROOT / "bench" / (name + ".py"))

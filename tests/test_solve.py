@@ -2,7 +2,6 @@
 
 import pytest
 
-from lenard.chains import chain_linear_solver
 from lenard.errors import AnsatzExhausted
 from lenard.field import Context
 from lenard.functional import variational_derivative
@@ -161,20 +160,6 @@ def test_basis_linear_independence(ctx):
     basis = space.basis()
     keys = {f.key() for f in basis}
     assert len(keys) == len(basis)
-
-
-def test_chain_linear_solver(ctx):
-    # closed-form peeling of a composition denominator
-    u2 = ctx.u(2)
-    den = AtomChain(ctx, [("d", 1), ("mult", [[1 / u2]]), ("d", 1)])
-    b2, b3 = ctx.param("b2"), ctx.param("b3")
-    u1 = ctx.u(1)
-    s = ctx.adjoin_sqrt(b2 + b3 * u1 ** 2)
-    solver = chain_linear_solver(den)
-    xi = variational_derivative(s)
-    F = solver(xi)
-    assert F is not None
-    assert den.apply(F)[0] == xi[0]
 
 
 def test_reduce_mod_span_returns_its_own_remainder(ctx):
