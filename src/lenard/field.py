@@ -12,6 +12,15 @@ exponential symbols are Laurent variables (negative powers allowed).
 Neither kind ever remains in a denominator as a factor of its own, and a
 composite factor holds no power of an exponential symbol common to all
 its terms, nor a negative one.
+
+Three operations are canonical by construction, so they skip _normalize,
+which would return their result unchanged.  A sum of two polynomials (no
+denominator) has no monomial that its operands lack, so it stays reduced,
+and it has no factor to split, cancel or make monic.  A product with a
+rational q != 0 keeps the monic denominator: no factor divides q*N unless
+it divides N, and neither the monomials nor their Laurent content change.
+A product of two polynomials in a context without relations has nothing
+to reduce.
 """
 
 from __future__ import annotations
@@ -357,9 +366,18 @@ def poly_exact_div(ctx, a: Dict[Mono, Q], b: Dict[Mono, Q]) -> Optional[Dict[Mon
     monomial comes off a heap of (mono_sortkey, monomial) entries, one
     pushed whenever a monomial enters the remainder; an entry whose monomial
     has cancelled since is skipped (Monagan and Pearce, CASC 2007).
+
+    First a test that needs no sort key: a variable whose exponents are
+    never negative in a or b has degree deg(q) + deg(b) >= deg(b) in a
+    quotient a = q*b, because the loop gives q no negative exponent of it.
     """
     if not a:
         return {}
+    top_a = _top_degrees(a)
+    for v, e in _top_degrees(b).items():
+        ea = top_a.get(v, 0)
+        if e is not None and ea is not None and e > ea:
+            return None
     key = ctx.mono_sortkey
     lb = poly_lead(ctx, b)
     cb = b[lb]
@@ -391,6 +409,17 @@ def poly_exact_div(ctx, a: Dict[Mono, Q], b: Dict[Mono, Q]) -> Optional[Dict[Mon
                 else:
                     del rem[mt]
     return quo
+
+
+def _top_degrees(a: Dict[Mono, Q]) -> Dict[int, Optional[int]]:
+    """Each variable's highest exponent in a; None once one is negative."""
+    top: Dict[int, Optional[int]] = {}
+    for m in a:
+        for v, e in m:
+            t = top.get(v, 0)
+            if t is not None and (e < 0 or e > t):
+                top[v] = None if e < 0 else e
+    return top
 
 
 def _poly_derive(a: Dict[Mono, Q], images: Dict[int, Mono]) -> Dict[Mono, Q]:
@@ -507,6 +536,10 @@ class DFun:
             return other
         if other.is_zero():
             return self
+        if not self.den and not other.den:
+            num = dict(self.num)
+            poly_add_into(num, other.num)
+            return DFun(self.ctx, num, (), normalized=True)
         den = _den_lcm(self.den, other.den)
         a = poly_mul(self.num, _den_cofactor(den, self.den))
         poly_add_into(a, poly_mul(other.num, _den_cofactor(den, other.den)))
@@ -527,12 +560,17 @@ class DFun:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Q)):
+            if not other:
+                return self.ctx.zero()
+            return DFun(self.ctx, poly_scale(self.num, other), self.den, normalized=True)
+        if not isinstance(other, DFun):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return self.ctx.zero()
         num = poly_mul(self.num, other.num)
+        if not self.den and not other.den and not self.ctx.relations:
+            return DFun(self.ctx, num, (), normalized=True)
         den = _den_merge(self.den, other.den)
         return DFun(self.ctx, num, den)
 

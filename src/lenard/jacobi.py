@@ -461,7 +461,7 @@ class JacobiEngine:
             if kind == "d":
                 carrier = _grid_mu_shift(carrier, data, mu_floor)
                 if data % 2:
-                    carrier = _grid_scale_fun(carrier, ctx.const(-1))
+                    carrier = -carrier
                 continue
             prod = _grid_mul_series(carrier, suffixes[n])
             ptop = max((p for p, _ in prod.coeffs), default=0)
