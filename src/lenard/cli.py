@@ -203,6 +203,8 @@ def _parse_params(text, preset):
             out[bound[k]] = Fraction(v)
         except (ValueError, ZeroDivisionError):
             raise LenardError("--params: %s=%s is not a rational number" % (k, v))
+        if preset == "kn" and out[bound[k]] == 0:
+            raise LenardError("--params: a = 0 is its own preset, use --preset kn0")
     return out
 
 

@@ -104,6 +104,11 @@ def antiderivative_in_var(ctx, f: DFun, vid):
         else:
             return None
     const_den = tuple(const_den)
+
+    def term(mono, c):
+        # a monomial of f's reduced numerator over no denominator is canonical
+        return DFun(ctx, {mono: c}, const_den, normalized=not const_den)
+
     out = ctx.zero()
     groups = {}     # rate key -> [rate, q]
     for mono, c in f.num.items():
@@ -120,14 +125,12 @@ def antiderivative_in_var(ctx, f: DFun, vid):
         if rate.is_zero():
             if k == -1:
                 return None
-            out = out + DFun(ctx, {tuple(rest): c / (k + 1)}, const_den) \
-                * ctx.var_fun(vid) ** (k + 1)
+            out = out + term(tuple(rest), c / (k + 1)) * ctx.var_fun(vid) ** (k + 1)
         elif k < 0:
             return None
         else:
             group = groups.setdefault(rate.key(), [rate, ctx.zero()])
-            group[1] = group[1] + DFun(ctx, {tuple(rest): c}, const_den) \
-                * ctx.var_fun(vid) ** k
+            group[1] = group[1] + term(tuple(rest), c) * ctx.var_fun(vid) ** k
     for rate, q in groups.values():
         part = _by_parts(q, rate, vid)
         if part is None:

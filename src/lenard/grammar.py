@@ -20,7 +20,7 @@ from fractions import Fraction as Q
 
 from .errors import ParseError
 from .field import DFun, ONE_MONO
-from .jacobi import AtomChain, AtomStructure
+from .jacobi import AtomChain, AtomStructure, entry_chain
 from .operators import OperatorSum, RationalOpPair
 
 # ---------------------------------------------------------------------------
@@ -479,15 +479,9 @@ class _Parser:
         if any(shape for r in rows for _, shape in r):
             self.error("a matrix literal's entries must be scalar operators")
         ell = len(rows)
-        out = []
-        one = ctx.one()
-        for i in range(ell):
-            for j in range(width):
-                for coeff, chain in rows[i][j][0]:
-                    col = [[one if r == i else ctx.zero()] for r in range(ell)]
-                    rowm = [[one if c == j else ctx.zero() for c in range(width)]]
-                    atoms = [("mult", col)] + list(chain.atoms) + [("mult", rowm)]
-                    out.append((coeff, AtomChain(ctx, atoms, ell)))
+        out = [(coeff, entry_chain(ctx, ell, width, i, j, chain.atoms))
+               for i in range(ell) for j in range(width)
+               for coeff, chain in rows[i][j][0]]
         return out, (ell, width)
 
 

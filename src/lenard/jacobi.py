@@ -133,6 +133,13 @@ class AtomChain:
         return cur
 
 
+def entry_chain(ctx, rows, cols, r, c, scalar_atoms):
+    """Embed a scalar atom chain as the (r, c) entry of a rows x cols matrix."""
+    col = [[ctx.one() if i == r else ctx.zero()] for i in range(rows)]
+    row = [[ctx.one() if j == c else ctx.zero() for j in range(cols)]]
+    return AtomChain(ctx, [("mult", col)] + list(scalar_atoms) + [("mult", row)], rows)
+
+
 class SumChain:
     """A sum of atom chains (matrix differential operators that do not factor)."""
 

@@ -15,7 +15,7 @@ from .chains import Chain, ChainStep, StructurePair
 from .errors import UnknownPreset, ValidationFailure
 from .field import Context
 from .functional import LocalFunctional, antiderivative_or_none, variational_derivative
-from .jacobi import AtomChain, AtomStructure, SumChain
+from .jacobi import AtomChain, AtomStructure, SumChain, entry_chain
 from .operators import OperatorSum
 from .solve import AnsatzSpace
 
@@ -26,13 +26,6 @@ def _ch(ctx, *atoms):
 
 def _ms(f):
     return ("mult", [[f]])
-
-
-def entry_chain(ctx, ell, r, c, scalar_atoms):
-    """Embed a scalar atom chain as the (r, c) entry of an ell x ell matrix."""
-    col = [[ctx.one() if i == r else ctx.zero()] for i in range(ell)]
-    row = [[ctx.one() if j == c else ctx.zero() for j in range(ell)]]
-    return AtomChain(ctx, [("mult", col)] + list(scalar_atoms) + [("mult", row)], ell)
 
 
 class Preset:
@@ -255,6 +248,13 @@ def kn_context(symbolic_a=True):
     return Context(("u",), ("a",) if symbolic_a else ())
 
 
+def kn_structure_atoms(ctx):
+    """Sokolov u' d^-1 u' and Dorfman d^-1 u' d^-1 u' d^-1 as atom structures."""
+    u1 = ctx.u(1)
+    return (AtomStructure(_ch(ctx, _ms(u1), ("d", -1), _ms(u1))),
+            AtomStructure(_ch(ctx, ("d", -1), _ms(u1), ("d", -1), _ms(u1), ("d", -1))))
+
+
 def kn_Du1(ctx):
     u1, u2 = ctx.u(1), ctx.u(2)
     return ((1 / u1) * (u2 / u1).total_derivative()).total_derivative()
@@ -298,8 +298,7 @@ def load_kn(a_value=None) -> Preset:
                   witness_H=[[-f1]], witness_K=[[u1]]),
     ]
     chain = Chain(H, K, steps)
-    sok = AtomStructure(_ch(ctx, _ms(u1), ("d", -1), _ms(u1)))
-    dorf = AtomStructure(_ch(ctx, ("d", -1), _ms(u1), ("d", -1), _ms(u1), ("d", -1)))
+    sok, dorf = kn_structure_atoms(ctx)
     pre = Preset("kn", ctx, H, K, chain, {
         "a": a, "kernel_B": [f1, f2, f3, f4],
         "H_sum": OperatorSum([(one, sok), (a, dorf)]),
@@ -322,8 +321,8 @@ def kn_spaces(ctx, step_index):
 def load_kn0() -> Preset:
     """The a = 0 case: H = Sokolov = 1 S^-1, K = Dorfman = 1 D^-1."""
     ctx = kn_context(symbolic_a=False)
-    u, u1, u2 = ctx.u(0), ctx.u(1), ctx.u(2)
-    one, zero = ctx.one(), ctx.zero()
+    u1, u2 = ctx.u(1), ctx.u(2)
+    one = ctx.one()
     S = _ch(ctx, _ms(1 / u1), ("d", 1), _ms(1 / u1))
     H = StructurePair("kn0-H", _ch(ctx, _ms(one)), S)
     D = _ch(ctx, ("d", 1), _ms(1 / u1), ("d", 1), _ms(1 / u1), ("d", 1))
@@ -334,9 +333,10 @@ def load_kn0() -> Preset:
                   witness_H=[[u1]], witness_K=[[u1]]),
     ]
     chain = Chain(H, K, steps)
-    sok = AtomStructure(_ch(ctx, _ms(u1), ("d", -1), _ms(u1)))
+    sok, dorf = kn_structure_atoms(ctx)
     pre = Preset("kn0", ctx, H, K, chain, {
         "H_sum": OperatorSum([(one, sok)]),
+        "K_sum": OperatorSum([(one, dorf)]),
     })
     _validate(pre)
     return pre
@@ -354,7 +354,7 @@ def load_nls() -> Preset:
     one, zero = ctx.one(), ctx.zero()
 
     def E(r, c, *atoms):
-        return entry_chain(ctx, 2, r, c, list(atoms))
+        return entry_chain(ctx, 2, 2, r, c, atoms)
 
     # B = [[1, 0], [v/u, (1/u) d u]]
     Bm = SumChain([

@@ -8,7 +8,8 @@ coefficients of every monomial of the cleared numerators and solves the
 resulting finite linear system by Gaussian elimination over the field of
 rational functions in the named parameters.  Parameters are generic:
 any nonzero constant is invertible; zero-parameter cases are handled by
-binding those parameters to literal zero in the preset context.
+binding those parameters to literal zero in the preset context.  Each
+span question (reduce_span, in_span, reduce_mod_span) is one elimination.
 """
 
 from __future__ import annotations
@@ -308,13 +309,12 @@ def solve_operator_equation(op, rhs: Sequence[DFun], space: AnsatzSpace,
 
     op is a differential MatrixPsdOp or any callable vector -> vector linear
     map.  Escalates the space (bounds +1) at most `escalations` times; raises
-    AnsatzExhausted when no solution exists in the largest space and rhs is
-    nonzero.  For rhs = 0 the kernel inside the space is returned as is.
+    AnsatzExhausted when no solution exists in the largest space.  For
+    rhs = 0 the system is homogeneous, so the first space always answers.
     """
     ctx = space.ctx
     ell = len(rhs)
     cur = space
-    last = None
     for attempt in range(escalations + 1):
         scalars = cur.basis()
         basis_vectors = _vector_basis(ctx, scalars, ell)
@@ -325,11 +325,7 @@ def solve_operator_equation(op, rhs: Sequence[DFun], space: AnsatzSpace,
             ker_vecs = reduce_span(ctx, [_combine(ctx, basis_vectors, kv)
                                          for kv in kernel])
             return SolutionSet(ctx, basis_vectors, part_vec, ker_vecs, cur)
-        last = SolutionSet(ctx, basis_vectors, None,
-                           [_combine(ctx, basis_vectors, kv) for kv in kernel], cur)
         cur = cur.escalated()
-    if all(f.is_zero() for f in rhs):
-        return last
     raise AnsatzExhausted("no solution in %s after %d escalations"
                           % (space.describe(), escalations))
 
@@ -339,9 +335,6 @@ def reduce_mod_span(ctx, vectors: List[List[DFun]], target: List[DFun]):
 
     Returns (reduced_target, coefficients): target - sum c_i vectors[i], with
     the c_i chosen by sparse pivot elimination (deterministic)."""
-    vectors = [v for v in vectors if not all(f.is_zero() for f in v)]
-    if not vectors:
-        return list(target), []
     coeffs, _ = linear_solve(ctx, vectors, target, partial=True)
     reduced = list(target)
     for c, vec in zip(coeffs, vectors):
@@ -352,25 +345,20 @@ def reduce_mod_span(ctx, vectors: List[List[DFun]], target: List[DFun]):
 
 
 def reduce_span(ctx, vectors: List[List[DFun]]) -> List[List[DFun]]:
-    """An independent subset spanning the same constant-span (first wins)."""
-    accepted: List[List[DFun]] = []
-    for vec in vectors:
-        if all(f.is_zero() for f in vec):
-            continue
-        if accepted:
-            particular, _ = linear_solve(ctx, accepted, vec)
-            if particular is not None:
-                continue
-        accepted.append(vec)
-    return accepted
+    """An independent subset spanning the same constant-span (first wins).
+
+    These are the pivot columns of one elimination, the columns outside the
+    span of those before them; a kernel vector's last nonzero entry is its
+    free column."""
+    if not vectors:
+        return []
+    _, kernel = linear_solve(ctx, vectors, [ctx.zero()] * len(vectors[0]))
+    free = {max(k for k, c in enumerate(vec) if not c.is_zero()) for vec in kernel}
+    return [vec for k, vec in enumerate(vectors) if k not in free]
 
 
 def in_span(ctx, vectors, target) -> bool:
     """Is target a constant combination of the vectors?"""
-    if all(f.is_zero() for f in target):
-        return True
-    if not vectors:
-        return False
     particular, _ = linear_solve(ctx, vectors, target)
     return particular is not None
 
@@ -381,5 +369,4 @@ def kernel_of(op, space: AnsatzSpace, ell=None) -> List[List[DFun]]:
     if ell is None:
         ell = op.cols if hasattr(op, "cols") else ctx.ell
     rhs = [ctx.zero()] * ell
-    raw = solve_operator_equation(op, rhs, space, escalations=0).kernel
-    return reduce_span(ctx, raw)
+    return solve_operator_equation(op, rhs, space, escalations=0).kernel

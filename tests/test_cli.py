@@ -73,6 +73,15 @@ def test_check_matrix_literals_around_a_scalar_inverse():
     assert [r["verdict"] for r in results] == ["holds-to-floor"] * 2
 
 
+def test_check_compat_kn0_checks_both_structures():
+    code, out = run_cli("check", "--preset", "kn0", "--what", "compat",
+                        "--floor", "-4")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert [r["structure"] for r in results] == ["H", "K", "H+K"]
+    assert all(r["verdict"] == "holds-to-floor" for r in results)
+
+
 def test_chain_verify_only():
     code, out = run_cli("chain", "--preset", "nls", "--steps", "0",
                         "--verify-only")
@@ -298,6 +307,7 @@ def test_chain_kn_rational_param():
     (["chain", "--preset", "kn", "--steps", "-1", "--verify-only"], "--steps"),
     (["presets", "list", "kn"], "presets"),
     (["presets", "equations"], "presets"),
+    (["chain", "--preset", "kn", "--params", "a=0", "--steps", "0"], "--params"),
 ])
 def test_malformed_arguments_rejected_at_the_boundary(argv, flag, capsys):
     code, out = run_cli(*argv)

@@ -130,3 +130,33 @@ def test_reduce_by_parts_exp_u_over_a_constant():
     residue, parts = reduce_by_parts(f)
     assert residue.is_zero()
     assert parts.total_derivative() == f
+
+
+def test_antiderivative_in_var_terms_skip_normalize_only_when_canonical(
+        monkeypatch, rng):
+    # a term with no denominator is built as normalized; _normalize must
+    # return it unchanged, relation and Laurent variables in it included
+    from lenard import functional
+    from lenard.field import DFun, _normalize
+    checked = []
+
+    def checked_dfun(ctx, num, den, normalized=False):
+        if normalized:
+            assert _normalize(ctx, num, den) == (num, den)
+            checked.append(num)
+        return DFun(ctx, num, den, normalized)
+
+    monkeypatch.setattr(functional, "DFun", checked_dfun)
+    ctx = Context(("u",), ("b2", "b3"))
+    u, u1 = ctx.u(0), ctx.u(1)
+    s = ctx.adjoin_sqrt(ctx.param("b2") + ctx.param("b3") * u1 ** 2)
+    E = ctx.adjoin_exp_x(ctx.param("b2"))
+    fs = [u * s / E, u ** 2 * E * s, ctx.x() * E / u ** 2]
+    fs += [random_dfun(ctx, rng, denominator=True, symbols=(s, E, 1 / E))
+           for _ in range(40)]
+    vids = [ctx.x_id] + [ctx.gen_var(0, n) for n in range(3)]
+    for f in fs:
+        for vid in vids:
+            functional.antiderivative_in_var(ctx, f, vid)
+    assert len(checked) > 40
+

@@ -19,12 +19,12 @@ def test_unknown_preset():
 
 @pytest.mark.parametrize("pid", preset_ids())
 def test_fraction_against_sums(pid):
-    # the hand-written sums equal the fractions; a load does not re-check this
+    # every preset has both sums, and they equal the fractions; a load does
+    # not re-check this
     from lenard.operators import verify_fraction
     pre = load_preset(pid)
     for key, P in (("H_sum", pre.H), ("K_sum", pre.K)):
-        if key in pre.extras:
-            assert verify_fraction(pre.extras[key], P.fraction(), -8), key
+        assert verify_fraction(pre.extras[key], P.fraction(), -8), key
 
 
 def test_numeric_binding_helper():

@@ -7,8 +7,10 @@ from lenard.field import Context
 from lenard.functional import variational_derivative
 from lenard.jacobi import AtomChain
 from lenard.operators import MatrixPsdOp, ScalarPsdOp
-from lenard.solve import (AnsatzSpace, in_span, kernel_of, reduce_span,
-                          solve_operator_equation)
+from lenard.solve import (AnsatzSpace, in_span, kernel_of, linear_solve,
+                          reduce_span, solve_operator_equation)
+
+from conftest import random_dfun
 
 
 def m(f):
@@ -114,7 +116,6 @@ def test_nls_kernels():
 
 
 def test_identity_solve(ctx, rng):
-    from conftest import random_dfun
     rhs = [random_dfun(ctx, rng)]
     I = MatrixPsdOp.identity(ctx, 1)
     sol = solve_operator_equation(I, rhs, AnsatzSpace(ctx, 2, 3, x_power=1))
@@ -175,3 +176,84 @@ def test_reduce_mod_span_returns_its_own_remainder(ctx):
     assert all((t - s - r).is_zero() for t, s, r in zip(target, combo, reduced))
     # the in-span 3u is removed from the first component
     assert reduced[0] == u1 * u1
+
+
+def test_span_questions_on_empty_and_zero_inputs(ctx):
+    # the elimination itself answers the empty and zero cases
+    from lenard.solve import reduce_mod_span
+    u, u1, zero = ctx.u(0), ctx.u(1), ctx.zero()
+    assert in_span(ctx, [], [zero]) and in_span(ctx, [[u]], [zero])
+    assert not in_span(ctx, [], [u])
+    assert reduce_mod_span(ctx, [], [u]) == ([u], [])
+    reduced, coeffs = reduce_mod_span(ctx, [[zero], [u]], [u + u1])
+    assert reduced == [u1] and coeffs == [zero, ctx.one()]
+    assert reduce_span(ctx, [[zero, zero]]) == []
+
+
+def _reduce_span_reference(ctx, vectors):
+    """One elimination per vector: keep it unless the kept ones span it."""
+    accepted = []
+    for vec in vectors:
+        if all(f.is_zero() for f in vec):
+            continue
+        if accepted:
+            particular, _ = linear_solve(ctx, accepted, vec)
+            if particular is not None:
+                continue
+        accepted.append(vec)
+    return accepted
+
+
+def _random_family(ctx, rng, ell, params):
+    """Vectors with zero ones, repeated objects and constant combinations of
+    earlier ones; with params some coefficients are parameters, so the
+    elimination runs over the constant field rather than the rationals."""
+    coeffs = [ctx.const(q) for q in (-2, -1, 1, 3)]
+    if params:
+        coeffs += [ctx.param("b2"), ctx.param("b3") + 1]
+    out = []
+    for _ in range(rng.randint(2, 9)):
+        r = rng.random()
+        if r < 0.15:
+            out.append([ctx.zero()] * ell)
+        elif r < 0.3 and out:
+            out.append(rng.choice(out))
+        elif r < 0.6 and out:
+            v, w = rng.choice(out), rng.choice(out)
+            a, b = rng.choice(coeffs), rng.choice(coeffs)
+            out.append([a * f + b * g for f, g in zip(v, w)])
+        else:
+            vec = [random_dfun(ctx, rng, denominator=True) for _ in range(ell)]
+            if ell == 2 and rng.random() < 0.3:
+                vec[rng.randrange(2)] = ctx.zero()
+            out.append(vec)
+    if params:
+        out.append([ctx.param("b2") * f for f in rng.choice(out)])
+    return out
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("params", [False, True], ids=["rational", "parameter"])
+def test_reduce_span_matches_the_per_vector_loop(ctx, rng, ell, params):
+    for _ in range(25):
+        vectors = _random_family(ctx, rng, ell, params)
+        got = reduce_span(ctx, vectors)
+        ref = _reduce_span_reference(ctx, vectors)
+        assert [id(v) for v in got] == [id(v) for v in ref]
+
+
+def test_reduce_span_is_one_elimination(ctx, monkeypatch):
+    from lenard import solve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linear_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "linear_solve", counted)
+    u, u1 = ctx.u(0), ctx.u(1)
+    vectors = [[u], [u1], [u + 2 * u1], [ctx.zero()], [u * u1]]
+    assert reduce_span(ctx, vectors) == [vectors[0], vectors[1], vectors[4]]
+    assert len(calls) == 1
+    assert reduce_span(ctx, []) == [] and len(calls) == 1
+
