@@ -2,7 +2,12 @@
 
 Elements are rational functions in x, the generator jets u_i^(n), named
 constant parameters, and a controlled catalog of adjoined symbols
-(exp(c*x), exp(c*u_i), sqrt(g)).  Coefficients are exact rationals.
+(exp(c*x), exp(c*u_i), sqrt(g)).  Coefficients are exact rationals with
+one representation each: an int when integral, a Fraction otherwise.  Both
+compare, hash and print alike, so keys and printed forms do not depend on
+it, and integral products run on machine ints.  Every helper that makes a
+coefficient keeps the rule, and every division of coefficients goes through
+qdiv, because int / int is a float.
 
 Representation: a DFun is num/den where num is a sparse multivariate
 polynomial and den a product of monic polynomial factors with positive
@@ -19,8 +24,8 @@ denominator) has no monomial that its operands lack, so it stays reduced,
 and it has no factor to split, cancel or make monic.  A product with a
 rational q != 0 keeps the monic denominator: no factor divides q*N unless
 it divides N, and neither the monomials nor their Laurent content change.
-A product of two polynomials in a context without relations has nothing
-to reduce.
+A product of two polynomials is canonical once its relation variables are
+reduced, unless a relation value's denominator comes in.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from typing import Dict, Optional, Tuple
 from .errors import ZeroDivisor
 
 Q = Fraction
-QONE = Q(1)
 NEG_INF = float("-inf")
 
 # variable kinds, also the major key of the canonical variable order
@@ -266,16 +270,19 @@ class Context:
         return DFun(self, {}, (), normalized=True)
 
     def one(self):
-        return DFun(self, {ONE_MONO: QONE}, (), normalized=True)
+        return DFun(self, {ONE_MONO: 1}, (), normalized=True)
 
     def const(self, q):
-        q = Q(q)
+        if q.__class__ is not int:
+            q = Q(q)
+            if q.denominator == 1:
+                q = q.numerator
         if q == 0:
             return self.zero()
         return DFun(self, {ONE_MONO: q}, (), normalized=True)
 
     def var_fun(self, vid):
-        return DFun(self, {((vid, 1),): QONE}, (), normalized=True)
+        return DFun(self, {((vid, 1),): 1}, (), normalized=True)
 
     def x(self):
         return self.var_fun(self.x_id)
@@ -310,7 +317,21 @@ class Context:
 
 
 # ---------------------------------------------------------------------------
-# raw polynomial helpers ({Mono: Q} dicts)
+# raw polynomial helpers ({Mono: Q} dicts, each Q an int when integral)
+
+
+def qdiv(a, b):
+    """a / b for int or Fraction coefficients, an int when integral."""
+    q = Q(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _demote(a: Dict[Mono, Q]) -> Dict[Mono, Q]:
+    """Make each integral Fraction value of a an int, in place."""
+    for m, c in a.items():
+        if c.__class__ is not int and c.denominator == 1:
+            a[m] = c.numerator
+    return a
 
 
 def poly_add_into(acc: Dict[Mono, Q], other: Dict[Mono, Q]):
@@ -320,10 +341,10 @@ def poly_add_into(acc: Dict[Mono, Q], other: Dict[Mono, Q]):
             acc[m] = c
         else:
             v = v + c
-            if v:
-                acc[m] = v
-            else:
+            if not v:
                 del acc[m]
+            else:
+                acc[m] = v if v.__class__ is int or v.denominator != 1 else v.numerator
 
 
 def poly_mul(a: Dict[Mono, Q], b: Dict[Mono, Q]) -> Dict[Mono, Q]:
@@ -345,13 +366,13 @@ def poly_mul(a: Dict[Mono, Q], b: Dict[Mono, Q]) -> Dict[Mono, Q]:
                     out[m] = v
                 else:
                     del out[m]
-    return out
+    return _demote(out)
 
 
 def poly_scale(a, q):
     if not q:
         return {}
-    return {m: c * q for m, c in a.items()}
+    return _demote({m: c * q for m, c in a.items()})
 
 
 def poly_lead(ctx, a: Dict[Mono, Q]) -> Mono:
@@ -394,20 +415,22 @@ def poly_exact_div(ctx, a: Dict[Mono, Q], b: Dict[Mono, Q]) -> Optional[Dict[Mon
         m = mono_div(la, lb)
         if m is None:
             return None
-        c = c / cb
+        c = qdiv(c, cb)
         quo[m] = c
         for t, ct in tail:
             mt = mono_mul(m, t)
             v = rem.get(mt)
             if v is None:
-                rem[mt] = -(c * ct)
+                v = -(c * ct)
                 heappush(heap, (key(mt), mt))
             else:
                 v = v - c * ct
-                if v:
-                    rem[mt] = v
-                else:
+                if not v:
                     del rem[mt]
+                    continue
+            if v.__class__ is not int and v.denominator == 1:
+                v = v.numerator
+            rem[mt] = v
     return quo
 
 
@@ -443,7 +466,7 @@ def _poly_derive(a: Dict[Mono, Q], images: Dict[int, Mono]) -> Dict[Mono, Q]:
                 out[key] = nv
             elif val is not None:
                 del out[key]
-    return out
+    return _demote(out)
 
 
 def poly_key(a: Dict[Mono, Q]):
@@ -476,7 +499,7 @@ class DFun:
         return not self.num
 
     def is_one(self):
-        return not self.den and self.num == {ONE_MONO: QONE}
+        return not self.den and self.num == {ONE_MONO: 1}
 
     def _vars(self):
         seen = set()
@@ -548,7 +571,7 @@ class DFun:
     __radd__ = __add__
 
     def __neg__(self):
-        return DFun(self.ctx, poly_scale(self.num, Q(-1)), self.den, normalized=True)
+        return DFun(self.ctx, poly_scale(self.num, -1), self.den, normalized=True)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -569,8 +592,10 @@ class DFun:
         if self.is_zero() or other.is_zero():
             return self.ctx.zero()
         num = poly_mul(self.num, other.num)
-        if not self.den and not other.den and not self.ctx.relations:
-            return DFun(self.ctx, num, (), normalized=True)
+        if not self.den and not other.den:
+            reduced, extra_den = _reduce_relations(self.ctx, num)
+            if not extra_den:
+                return DFun(self.ctx, reduced, (), normalized=True)
         den = _den_merge(self.den, other.den)
         return DFun(self.ctx, num, den)
 
@@ -579,7 +604,7 @@ class DFun:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisor("inverse of zero")
-        num = {ONE_MONO: QONE}
+        num = {ONE_MONO: 1}
         for f, e in self.den:
             for _ in range(e):
                 num = poly_mul(num, f)
@@ -631,7 +656,7 @@ class DFun:
             return DFun(ctx, dnum, self.den)
         cross: Dict[Mono, Q] = {}
         for idx, (_, e, df) in enumerate(moved):
-            term = poly_scale(df, Q(-e))
+            term = poly_scale(df, -e)
             for jdx, (g, _, _) in enumerate(moved):
                 if jdx != idx:
                     term = poly_mul(term, g)
@@ -794,7 +819,7 @@ def _den_lcm(a, b):
 
 def _den_cofactor(lcm, den) -> Dict[Mono, Q]:
     have = {poly_key(f): e for f, e in den}
-    out = {ONE_MONO: QONE}
+    out = {ONE_MONO: 1}
     for f, e in lcm:
         extra = e - have.get(poly_key(f), 0)
         for _ in range(extra):
@@ -803,7 +828,7 @@ def _den_cofactor(lcm, den) -> Dict[Mono, Q]:
 
 
 def _normalize(ctx, num, den):
-    num = dict(num)
+    num = _demote(dict(num))
     num, extra_den = _reduce_relations(ctx, num)
     if not num:
         return {}, ()
@@ -813,7 +838,7 @@ def _normalize(ctx, num, den):
     # Laurent variables and relation-bearing variables out of the denominator
     simple: Dict[int, int] = {}      # var_id -> power (plain variables)
     composite = []                   # (poly, exp) with >= 2 terms
-    extra_num = {ONE_MONO: QONE}
+    extra_num = {ONE_MONO: 1}
     rerun = False
     for f, e in work:
         if e == 0 or not f:
@@ -822,17 +847,17 @@ def _normalize(ctx, num, den):
             continue
         if len(f) == 1:
             (mono, coeff), = f.items()
-            if coeff != QONE:
-                num = poly_scale(num, QONE / coeff ** e)
+            if coeff != 1:
+                num = poly_scale(num, qdiv(1, coeff ** e))
             for v, k in mono:
                 p = k * e
                 if ctx.laurent[v]:
-                    extra_num = poly_mul(extra_num, {((v, -p),): QONE})
+                    extra_num = poly_mul(extra_num, {((v, -p),): 1})
                 elif v in ctx.relations:
                     # 1/v**p = v**p / g**p with g = v**2; fold g**p back in
-                    extra_num = poly_mul(extra_num, {((v, p),): QONE})
+                    extra_num = poly_mul(extra_num, {((v, p),): 1})
                     g = ctx.relations[v] ** p
-                    gden = {ONE_MONO: QONE}
+                    gden = {ONE_MONO: 1}
                     for fg, eg in g.den:
                         for _ in range(eg):
                             gden = poly_mul(gden, fg)
@@ -842,17 +867,15 @@ def _normalize(ctx, num, den):
                 else:
                     simple[v] = simple.get(v, 0) + p
         else:
-            composite.append((dict(f), e))
-    if extra_num != {ONE_MONO: QONE}:
+            composite.append((_demote(dict(f)), e))
+    if extra_num != {ONE_MONO: 1}:
         num = poly_mul(num, extra_num)
         rerun = True
     if rerun:
         num, extra_den = _reduce_relations(ctx, num)
         for f, e in extra_den:
-            if len(f) == 1:
-                (mono, coeff), = f.items()
-                if coeff != QONE:
-                    num = poly_scale(num, QONE / coeff ** e)
+            if len(f) == 1:  # a normalized factor: a variable, coefficient 1
+                (mono,) = f
                 for v, k in mono:
                     simple[v] = simple.get(v, 0) + k * e
             else:
@@ -861,12 +884,14 @@ def _normalize(ctx, num, den):
         return {}, ()
 
     # cancel numerator monomial content against plain variable powers
+    # (the content is only worth its gcds when there are such powers)
     content = None
-    for m in num:
-        content = m if content is None else mono_gcd(content, m)
-        if not content:
-            break
-    if content and simple:
+    if simple:
+        for m in num:
+            content = m if content is None else mono_gcd(content, m)
+            if not content:
+                break
+    if content:
         strip = []
         for v, e in content:
             if e > 0 and simple.get(v, 0) > 0:
@@ -911,15 +936,15 @@ def _normalize(ctx, num, den):
         if e > 0:
             lead = poly_lead(ctx, f)
             lc = f[lead]
-            if lc != QONE:
-                f = poly_scale(f, QONE / lc)
-                num = poly_scale(num, QONE / lc ** e)
+            if lc != 1:
+                f = poly_scale(f, qdiv(1, lc))
+                num = poly_scale(num, qdiv(1, lc ** e))
             out_den.append((f, e))
     if num_unit:
         num = {mono_mul(m, num_unit): c for m, c in num.items()}
     for v, e in simple.items():
         if e > 0:
-            out_den.append(({((v, 1),): QONE}, e))
+            out_den.append(({((v, 1),): 1}, e))
     if not num:
         return {}, ()
     out_den.sort(key=lambda fe: poly_key(fe[0]))

@@ -14,7 +14,7 @@ Undecidable instead of guessing.
 from __future__ import annotations
 
 from .errors import AnsatzExhausted, Undecidable
-from .field import DFun, NEG_INF
+from .field import DFun, NEG_INF, qdiv
 from .operators import MatrixPsdOp, ScalarPsdOp
 from .solve import AnsatzSpace, reduce_mod_span, solve_operator_equation
 
@@ -125,7 +125,7 @@ def antiderivative_in_var(ctx, f: DFun, vid):
         if rate.is_zero():
             if k == -1:
                 return None
-            out = out + term(tuple(rest), c / (k + 1)) * ctx.var_fun(vid) ** (k + 1)
+            out = out + term(tuple(rest), qdiv(c, k + 1)) * ctx.var_fun(vid) ** (k + 1)
         elif k < 0:
             return None
         else:

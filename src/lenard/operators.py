@@ -13,7 +13,6 @@ denominators, expanded on demand by leading-term inversion.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from typing import Dict, List, Optional
 
 from .errors import (InsufficientTruncation, NotDifferential, SingularLeadingSymbol,
@@ -73,7 +72,7 @@ def _binomial_shift(h: Dict[int, DFun], t: Dict[int, DFun], floor: Optional[int]
             for q, kmax in reach.items():
                 if kmax is None or k <= kmax:
                     b = binom(q, k)
-                    _accumulate(sums[q], q + p - k, c if b == 1 else c * Q(b))
+                    _accumulate(sums[q], q + p - k, c if b == 1 else c * b)
             k += 1
     for q, a in h.items():
         unit = a.is_one()

@@ -15,13 +15,12 @@ span question (reduce_span, in_span, reduce_mod_span) is one elimination.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction as Q
 from typing import Dict, List, Sequence
 
 from .errors import AnsatzExhausted
-from .field import DFun, ONE_MONO, _den_cofactor, _den_lcm, poly_mul
+from .field import DFun, ONE_MONO, _den_cofactor, _den_lcm, poly_mul, qdiv
 
-_POLY_ONE = {ONE_MONO: Q(1)}
+_POLY_ONE = {ONE_MONO: 1}
 
 
 class AnsatzSpace:
@@ -159,7 +158,7 @@ def _is_rational(e: DFun):
     if e.den:
         return None
     if not e.num:
-        return Q(0)
+        return 0
     if len(e.num) == 1 and ONE_MONO in e.num:
         return e.num[ONE_MONO]
     return None
@@ -182,8 +181,8 @@ def _gauss_sparse(ctx, rows, K, partial=False):
             break
     if rational:
         conv = [{c: _is_rational(e) for c, e in row.items()} for row in rows]
-        part, kernel = _gauss_core(conv, K, Q(0), Q(1),
-                                   lambda a: a == 0, lambda a: 1 / a, partial)
+        part, kernel = _gauss_core(conv, K, 0, 1,
+                                   lambda a: a == 0, lambda a: qdiv(1, a), partial)
         if part is not None:
             part = [ctx.const(v) for v in part]
         kernel = [[ctx.const(v) for v in vec] for vec in kernel]

@@ -8,10 +8,14 @@ import pytest
 from lenard import field
 from lenard.brackets import check_jacobi
 from lenard.errors import ZeroDivisor
-from lenard.field import (Context, DFun, NEG_INF, _den_cofactor, _den_lcm, _den_merge,
-                          mono_div, poly_add_into, poly_exact_div, poly_lead, poly_mul,
-                          poly_scale)
+from lenard.chains import extend_right
+from lenard.field import (Context, DFun, NEG_INF, ONE_MONO, _den_cofactor, _den_lcm,
+                          _den_merge, mono_div, poly_add_into, poly_exact_div, poly_lead,
+                          poly_mul, poly_scale)
 from lenard.jacobi import AtomChain, AtomStructure
+from lenard.operators import MatrixPsdOp, ScalarPsdOp
+from lenard.presets import load_nls, nls_h_solver, nls_k_solver, nls_spaces
+from lenard.solve import AnsatzSpace, in_span, kernel_of
 
 from conftest import random_dfun
 
@@ -508,12 +512,21 @@ def _same(got, want):
 
 
 @pytest.mark.parametrize("relations", [False, True], ids=["relation-free", "relations"])
-def test_fast_paths_match_normalize(rng, relations):
+def test_fast_paths_match_normalize(rng, relations, monkeypatch):
     """Sums, products and rational multiples of polynomials, fractions,
     constants and zero get the key and print of the general path.  Jets, x,
     parameters and exp symbols with negative exponents come in both
     contexts; the second also has a sqrt symbol and a derived parameter, so
-    a product of two polynomials there must still be reduced."""
+    a product of two polynomials there must still be reduced.  Such a
+    product reaches _normalize with a polynomial only when the derived
+    parameter's square, -b3/b2, brings in its denominator."""
+    polynomial = []
+    normalize = field._normalize
+
+    def counted(ctx, num, den):
+        polynomial.append(not den)
+        return normalize(ctx, num, den)
+
     ctx = Context(("u",), ("b2", "b3"))
     if relations:
         pool = _division_vars(ctx)
@@ -538,22 +551,29 @@ def test_fast_paths_match_normalize(rng, relations):
         _same(a + (-a), ctx.zero())
         for b in rng.sample(elems, 6):
             _same(a + b, _general_add(a, b))
-            _same(a * b, _general_mul(a, b))
+            monkeypatch.setattr(field, "_normalize", counted)
+            polynomial.clear()
+            p = a * b
+            monkeypatch.setattr(field, "_normalize", normalize)
+            if not a.den and not b.den:
+                assert p.den or not any(polynomial)
+            _same(p, _general_mul(a, b))
             c = _general_add(b, -a)  # a + c cancels a's terms
             _same(a + c, _general_add(a, c))
 
 
 def test_polynomial_jacobi_checks_skip_normalize(monkeypatch):
-    """Every lambda-bracket coefficient of these checks is a polynomial in a
-    relation-free context, so no element without a denominator may reach
-    _normalize: each such sum and product takes a fast path.  Through
-    _normalize, J(L3) at (-5,-5) made 5,585 calls and J(M3) at (-4,-4)
-    19,184; with the fast paths they make 4 and 6."""
+    """Every lambda-bracket coefficient of these checks is a polynomial, so
+    no element without a denominator may reach _normalize: each such sum
+    and product takes a fast path.  Through _normalize, J(L3) at (-5,-5)
+    made 5,585 calls and J(M3) at (-4,-4) 19,184; with the fast paths they
+    make 4 and 6.  The third structure is 3*L3 written with a derived
+    parameter c, c**2 = 3, whose products are reduced by its relation."""
     polynomial = []
     normalize = field._normalize
 
     def counted(ctx, num, den):
-        polynomial.append(not den and not ctx.relations)
+        polynomial.append(not den)
         return normalize(ctx, num, den)
 
     monkeypatch.setattr(field, "_normalize", counted)
@@ -564,7 +584,83 @@ def test_polynomial_jacobi_checks_skip_normalize(monkeypatch):
     uu, vv = ctx2.gen(0, 0), ctx2.gen(1, 0)
     M3 = AtomStructure(AtomChain(ctx2, [("mult", [[vv], [-uu]]), ("d", -1),
                                         ("mult", [[vv, -uu]])], 2))
-    for H, floors in [(L3, (-5, -5)), (M3, (-4, -4))]:
+    ctx3 = Context(("u",))
+    c = ctx3.var_fun(ctx3.add_derived_parameter("c", ctx3.const(3)))
+    cu1 = c * ctx3.u(1)
+    L3c = AtomStructure(AtomChain(ctx3, [("mult", [[cu1]]), ("d", -1), ("mult", [[cu1]])]))
+    for H, floors in [(L3, (-5, -5)), (M3, (-4, -4)), (L3c, (-4, -4))]:
         polynomial.clear()
         assert check_jacobi(H, floors).holds
         assert not any(polynomial), "%d of %d calls" % (sum(polynomial), len(polynomial))
+
+
+# -- coefficients: an int when integral, a Fraction otherwise ----------------
+
+
+def test_integral_operands_divide_to_fractions(ctx):
+    """Each division of coefficients goes through qdiv: integral operands
+    with a non-integral quotient give a Fraction, never a float."""
+    u = ctx.u(0)
+    um, um2 = ((ctx.gen_var(0, 0), 1),), ((ctx.gen_var(0, 0), 2),)
+    # a composite factor is made monic: 1/(2u+1) = (1/2)/(u + 1/2)
+    f = 1 / (2 * u + 1)
+    assert f.num == {ONE_MONO: Q(1, 2)} and f.den == (({um: 1, ONE_MONO: Q(1, 2)}, 1),)
+    # a scalar leaves a single-term factor: 1/(3u) = (1/3)/u
+    g = 1 / (3 * u)
+    assert g.num == {ONE_MONO: Q(1, 3)} and g.den == (({um: 1}, 1),)
+    # exact division by a non-monic divisor: (u^2 + u) / (2u + 2) = u/2
+    quo = poly_exact_div(ctx, {um2: 1, um: 1}, {um: 2, ONE_MONO: 2})
+    assert quo == {um: Q(1, 2)}
+    for c in (f.num[ONE_MONO], f.den[0][0][ONE_MONO], g.num[ONE_MONO], quo[um]):
+        assert type(c) is Q
+
+
+def test_every_coefficient_is_int_or_a_proper_fraction(monkeypatch):
+    """Along J(L3), the kernels with sqrt and exp(c u) symbols, a KN kernel
+    solve and one NLS chain step, every coefficient of every element made,
+    in num and in each den factor, is an int or a Fraction with a
+    denominator other than 1."""
+    made, broken = [0], []
+    init = DFun.__init__
+
+    def checked(self, ctx, num, den, normalized=False):
+        init(self, ctx, num, den, normalized)
+        made[0] += 1
+        for poly in [self.num] + [f for f, _ in self.den]:
+            broken.extend(c for c in poly.values()
+                          if not (type(c) is int or (type(c) is Q and c.denominator != 1)))
+
+    monkeypatch.setattr(DFun, "__init__", checked)
+    ctx = Context(("u",))
+    u1 = ctx.u(1)
+    L3 = AtomStructure(AtomChain(ctx, [("mult", [[u1]]), ("d", -1), ("mult", [[u1]])]))
+    assert check_jacobi(L3, (-3, -3)).holds
+    # ker(((x2+x3 u'^2)/u'')d - x3 u') = C sqrt(x2+x3 u'^2)
+    ctx = Context(("u",), ("x1", "x2", "x3"))
+    x1, x2, x3 = ctx.param("x1"), ctx.param("x2"), ctx.param("x3")
+    u1, u2 = ctx.u(1), ctx.u(2)
+    s = ctx.adjoin_sqrt(x2 + x3 * u1 ** 2)
+    Y = MatrixPsdOp.scalar(ScalarPsdOp(ctx, {1: (x2 + x3 * u1 ** 2) / u2, 0: -x3 * u1}))
+    assert in_span(ctx, kernel_of(Y, AnsatzSpace(ctx, 1, 2, multipliers=[s],
+                                                 denominators=[(s, 1)])), [s])
+    # ker(x1 d(1/u')d + x3 u') = span{exp(c u), exp(-c u)}, c^2 = -x3/x1
+    ctx.add_derived_parameter("c13", -x3 / x1)
+    E = ctx.adjoin_exp_u(ctx.param("c13"))
+    D = ScalarPsdOp.d(ctx)
+    Y = MatrixPsdOp.scalar(D.compose(ScalarPsdOp.of_fun(1 / u1)).compose(D).scale(x1)
+                           + ScalarPsdOp.of_fun(x3 * u1))
+    assert len(kernel_of(Y, AnsatzSpace(ctx, -1, 0, multipliers=[E, 1 / E]))) == 2
+    # the constants in ker B of KN, from a small ansatz
+    ctx = Context(("u",))
+    v1, v2 = ctx.u(1), ctx.u(2)
+    Du1 = ((1 / v1) * (v2 / v1).total_derivative()).total_derivative()
+    B = AtomChain(ctx, [("d", 1), ("mult", [[1 / v1]]), ("d", 1), ("mult", [[1 / v1]]),
+                        ("d", 1), ("mult", [[1 / Du1]]), ("d", 1)])
+    ker = kernel_of(B.apply, AnsatzSpace(ctx, 2, 2, denominators=[(v1, 2)]), ell=1)
+    assert in_span(ctx, ker, [ctx.one()])
+    pre = load_nls()
+    spF, spG = nls_spaces(pre.ctx)
+    extend_right(pre.chain, spF, spG, steps=1, k_solver=nls_k_solver(pre),
+                 h_solver=nls_h_solver(pre))
+    assert pre.chain.verify()
+    assert made[0] > 5000 and not broken, broken[:5]

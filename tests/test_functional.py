@@ -6,7 +6,7 @@ import pytest
 
 from lenard.errors import Undecidable
 from lenard.field import Context
-from lenard.functional import (LocalFunctional, antiderivative,
+from lenard.functional import (LocalFunctional, antiderivative, antiderivative_in_var,
                                is_null_functional, reduce_by_parts,
                                variational_derivative)
 
@@ -99,6 +99,14 @@ def test_antiderivative_exact(ctx):
     g = u ** 2 * u1
     assert antiderivative(g) == u ** 3 / 3
     assert antiderivative(ctx.one()) == ctx.x()
+
+
+def test_antiderivative_in_var_divides_integers_exactly(ctx):
+    # x^2 integrates to x^3/3, with a Fraction coefficient, not a float
+    x = ctx.x()
+    f = antiderivative_in_var(ctx, x ** 2, ctx.x_id)
+    assert f == x ** 3 * Q(1, 3)
+    assert [type(c) for c in f.num.values()] == [Q]
 
 
 def test_local_functional_equality(ctx):

@@ -201,6 +201,23 @@ def test_floor_joins_go_through_jf():
     assert not inline, "inline floor joins; use operators._jf: %s" % inline
 
 
+# field.py keeps the coefficient rule (an int when integral, one division
+# helper); grammar.py and cli.py parse rationals from input; liouville.py
+# writes closed-form rationals
+FRACTION_MODULES = {"field.py", "grammar.py", "cli.py", "liouville.py"}
+
+
+def test_only_coefficient_and_input_modules_import_fractions():
+    """Other modules take coefficients from field, so no new coefficient
+    arithmetic bypasses its rule or its division helper."""
+    importers = sorted(
+        path.name for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)))
+    assert set(importers) <= FRACTION_MODULES, importers
+
+
 def _load_bench_module(name):
     spec = importlib.util.spec_from_file_location(
         "_bench_" + name, ROOT / "bench" / (name + ".py"))

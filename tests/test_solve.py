@@ -1,9 +1,11 @@
 """Undetermined-coefficient solving: the paper's kernel fixtures."""
 
+from fractions import Fraction as Q
+
 import pytest
 
 from lenard.errors import AnsatzExhausted
-from lenard.field import Context
+from lenard.field import ONE_MONO, Context
 from lenard.functional import variational_derivative
 from lenard.jacobi import AtomChain
 from lenard.operators import MatrixPsdOp, ScalarPsdOp
@@ -257,3 +259,11 @@ def test_reduce_span_is_one_elimination(ctx, monkeypatch):
     assert len(calls) == 1
     assert reduce_span(ctx, []) == [] and len(calls) == 1
 
+
+
+def test_rational_elimination_divides_integers_exactly(ctx):
+    # 3c = 1: integral operands, and the pivot's inverse is a Fraction, not a float
+    particular, kernel = linear_solve(ctx, [[ctx.const(3)]], [ctx.one()])
+    (c,) = particular
+    assert c == ctx.const(Q(1, 3)) and kernel == []
+    assert type(c.num[ONE_MONO]) is Q
