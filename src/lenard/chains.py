@@ -377,14 +377,14 @@ def extend_right(chain: Chain, spaceF: AnsatzSpace, spaceG: AnsatzSpace,
                 if den_kernel is not None:
                     kernel = den_kernel
                 elif spaceF is not None:
-                    kernel = kernel_of(H.den.apply, spaceF, ell=H.ell)
+                    kernel = kernel_of(H.den, spaceF, ell=H.ell)
                 else:
                     kernel = []
                 chain._kerB_cache = kernel
             solF_kernel = kernel
         else:
             try:
-                solF = solve_operator_equation(H.den.apply, xi_prev, spaceF)
+                solF = solve_operator_equation(H.den, xi_prev, spaceF)
             except AnsatzExhausted as e:
                 chain.status = ChainStatus("blocked", "right", n, str(e))
                 return chain
@@ -406,7 +406,7 @@ def extend_right(chain: Chain, spaceF: AnsatzSpace, spaceG: AnsatzSpace,
             G = k_solver(P)
         if G is None:
             try:
-                solG = solve_operator_equation(K.num.apply, P, spaceG)
+                solG = solve_operator_equation(K.num, P, spaceG)
             except AnsatzExhausted as e:
                 chain.status = ChainStatus("blocked", "right", n,
                                            "no K-link witness: " + str(e))
@@ -609,7 +609,7 @@ def extend_left(chain: Chain, spaceG: AnsatzSpace, spaceF: AnsatzSpace,
                                                     "no K-link witness: " + str(e))
                     return chain
             else:
-                kers = kernel_of(K.den.apply, spaceG, ell=K.ell)
+                kers = kernel_of(K.den, spaceG, ell=K.ell)
                 if not kers:
                     chain.left_status = ChainStatus("finite-type", "left", n,
                                                     "denominator kernel is zero")
@@ -620,7 +620,7 @@ def extend_left(chain: Chain, spaceG: AnsatzSpace, spaceF: AnsatzSpace,
                 G, _ = peel_denominator(K.den, grad_prev, strict=True)
             else:
                 try:
-                    G = solve_operator_equation(K.den.apply, grad_prev,
+                    G = solve_operator_equation(K.den, grad_prev,
                                                 spaceG).particular
                 except AnsatzExhausted:
                     G = None
@@ -652,7 +652,7 @@ def extend_left(chain: Chain, spaceG: AnsatzSpace, spaceF: AnsatzSpace,
             F = list(P)
         else:
             try:
-                solF = solve_operator_equation(H.num.apply, P, spaceF)
+                solF = solve_operator_equation(H.num, P, spaceF)
             except AnsatzExhausted as e:
                 chain.left_status = ChainStatus("blocked", "left", n,
                                                 "no H-link witness: " + str(e))

@@ -473,6 +473,151 @@ def poly_key(a: Dict[Mono, Q]):
     return tuple(sorted(a.items()))
 
 
+def _quotient_rule(nums, den, derive, shared):
+    """The derivation derive of the polynomial ring (a map of polynomials),
+    divided by the product `shared` of denominator factors, applied to each
+    n / den of a list of numerators over one denominator den = prod f^e.
+    Its moved factors (df != 0) give the shared part of the quotient rule
+    once, their product P and the cross term C = -sum e df prod_{g != f} g,
+    and then
+
+        (d n * P + n * C) / (prod' f^(e+1) * prod'' f^e * shared)
+
+    for every n, prod'' running over the factors d fixes.  Returns the new
+    numerators (in order, unnormalized) and the new denominator."""
+    moved = []
+    out_den = []
+    for f, e in den:
+        df = derive(f)
+        if df:
+            moved.append((f, e, df))
+            out_den.append((f, e + 1))
+        else:
+            out_den.append((f, e))
+    prod = cross = None
+    if moved:
+        cross = {}
+        for idx, (_, e, df) in enumerate(moved):
+            term = poly_scale(df, -e)
+            for jdx, (g, _, _) in enumerate(moved):
+                if jdx != idx:
+                    term = poly_mul(term, g)
+            poly_add_into(cross, term)
+        prod = moved[0][0]
+        for g, _, _ in moved[1:]:
+            prod = poly_mul(prod, g)
+    out = []
+    for n in nums:
+        dn = derive(n)
+        if moved:
+            dn = poly_mul(dn, prod)
+            poly_add_into(dn, poly_mul(n, cross))
+        out.append(dn)
+    return out, _den_merge(tuple(out_den), shared) if shared else tuple(out_den)
+
+
+def _jet_images(ctx, vids):
+    """The total derivative on x and the jets among the variables vids, as
+    monomial images (x -> 1, u_i^(n) -> u_i^(n+1); parameters get none),
+    and the symbols among them, in id order."""
+    images = {}
+    symbols = []
+    for vid in sorted(vids):
+        kind = ctx.var_key(vid)
+        if kind[0] == "x":
+            images[vid] = ONE_MONO
+        elif kind[0] == "u":
+            images[vid] = ((ctx.gen_var(kind[1], kind[2] + 1), 1),)
+        elif kind[0] == "s":
+            symbols.append(vid)
+    return images, symbols
+
+
+# ---------------------------------------------------------------------------
+# batches: a list of vectors of numerators over one shared denominator (a
+# tuple of (factor, exponent) like DFun.den), unnormalized, with relations
+# unreduced; an operator maps a whole ansatz basis this way at once
+
+
+def batch_derivative(ctx, cols, den):
+    """The total derivative of numerator vectors over one denominator den:
+    (vectors, denominator), unnormalized, relations not reduced.  One
+    quotient rule covers x, the jets and the symbols.  Its derivation is
+    d/dx times B, the lcm of the symbols' log-derivative denominators
+    (sqrt's g'/(2g) has one), so it maps polynomials to polynomials: B
+    times the jet part, plus d/ds times s dlog(s) B for each symbol s.  B
+    joins the shared denominator."""
+    nums = [p for vec in cols for p in vec]
+    vids = set()
+    for p in nums + [f for f, _ in den]:
+        for m in p:
+            for v, _ in m:
+                vids.add(v)
+    images, symbols = _jet_images(ctx, vids)
+    shared = ()
+    for sid in symbols:
+        if ctx.sym_dlog[sid].den:
+            shared = _den_lcm(shared, ctx.sym_dlog[sid].den)
+    unit = _den_cofactor(shared, ())
+    rules = [(sid, poly_mul(poly_mul({((sid, 1),): 1}, ctx.sym_dlog[sid].num),
+                            _den_cofactor(shared, ctx.sym_dlog[sid].den)))
+             for sid in symbols]
+
+    def derive(p):
+        out = _poly_derive(p, images)
+        if shared:
+            out = poly_mul(out, unit)
+        for sid, image in rules:
+            ds = _poly_derive(p, {sid: ONE_MONO})
+            if ds:
+                poly_add_into(out, poly_mul(ds, image))
+        return out
+
+    nums, den = _quotient_rule(nums, den, derive, shared)
+    it = iter(nums)
+    return [[next(it) for _ in vec] for vec in cols], den
+
+
+def batch_matmul(matrix, cols, den):
+    """Left-multiply numerator vectors over one denominator den by a matrix
+    of field elements.  An entry contributes its numerator times its
+    cofactor in L, the lcm of the entries' denominators, and L joins den.
+    Returns (vectors, denominator), unnormalized."""
+    lcm = ()
+    for row in matrix:
+        for a in row:
+            if a.den:
+                lcm = _den_lcm(lcm, a.den)
+    mult = [[poly_mul(a.num, _den_cofactor(lcm, a.den)) if lcm else a.num
+             for a in row] for row in matrix]
+    out = []
+    for vec in cols:
+        new = []
+        for mrow in mult:
+            terms = [poly_mul(m, n) for m, n in zip(mrow, vec) if m and n]
+            acc = terms[0] if terms else {}
+            for t in terms[1:]:
+                poly_add_into(acc, t)
+            new.append(acc)
+        out.append(new)
+    return out, _den_merge(den, lcm) if lcm else den
+
+
+def batch_sum(parts):
+    """The sum of batches [(vectors, denominator)] of one shape, over the
+    lcm of their denominators."""
+    lcm = ()
+    for _, den in parts:
+        lcm = _den_lcm(lcm, den)
+    out = [[{} for _ in vec] for vec in parts[0][0]]
+    for cols, den in parts:
+        cof = _den_cofactor(lcm, den)
+        for acc, vec in zip(out, cols):
+            for a, n in zip(acc, vec):
+                poly_add_into(a, poly_mul(n, cof))
+    return out, lcm
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -631,40 +776,14 @@ class DFun:
     # -- calculus ---------------------------------------------------------------
 
     def _derive(self, images):
-        """The derivation v -> images[v] of the polynomial ring (a monomial
-        per variable, 0 for the rest), extended to self = N / prod f^e by
-        one quotient rule over the factors f it moves (df != 0):
-
-            (dN * prod' f - N * sum' e df prod'_{g != f} g)
-              / (prod' f^(e+1) * prod'' f^e)
-
-        prod'' running over the factors it fixes; so one normalization."""
-        ctx = self.ctx
-        dnum = _poly_derive(self.num, images)
+        """The derivation v -> images[v] (a monomial per variable, 0 for the
+        rest) of the polynomial ring, extended to self by _quotient_rule:
+        one normalization."""
         if not self.den:
-            return DFun(ctx, dnum, (), normalized=True)
-        moved = []
-        den = []
-        for f, e in self.den:
-            df = _poly_derive(f, images)
-            if df:
-                moved.append((f, e, df))
-                den.append((f, e + 1))
-            else:
-                den.append((f, e))
-        if not moved:
-            return DFun(ctx, dnum, self.den)
-        cross: Dict[Mono, Q] = {}
-        for idx, (_, e, df) in enumerate(moved):
-            term = poly_scale(df, -e)
-            for jdx, (g, _, _) in enumerate(moved):
-                if jdx != idx:
-                    term = poly_mul(term, g)
-            poly_add_into(cross, term)
-        for f, _, _ in moved:
-            dnum = poly_mul(dnum, f)
-        poly_add_into(dnum, poly_mul(self.num, cross))
-        return DFun(ctx, dnum, tuple(den))
+            return DFun(self.ctx, _poly_derive(self.num, images), (), normalized=True)
+        (num,), den = _quotient_rule([self.num], self.den,
+                                     lambda p: _poly_derive(p, images), ())
+        return DFun(self.ctx, num, den)
 
     def _formal_partial(self, vid):
         """d/d(var) treating every variable as independent (no chain rules)."""
@@ -672,27 +791,19 @@ class DFun:
 
     def total_derivative(self):
         """d/dx through x, all jets (u_i^(n) -> u_i^(n+1)) and symbol rules."""
-        if self._td is not None:
-            return self._td
-        ctx = self.ctx
-        images = {}
-        symbols = []
-        for vid in sorted(self._vars()):
-            key = ctx.var_key(vid)
-            if key[0] == "x":
-                images[vid] = ONE_MONO
-            elif key[0] == "u":
-                images[vid] = ((ctx.gen_var(key[1], key[2] + 1), 1),)
-            elif key[0] == "s":
-                symbols.append(vid)
-            # parameters contribute nothing
-        out = self._derive(images)
-        for sid in symbols:
-            d = self._formal_partial(sid)
-            if not d.is_zero():
-                out = out + d * ctx.sym_dlog[sid] * ctx.var_fun(sid)
-        self._td = out
-        return out
+        if self._td is None:
+            ctx = self.ctx
+            # the jet part, then the symbol rule one symbol at a time: folded
+            # into the one quotient rule, as batch_derivative does, it gives
+            # equal values whose denominators can print differently
+            images, symbols = _jet_images(ctx, self._vars())
+            out = self._derive(images)
+            for sid in symbols:
+                d = self._formal_partial(sid)
+                if not d.is_zero():
+                    out = out + d * ctx.sym_dlog[sid] * ctx.var_fun(sid)
+            self._td = out
+        return self._td
 
     def partial(self, i, n):
         """d/d(u_i^(n)) with the symbol chain rule."""
@@ -1015,7 +1126,8 @@ def _poly_subs(ctx, a: Dict[Mono, Q], vid, value: DFun) -> DFun:
                 k = e
             else:
                 rest.append((v, e))
-        term = DFun(ctx, {tuple(rest): c}, ())
+        # one term of a reduced numerator, less a variable: canonical
+        term = DFun(ctx, {tuple(rest): c}, (), normalized=True)
         out = out + (term * vpow(k) if k else term)
     return out
 

@@ -197,11 +197,10 @@ def _antiderivative_ansatz(f: DFun):
     space = AnsatzSpace(ctx, max_dord=int(d), max_degree=min(deg, 6),
                         x_power=1, multipliers=mult, denominators=dens)
 
-    def op(vec):
-        return [vec[0].total_derivative()]
-
+    from .jacobi import AtomChain  # jacobi imports functional through brackets
     try:
-        sol = solve_operator_equation(op, [f], space, escalations=0)
+        sol = solve_operator_equation(AtomChain(ctx, [("d", 1)]), [f], space,
+                                      escalations=0)
     except AnsatzExhausted:
         return None
     g, _ = reduce_mod_span(ctx, sol.kernel, sol.particular)

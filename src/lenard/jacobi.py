@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InsufficientTruncation
-from .field import DFun, NEG_INF
+from .field import DFun, NEG_INF, batch_derivative, batch_matmul, batch_sum
 from .brackets import master_bracket
 from .operators import (MatrixPsdOp, OperatorSum, RationalOpPair, ScalarPsdOp,
                         _accumulate, _binomial_shift, _jf, structure_sum)
@@ -132,6 +132,22 @@ class AtomChain:
                            ctx.zero()) for r in range(rows)]
         return cur
 
+    def apply_batch(self, cols, den):
+        """apply on a batch: vectors of numerators over one shared
+        denominator, mapped to a batch (unnormalized, relations unreduced).
+        Each d step runs the quotient rule's shared work once for the whole
+        batch, and each mult atom merges its entries' denominators into the
+        shared one."""
+        for kind, data in reversed(self.atoms):
+            if kind == "d":
+                if data < 0:
+                    raise ValueError("cannot apply d^-1 exactly")
+                for _ in range(data):
+                    cols, den = batch_derivative(self.ctx, cols, den)
+            else:
+                cols, den = batch_matmul(data, cols, den)
+        return cols, den
+
 
 def entry_chain(ctx, rows, cols, r, c, scalar_atoms):
     """Embed a scalar atom chain as the (r, c) entry of a rows x cols matrix."""
@@ -157,6 +173,10 @@ class SumChain:
             part = ch.apply(vec)
             out = part if out is None else [a + b for a, b in zip(out, part)]
         return out
+
+    def apply_batch(self, cols, den):
+        """The sum of the summands' batches (see AtomChain.apply_batch)."""
+        return batch_sum([ch.apply_batch(cols, den) for ch in self.summands])
 
     def to_operator(self) -> MatrixPsdOp:
         acc = None

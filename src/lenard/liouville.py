@@ -494,7 +494,7 @@ def empirical_class(a_pattern, b_pattern):
         H = liouville_fraction(ctx, ctx.const(2), ctx.zero(), ctx.zero())
         K = liouville_fraction(ctx, ctx.zero(), ctx.const(3), ctx.zero())
         spG = AnsatzSpace(ctx, 1, 2, x_power=1)
-        kers = kernel_of(H.den.apply, spG, ell=1)
+        kers = kernel_of(H.den, spG, ell=1)
         candidates = [H.num.apply(k) for k in kers]
         if all(vec_is_zero(c) for c in candidates):
             return FINITE
@@ -507,7 +507,7 @@ def empirical_class(a_pattern, b_pattern):
         K = liouville_fraction(ctx, ctx.const(5), ctx.const(7), ctx.const(11))
         # P0 in the image of ker(B_H): pick A k != 0, then ask the K-link
         spK = AnsatzSpace(ctx, 1, 2, x_power=1)
-        kers = kernel_of(H.den.apply, spK, ell=1)
+        kers = kernel_of(H.den, spK, ell=1)
         P0 = None
         for k in kers:
             cand = H.num.apply(k)
@@ -518,7 +518,7 @@ def empirical_class(a_pattern, b_pattern):
             return FINITE
         spG = AnsatzSpace(ctx, 2, 3, x_power=1, denominators=[(ctx.u(2), 2)])
         try:
-            solG = solve_operator_equation(K.num.apply, P0, spG)
+            solG = solve_operator_equation(K.num, P0, spG)
         except AnsatzExhausted:
             return BLOCKED
         xi = K.den.apply(solG.particular)
@@ -534,7 +534,7 @@ def empirical_class(a_pattern, b_pattern):
         # H0(H) = constants; ask for the K-link of P0 = 1
         spG = AnsatzSpace(ctx, 2, 3, x_power=1, denominators=[(u1, 3)])
         try:
-            solve_operator_equation(K.num.apply, [ctx.one()], spG)
+            solve_operator_equation(K.num, [ctx.one()], spG)
         except AnsatzExhausted:
             return BLOCKED
         return "inconclusive"
@@ -550,7 +550,7 @@ def empirical_class(a_pattern, b_pattern):
             spF = AnsatzSpace(ctx, 2, 2, x_power=1, multipliers=[E, 1 / E],
                               denominators=[(ctx.u(2), 2)])
             try:
-                solve_operator_equation(H.den.apply, grad, spF)
+                solve_operator_equation(H.den, grad, spF)
             except AnsatzExhausted:
                 return BLOCKED
         return "inconclusive"

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 
 from .errors import (InsufficientTruncation, NotDifferential, SingularLeadingSymbol,
                      ZeroDivisor)
-from .field import DFun, NEG_INF
+from .field import DFun, NEG_INF, batch_derivative, batch_matmul, batch_sum
 
 DEFAULT_GUARD = 6
 
@@ -401,6 +401,25 @@ class MatrixPsdOp:
                 acc = acc + self.entries[i][j].apply(F[j])
             out.append(acc)
         return out
+
+    def apply_batch(self, cols, den):
+        """apply on a batch of numerator vectors over one shared denominator
+        (see AtomChain.apply_batch): the batch's derivative tower once, then
+        the coefficient matrix of each power of d."""
+        if not self.is_differential():
+            raise NotDifferential("operator has negative-degree terms")
+        zero = self.ctx.zero()
+        powers = {n for row in self.entries for e in row for n in e.coeffs}
+        parts = []
+        for n in range(max(powers, default=-1) + 1):
+            if n:
+                cols, den = batch_derivative(self.ctx, cols, den)
+            if n in powers:
+                matrix = [[e.coeffs.get(n, zero) for e in row] for row in self.entries]
+                parts.append(batch_matmul(matrix, cols, den))
+        if not parts:
+            return [[{} for _ in range(self.rows)] for _ in cols], den
+        return batch_sum(parts)
 
     def leading_matrix(self):
         """Coefficients of d^|self| entrywise (a DFun matrix)."""

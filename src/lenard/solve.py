@@ -3,11 +3,20 @@
 An AnsatzSpace generates a finite basis of differential functions
 (jet monomials times x-powers, symbol multipliers and whitelist
 denominators).  solve_operator_equation writes F as a constant
-combination of basis vectors, applies the operator, collects the
-coefficients of every monomial of the cleared numerators and solves the
-resulting finite linear system by Gaussian elimination over the field of
-rational functions in the named parameters.  Parameters are generic:
-any nonzero constant is invertible; zero-parameter cases are handled by
+combination of basis vectors and applies the operator to the whole basis
+at once, on numerators: the basis is cleared to one shared denominator,
+and each atom of the operator maps that batch to a batch (field.batch_*),
+so the quotient rule's shared work is done once per d and no column is
+normalized.  linear_solve reads the rows straight off the numerators: it
+clears every column and the right-hand side to one denominator, reduces
+the relations of each cleared numerator, and takes one row per monomial in
+the non-parameter variables.  The system is solved by Gaussian
+elimination, over plain rationals when no parameter occurs and otherwise
+over the field of rational functions in the named parameters.  A
+multiple of the rows by a common polynomial spans the same row space, and
+the pivots are the reduced echelon form of that space, so the shared
+denominator does not change the solution.  Parameters are generic: any
+nonzero constant is invertible; zero-parameter cases are handled by
 binding those parameters to literal zero in the preset context.  Each
 span question (reduce_span, in_span, reduce_mod_span) is one elimination.
 """
@@ -18,7 +27,8 @@ import itertools
 from typing import Dict, List, Sequence
 
 from .errors import AnsatzExhausted
-from .field import DFun, ONE_MONO, _den_cofactor, _den_lcm, poly_mul, qdiv
+from .field import (DFun, ONE_MONO, _den_cofactor, _den_lcm, _reduce_relations,
+                    poly_mul, qdiv)
 
 _POLY_ONE = {ONE_MONO: 1}
 
@@ -82,11 +92,13 @@ class AnsatzSpace:
         seen = set()
         for m, wm in monos:
             for x, wx in xs:
+                mx = m * x
+                mxs = [mx * s for s in mults]
                 for d, wd in dens:
                     if self.weight_max is not None and wm + wx + wd > self.weight_max:
                         continue
-                    for s in mults:
-                        f = m * x * s * d
+                    for ms in mxs:
+                        f = ms * d
                         key = f.key()
                         if key not in seen:
                             seen.add(key)
@@ -105,90 +117,98 @@ def _split_param_mono(ctx, mono):
     return tuple(par), tuple(rest)
 
 
-def _rows_of(ctx, f: DFun, den_lcm, rows, col):
-    """Scatter the numerator of f, cleared to den_lcm, into sparse coefficient
-    rows {column: DFun}; an entry whose sum cancels is dropped."""
-    num = f.num
-    cof = _den_cofactor(den_lcm, f.den)
-    if cof != _POLY_ONE:
-        num = poly_mul(num, cof)
-    for mono, q in num.items():
-        par, rest = _split_param_mono(ctx, mono)
-        row = rows.get(rest)
-        if row is None:
-            row = rows[rest] = {}
-        add = DFun(ctx, {par: q}, (), normalized=True)
-        cur = row.get(col)
-        if cur is not None:
-            add = cur + add
-            if add.is_zero():
-                del row[col]
-                continue
-        row[col] = add
+def _clear(ctx, items):
+    """The numerators of items [(num, den)], all cleared to the lcm of the
+    denominators and reduced by the relations (None for a zero item).  A
+    relation value's own denominator, constant and relation-free, is
+    cleared the same way after the reduction.  The columns of a batch share
+    one den object, so its cofactor is made once."""
+    lcm = ()
+    last = None
+    for num, den in items:
+        if num and den and den is not last:
+            lcm = _den_lcm(lcm, den)
+            last = den
+    out = []
+    extras = []
+    extra_lcm = ()
+    last = None
+    for num, den in items:
+        extra = ()
+        if num:
+            if den is not last:
+                last, cof = den, _den_cofactor(lcm, den)
+            if cof != _POLY_ONE:
+                num = poly_mul(num, cof)
+            num, extra = _reduce_relations(ctx, num)
+            if extra:
+                extra_lcm = _den_lcm(extra_lcm, extra)
+        out.append(num or None)
+        extras.append(extra)
+    if extra_lcm:
+        out = [num and poly_mul(num, _den_cofactor(extra_lcm, extra))
+               for num, extra in zip(out, extras)]
+    return out
 
 
-def linear_solve(ctx, columns: Sequence[Sequence[DFun]], rhs: Sequence[DFun],
-                 partial=False):
+def linear_solve(ctx, columns, rhs: Sequence[DFun], partial=False, den=None):
     """Solve sum_k c_k columns[k] = rhs over the constant field.
 
-    columns and rhs are vectors of DFun (length ell); the c_k are constants.
-    Returns (particular or None, kernel basis), both as coefficient lists.
-    With partial=True the particular is the pivot-row choice even when the
-    system is inconsistent (never None).
+    columns and rhs are vectors (length ell) of DFun, or, with den given,
+    the columns are vectors of numerators over that one denominator; the
+    c_k are constants.  Returns (particular or None, kernel basis), both as
+    coefficient lists.  With partial=True the particular is the pivot-row
+    choice even when the system is inconsistent (never None).
+
+    Each component's numerators, cleared to one denominator and reduced,
+    give one row per monomial in the non-parameter variables, with the
+    coefficient of each column (the right-hand side last, at column K).  The
+    rows are plain rationals unless a parameter occurs, and then polynomials
+    in the parameters.
     """
-    ell = len(rhs)
     K = len(columns)
-    sparse_rows: List[Dict[int, DFun]] = []
-    for comp in range(ell):
-        items = [col[comp] for col in columns] + [rhs[comp]]
-        den_lcm = ()
-        for f in items:
-            if f.den:
-                den_lcm = _den_lcm(den_lcm, f.den)
-        rows: Dict = {}
-        for col_idx, f in enumerate(items):
-            if not f.is_zero():
-                _rows_of(ctx, f, den_lcm, rows, col_idx)
-        for rest in sorted(rows, key=lambda m: (len(m), m)):
-            sparse_rows.append(rows[rest])
-    return _gauss_sparse(ctx, sparse_rows, K, partial)
-
-
-def _is_rational(e: DFun):
-    if e.den:
-        return None
-    if not e.num:
-        return 0
-    if len(e.num) == 1 and ONE_MONO in e.num:
-        return e.num[ONE_MONO]
-    return None
-
-
-def _gauss_sparse(ctx, rows, K, partial=False):
-    """Sparse Gauss over the constant field; returns (particular|None, kernel).
-
-    Columns 0..K-1 hold the unknowns and column K the right-hand side.  The
-    elimination runs over plain rationals unless a parameter occurs, and only
-    then over the full constant field.
-    """
+    raw: List[Dict[int, object]] = []
+    split: Dict = {}
+    params = bool(ctx.params)
     rational = True
-    for row in rows:
-        for e in row.values():
-            if _is_rational(e) is None:
-                rational = False
-                break
-        if not rational:
-            break
+    for comp in range(len(rhs)):
+        if den is None:
+            items = [(col[comp].num, col[comp].den) for col in columns]
+        else:
+            items = [(col[comp], den) for col in columns]
+        items.append((rhs[comp].num, rhs[comp].den))
+        rows: Dict = {}
+        for col, num in enumerate(_clear(ctx, items)):
+            if num is None:
+                continue
+            for mono, q in num.items():
+                if params:
+                    pr = split.get(mono)
+                    if pr is None:
+                        pr = split[mono] = _split_param_mono(ctx, mono)
+                    par, mono = pr
+                    if par:
+                        rational = False
+                    q = {par: q}
+                row = rows.get(mono)
+                if row is None:
+                    rows[mono] = {col: q}
+                elif col in row:  # another parameter monomial, same rest
+                    row[col].update(q)
+                else:
+                    row[col] = q
+        for rest in sorted(rows, key=lambda m: (len(m), m)):
+            raw.append(rows[rest])
+    if params and rational:
+        raw = [{c: e[()] for c, e in row.items()} for row in raw]
     if rational:
-        conv = [{c: _is_rational(e) for c, e in row.items()} for row in rows]
-        part, kernel = _gauss_core(conv, K, 0, 1,
-                                   lambda a: a == 0, lambda a: qdiv(1, a), partial)
+        part, kernel = _gauss_core(raw, K, 0, 1, lambda a: a == 0,
+                                   lambda a: qdiv(1, a), partial)
         if part is not None:
             part = [ctx.const(v) for v in part]
-        kernel = [[ctx.const(v) for v in vec] for vec in kernel]
-        return part, kernel
-    zero, one = ctx.zero(), ctx.one()
-    return _gauss_core(rows, K, zero, one,
+        return part, [[ctx.const(v) for v in vec] for vec in kernel]
+    rows = [{c: DFun(ctx, e, (), normalized=True) for c, e in row.items()} for row in raw]
+    return _gauss_core(rows, K, ctx.zero(), ctx.one(),
                        lambda a: a.is_zero(), lambda a: a.inverse(), partial)
 
 
@@ -296,29 +316,57 @@ def _combine(ctx, basis_vectors, coeffs):
     return out
 
 
-def _apply_operator(op, vec):
-    if callable(op):
-        return op(vec)
-    return op.apply(vec)
+def _batch_operator(op):
+    """op itself when it applies to batches, also when given as its bound
+    apply; None for any other callable."""
+    owner = getattr(op, "__self__", None)
+    if owner is not None and op == getattr(owner, "apply", None):
+        op = owner
+    return op if hasattr(op, "apply_batch") else None
+
+
+def _basis_batch(scalars, ell):
+    """The vector basis (component-major, as _vector_basis) as numerators
+    over the lcm of the scalars' denominators."""
+    den = ()
+    for f in scalars:
+        if f.den:
+            den = _den_lcm(den, f.den)
+    cofactors = {}
+    nums = []
+    for f in scalars:
+        dkey = f.key()[1]
+        if dkey not in cofactors:
+            cofactors[dkey] = _den_cofactor(den, f.den)
+        nums.append(poly_mul(f.num, cofactors[dkey]))
+    return [[n if k == comp else {} for k in range(ell)]
+            for comp in range(ell) for n in nums], den
 
 
 def solve_operator_equation(op, rhs: Sequence[DFun], space: AnsatzSpace,
                             escalations=2) -> SolutionSet:
     """Solve op(F) = rhs for F inside the ansatz space.
 
-    op is a differential MatrixPsdOp or any callable vector -> vector linear
-    map.  Escalates the space (bounds +1) at most `escalations` times; raises
-    AnsatzExhausted when no solution exists in the largest space.  For
-    rhs = 0 the system is homogeneous, so the first space always answers.
+    op is an operator with a batch application (AtomChain, SumChain,
+    MatrixPsdOp, or the bound apply of one), which maps the whole basis at
+    once as numerators over one shared denominator; any other callable
+    vector -> vector linear map is applied column by column.  Escalates the
+    space (bounds +1) at most `escalations` times; raises AnsatzExhausted
+    when no solution exists in the largest space.  For rhs = 0 the system
+    is homogeneous, so the first space always answers.
     """
     ctx = space.ctx
     ell = len(rhs)
+    batch = _batch_operator(op)
     cur = space
     for attempt in range(escalations + 1):
         scalars = cur.basis()
         basis_vectors = _vector_basis(ctx, scalars, ell)
-        columns = [_apply_operator(op, vec) for vec in basis_vectors]
-        particular, kernel = linear_solve(ctx, columns, rhs)
+        if batch is None:
+            particular, kernel = linear_solve(ctx, [op(vec) for vec in basis_vectors], rhs)
+        else:
+            cols, den = batch.apply_batch(*_basis_batch(scalars, ell))
+            particular, kernel = linear_solve(ctx, cols, rhs, den=den)
         if particular is not None:
             part_vec = _combine(ctx, basis_vectors, particular)
             ker_vecs = reduce_span(ctx, [_combine(ctx, basis_vectors, kv)

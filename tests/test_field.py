@@ -594,6 +594,69 @@ def test_polynomial_jacobi_checks_skip_normalize(monkeypatch):
         assert not any(polynomial), "%d of %d calls" % (sum(polynomial), len(polynomial))
 
 
+def _general_subs(f, vid, value):
+    """Reference: each term through the general path (_normalize)."""
+    ctx = f.ctx
+
+    def poly(a):
+        out = ctx.zero()
+        for m, c in a.items():
+            k = dict(m).get(vid, 0)
+            term = DFun(ctx, {tuple((v, e) for v, e in m if v != vid): c}, ())
+            out = out + (term * value ** k if k else term)
+        return out
+
+    out = poly(f.num)
+    for g, e in f.den:
+        out = out * poly(g) ** (-e)
+    return out
+
+
+def test_substitution_terms_skip_normalize_only_when_canonical(rng, monkeypatch):
+    """subs_var builds each term of a numerator or denominator factor, less
+    the substituted variable, as normalized: _normalize must return every
+    element built as normalized during a substitution unchanged, its
+    coefficients each an int or a proper Fraction, with jets, x,
+    parameters, a derived parameter, sqrt and exp symbols (negative
+    exponents included) in the terms; and the result keeps the key and
+    print of building each term through _normalize."""
+    checked = []
+    init = DFun.__init__
+    subs = field._poly_subs
+    inside = [False]
+
+    def checked_init(self, ctx, num, den, normalized=False):
+        if normalized and inside[0]:
+            assert field._normalize(ctx, num, den) == (num, den)
+            assert all(type(c) is int or c.denominator != 1 for c in num.values())
+            checked.append(num)
+        init(self, ctx, num, den, normalized)
+
+    def flagged_subs(*args):
+        inside[0] = True
+        try:
+            return subs(*args)
+        finally:
+            inside[0] = False
+
+    ctx = Context(("u",), ("b2", "b3"))
+    pool = _division_vars(ctx)
+    u1 = ctx.u(1)
+    vids = [_var_id(ctx.x()), _var_id(ctx.u(0)), _var_id(u1), _var_id(ctx.param("b3"))]
+    values = [ctx.const(Q(-2, 3)), ctx.u(2) + 1, ctx.param("b2") * u1]
+    for _ in range(25):
+        f = _random_fraction(ctx, rng, pool)
+        for vid in vids:
+            for value in values:
+                want = _general_subs(f, vid, value)
+                monkeypatch.setattr(DFun, "__init__", checked_init)
+                monkeypatch.setattr(field, "_poly_subs", flagged_subs)
+                got = f.subs_var(vid, value)
+                monkeypatch.undo()
+                _same(got, want)
+    assert len(checked) > 1000
+
+
 # -- coefficients: an int when integral, a Fraction otherwise ----------------
 
 
@@ -619,18 +682,32 @@ def test_every_coefficient_is_int_or_a_proper_fraction(monkeypatch):
     """Along J(L3), the kernels with sqrt and exp(c u) symbols, a KN kernel
     solve and one NLS chain step, every coefficient of every element made,
     in num and in each den factor, is an int or a Fraction with a
-    denominator other than 1."""
+    denominator other than 1; and so is every coefficient of the batches
+    of numerators an ansatz solve clears into rows, and of their cleared
+    numerators."""
+    from lenard import solve
     made, broken = [0], []
     init = DFun.__init__
+    clear = solve._clear
 
-    def checked(self, ctx, num, den, normalized=False):
-        init(self, ctx, num, den, normalized)
-        made[0] += 1
-        for poly in [self.num] + [f for f, _ in self.den]:
+    def check(polys):
+        for poly in polys:
+            made[0] += 1
             broken.extend(c for c in poly.values()
                           if not (type(c) is int or (type(c) is Q and c.denominator != 1)))
 
+    def checked(self, ctx, num, den, normalized=False):
+        init(self, ctx, num, den, normalized)
+        check([self.num] + [f for f, _ in self.den])
+
+    def checked_clear(ctx, items):
+        out = clear(ctx, items)
+        check([num for num, _ in items] + [f for _, den in items for f, _ in den]
+              + [num for num in out if num is not None])
+        return out
+
     monkeypatch.setattr(DFun, "__init__", checked)
+    monkeypatch.setattr(solve, "_clear", checked_clear)
     ctx = Context(("u",))
     u1 = ctx.u(1)
     L3 = AtomStructure(AtomChain(ctx, [("mult", [[u1]]), ("d", -1), ("mult", [[u1]])]))

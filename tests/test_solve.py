@@ -4,11 +4,13 @@ from fractions import Fraction as Q
 
 import pytest
 
+from lenard import chains, solve
 from lenard.errors import AnsatzExhausted
-from lenard.field import ONE_MONO, Context
+from lenard.field import DFun, ONE_MONO, Context, _den_cofactor, _den_lcm, poly_mul, qdiv
 from lenard.functional import variational_derivative
-from lenard.jacobi import AtomChain
+from lenard.jacobi import AtomChain, SumChain
 from lenard.operators import MatrixPsdOp, ScalarPsdOp
+from lenard.presets import liouville_spaces, load_liouville, load_nls, nls_spaces
 from lenard.solve import (AnsatzSpace, in_span, kernel_of, linear_solve,
                           reduce_span, solve_operator_equation)
 
@@ -267,3 +269,237 @@ def test_rational_elimination_divides_integers_exactly(ctx):
     (c,) = particular
     assert c == ctx.const(Q(1, 3)) and kernel == []
     assert type(c.num[ONE_MONO]) is Q
+
+
+def test_linear_solve_reduces_relations_after_clearing():
+    # clearing s/(1+s) and s/(2+s) to one denominator makes s^2, which the
+    # right-hand side's numerator holds as 1 + u'^2
+    ctx = Context(("u",))
+    s = ctx.adjoin_sqrt(1 + ctx.u(1) ** 2)
+    a, b = s / (1 + s), s / (2 + s)
+    assert in_span(ctx, [[a], [b]], [a + b])
+    assert not in_span(ctx, [[a]], [a + b])
+
+
+def test_relation_denominators_are_cleared_too():
+    # d^2 exp(c x) = c^2 exp(c x) with c^2 = -x2/x1: reducing the batch
+    # numerator brings in the denominator x1, which the rows must clear
+    ctx = Context(("u",), ("x1", "x2"))
+    x1, x2 = ctx.param("x1"), ctx.param("x2")
+    ctx.add_derived_parameter("c12", -x2 / x1)
+    E = ctx.adjoin_exp_x(ctx.param("c12"))
+    sol = solve_operator_equation(MatrixPsdOp.scalar(ScalarPsdOp.d(ctx, 2)), [x2 * E],
+                                  AnsatzSpace(ctx, -1, 0, multipliers=[E, 1 / E]))
+    assert sol.particular == [-x1 * E] and len(sol.kernel) == 1  # the constants
+
+
+# -- the batch application against the column-by-column one ------------------
+
+
+def _is_rational(e):
+    if e.den:
+        return None
+    if not e.num:
+        return 0
+    if len(e.num) == 1 and ONE_MONO in e.num:
+        return e.num[ONE_MONO]
+    return None
+
+
+def _columnwise_rows_of(ctx, f, den_lcm, rows, col):
+    num = f.num
+    cof = _den_cofactor(den_lcm, f.den)
+    if cof != {ONE_MONO: 1}:
+        num = poly_mul(num, cof)
+    for mono, q in num.items():
+        par, rest = solve._split_param_mono(ctx, mono)
+        row = rows.get(rest)
+        if row is None:
+            row = rows[rest] = {}
+        add = DFun(ctx, {par: q}, (), normalized=True)
+        cur = row.get(col)
+        if cur is not None:
+            add = cur + add
+            if add.is_zero():
+                del row[col]
+                continue
+        row[col] = add
+
+
+def _columnwise_linear_solve(ctx, columns, rhs):
+    """Reference: the row builder that took each column as a normalized
+    element, with the elimination it chose by inspecting the rows."""
+    K = len(columns)
+    sparse_rows = []
+    for comp in range(len(rhs)):
+        items = [col[comp] for col in columns] + [rhs[comp]]
+        den_lcm = ()
+        for f in items:
+            if f.den:
+                den_lcm = _den_lcm(den_lcm, f.den)
+        rows = {}
+        for col_idx, f in enumerate(items):
+            if not f.is_zero():
+                _columnwise_rows_of(ctx, f, den_lcm, rows, col_idx)
+        for rest in sorted(rows, key=lambda m: (len(m), m)):
+            sparse_rows.append(rows[rest])
+    if all(_is_rational(e) is not None for row in sparse_rows for e in row.values()):
+        conv = [{c: _is_rational(e) for c, e in row.items()} for row in sparse_rows]
+        part, kernel = solve._gauss_core(conv, K, 0, 1, lambda a: a == 0,
+                                         lambda a: qdiv(1, a))
+        if part is not None:
+            part = [ctx.const(v) for v in part]
+        return part, [[ctx.const(v) for v in vec] for vec in kernel]
+    return solve._gauss_core(sparse_rows, K, ctx.zero(), ctx.one(),
+                             lambda a: a.is_zero(), lambda a: a.inverse())
+
+
+def _columnwise_solve(apply, rhs, space, escalations):
+    """Reference: every column applied and normalized on its own; returns
+    (final space, particular, kernel), or None when the spaces run out."""
+    ctx = space.ctx
+    cur = space
+    for _ in range(escalations + 1):
+        basis = solve._vector_basis(ctx, cur.basis(), len(rhs))
+        particular, kernel = _columnwise_linear_solve(ctx, [apply(v) for v in basis], rhs)
+        if particular is not None:
+            return (cur, solve._combine(ctx, basis, particular),
+                    reduce_span(ctx, [solve._combine(ctx, basis, kv) for kv in kernel]))
+        cur = cur.escalated()
+    return None
+
+
+def _keys(vec):
+    return [f.key() for f in vec]
+
+
+def _check_against_columns(op, rhs, space, escalations=0):
+    """Every space the solve visits: each batch column equals the operator
+    applied to its basis vector; then the solve's final space, particular
+    and kernel keys equal the reference's."""
+    ctx, ell = space.ctx, len(rhs)
+    apply = op if callable(op) else op.apply
+    batch = solve._batch_operator(op)
+    ref = _columnwise_solve(apply, rhs, space, escalations)
+    cur = space
+    for _ in range(escalations + 1):
+        scalars = cur.basis()
+        cols, den = batch.apply_batch(*solve._basis_batch(scalars, ell))
+        vectors = solve._vector_basis(ctx, scalars, ell)
+        assert len(cols) == len(vectors)
+        for col, vec in zip(cols, vectors):
+            assert [DFun(ctx, n, den) for n in col] == apply(vec)
+        if ref is not None and cur.describe() == ref[0].describe():
+            break
+        cur = cur.escalated()
+    try:
+        sol = solve_operator_equation(op, rhs, space, escalations)
+    except AnsatzExhausted:
+        assert ref is None
+        return 0
+    assert ref is not None and sol.space.describe() == ref[0].describe()
+    assert _keys(sol.particular) == _keys(ref[1])
+    assert [_keys(v) for v in sol.kernel] == [_keys(v) for v in ref[2]]
+    return 1
+
+
+def _kn_B(ctx):
+    u1 = ctx.u(1)
+    Du1 = ((1 / u1) * (ctx.u(2) / u1).total_derivative()).total_derivative()
+    return AtomChain(ctx, [("d", 1), ("mult", [[1 / u1]]), ("d", 1),
+                           ("mult", [[1 / u1]]), ("d", 1),
+                           ("mult", [[1 / Du1]]), ("d", 1)])
+
+
+def _recorded_solves(run, monkeypatch):
+    """The (op, rhs, space, escalations) of every solve a chain step makes."""
+    seen = []
+    inner = chains.solve_operator_equation
+
+    def recorded(op, rhs, space, escalations=2):
+        seen.append((op, rhs, space, escalations))
+        return inner(op, rhs, space, escalations)
+
+    monkeypatch.setattr(chains, "solve_operator_equation", recorded)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def test_batch_columns_and_solutions_match_column_by_column(monkeypatch):
+    checked = 0
+    # KN ker B at degree 3
+    ctx = Context(("u",))
+    checked += _check_against_columns(_kn_B(ctx), [ctx.zero()],
+                                      AnsatzSpace(ctx, 3, 3, denominators=[(ctx.u(1), 3)]))
+    # the liouville-v and -ix spaces, with the escalations the step makes
+    escalated = 0
+    for case in ("v", "ix"):
+        pre = load_liouville(case)
+        b = pre.extras["b"]
+        spF, spG = liouville_spaces(pre.ctx, b[1], b[2])
+        solves = _recorded_solves(lambda: chains.extend_right(pre.chain, spF, spG, steps=1),
+                                  monkeypatch)
+        assert solves
+        for op, rhs, space, esc in solves:
+            checked += _check_against_columns(op, rhs, space, esc)
+            sol = solve_operator_equation(op, rhs, space, esc)
+            escalated += sol.space.describe() != space.describe()
+    assert escalated
+    # a sqrt symbol: its kernel, and the seed solve with a right-hand side
+    ctx = Context(("u",), ("x2", "x3"))
+    x2, x3 = ctx.param("x2"), ctx.param("x3")
+    u1, u2 = ctx.u(1), ctx.u(2)
+    s = ctx.adjoin_sqrt(x2 + x3 * u1 ** 2)
+    space = AnsatzSpace(ctx, 1, 2, multipliers=[s], denominators=[(s, 1)])
+    Y = MatrixPsdOp.scalar(ScalarPsdOp(ctx, {1: (x2 + x3 * u1 ** 2) / u2, 0: -x3 * u1}))
+    checked += _check_against_columns(Y, [ctx.zero()], space)
+    D = ScalarPsdOp.d(ctx)
+    B = MatrixPsdOp.scalar(D.compose(m(1 / u2)).compose(D))
+    checked += _check_against_columns(B, variational_derivative(s), space)
+    # exp(c u) with a derived parameter c, c^2 = -x3/x1
+    ctx = Context(("u",), ("x1", "x3"))
+    x1, x3 = ctx.param("x1"), ctx.param("x3")
+    ctx.add_derived_parameter("c13", -x3 / x1)
+    E = ctx.adjoin_exp_u(ctx.param("c13"))
+    D = ScalarPsdOp.d(ctx)
+    Y = MatrixPsdOp.scalar(D.compose(m(1 / ctx.u(1))).compose(D).scale(x1)
+                           + m(x3 * ctx.u(1)))
+    checked += _check_against_columns(Y, [ctx.zero()],
+                                      AnsatzSpace(ctx, -1, 0, multipliers=[E, 1 / E]))
+    # l = 2: the NLS kernels and the H-link of a right step
+    pre = load_nls()
+    ctx = pre.ctx
+    space = AnsatzSpace(ctx, 0, 1, denominators=[(ctx.gen(0, 0), 1)])
+    for op in (pre.H.den, pre.K.num):
+        checked += _check_against_columns(op, [ctx.zero()] * 2, space)
+    spF, _ = nls_spaces(ctx)
+    checked += _check_against_columns(pre.H.den, pre.chain.last().grad, spF)
+    assert checked == 9
+
+
+def test_solves_apply_the_operator_to_the_whole_basis_at_once(monkeypatch):
+    """The batch path may not fall back to applying the operator column by
+    column, whether the solve gets the operator or its bound apply."""
+    ctx = Context(("u",))
+    u2 = ctx.u(2)
+    D = ScalarPsdOp.d(ctx)
+    matrix = MatrixPsdOp.scalar(D.compose(m(1 / u2)).compose(D))
+    space = AnsatzSpace(ctx, 1, 2, x_power=1)
+    nls = load_nls()
+    nls_space = AnsatzSpace(nls.ctx, 0, 1, denominators=[(nls.ctx.gen(0, 0), 1)])
+    calls = []
+    for cls in (AtomChain, SumChain, MatrixPsdOp):
+        def counted(self, vec, inner=cls.apply):
+            calls.append(type(self).__name__)
+            return inner(self, vec)
+        monkeypatch.setattr(cls, "apply", counted)
+    for op, sp, ell in [(_kn_B(ctx), space, 1), (matrix, space, 1),
+                        (nls.H.den, nls_space, 2)]:
+        assert kernel_of(op, sp, ell=ell)
+        assert kernel_of(op.apply, sp, ell=ell)
+    rhs = [ctx.u(0) ** 2]
+    sol = solve_operator_equation(MatrixPsdOp.identity(ctx, 1), rhs, space)
+    assert sol.particular == rhs
+    assert calls == []
+
