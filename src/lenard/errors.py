@@ -26,7 +26,8 @@ class SingularLeadingSymbol(LenardError):
 
 
 class AnsatzExhausted(LenardError):
-    """No solution exists inside the configured ansatz space (after escalation)."""
+    """No solution exists inside the configured ansatz space, nor inside it
+    with every bound raised by the escalation (so in no space between)."""
 
 
 class HelmholtzFailure(LenardError):

@@ -3,10 +3,14 @@
 An AnsatzSpace generates a finite basis of differential functions
 (jet monomials times x-powers, symbol multipliers and whitelist
 denominators).  solve_operator_equation writes F as a constant
-combination of basis vectors and applies the operator to the whole basis
-at once, on numerators: the basis is cleared to one shared denominator,
-and each atom of the operator maps that batch to a batch (field.batch_*),
-so the quotient rule's shared work is done once per d and no column is
+combination of basis vectors.  When the given space has no solution it
+searches the lattice of spaces with each bound raised by 0 or by the
+escalation, fewest products first, and the space with every bound raised
+comes last; all of them take their basis from one BasisTable.  The
+operator is applied to each distinct basis element once per solve, in
+batches on numerators: a batch is cleared to one shared denominator, and
+each atom of the operator maps that batch to a batch (field.batch_*), so
+the quotient rule's shared work is done once per d and no column is
 normalized.  linear_solve reads the rows straight off the numerators: it
 clears every column and the right-hand side to one denominator, reduces
 the relations of each cleared numerator, and takes one row per monomial in
@@ -14,11 +18,12 @@ the non-parameter variables.  The system is solved by Gaussian
 elimination, over plain rationals when no parameter occurs and otherwise
 over the field of rational functions in the named parameters.  A
 multiple of the rows by a common polynomial spans the same row space, and
-the pivots are the reduced echelon form of that space, so the shared
-denominator does not change the solution.  Parameters are generic: any
-nonzero constant is invertible; zero-parameter cases are handled by
-binding those parameters to literal zero in the preset context.  Each
-span question (reduce_span, in_span, reduce_mod_span) is one elimination.
+the pivots are the reduced echelon form of that space, so neither the
+shared denominator nor the batch a column was applied in changes the
+solution.  Parameters are generic: any nonzero constant is invertible;
+zero-parameter cases are handled by binding those parameters to literal
+zero in the preset context.  Each span question (reduce_span, in_span,
+reduce_mod_span) is one elimination.
 """
 
 from __future__ import annotations
@@ -42,6 +47,9 @@ class AnsatzSpace:
     multipliers-- symbol factors (each a DFun, e.g. exp or sqrt symbols);
                   the constant 1 is always included
     denominators -- [(DFun, max power)] whitelist of denominator bases
+    weight_max -- when set, the largest weight of a basis element: its
+                  derivative count, less its x power and each denominator
+                  power times the dord of its base
     """
 
     def __init__(self, ctx, max_dord=1, max_degree=2, x_power=0,
@@ -54,12 +62,19 @@ class AnsatzSpace:
         self.denominators = list(denominators)
         self.weight_max = weight_max
 
-    def escalated(self):
-        """One escalation step: every bound grows by one."""
-        return AnsatzSpace(self.ctx, self.max_dord + 1, self.max_degree + 1,
-                           self.x_power + 1, self.multipliers,
-                           [(b, e + 1) for b, e in self.denominators],
-                           None if self.weight_max is None else self.weight_max + 1)
+    def bounds(self):
+        """The bounds a solve may raise: dord, degree, x power, each
+        denominator's power, and the weight when it is set."""
+        out = (self.max_dord, self.max_degree, self.x_power) + tuple(
+            e for _, e in self.denominators)
+        return out if self.weight_max is None else out + (self.weight_max,)
+
+    def raised(self, steps):
+        """The space with each bound raised by its entry of steps."""
+        b = [v + k for v, k in zip(self.bounds(), steps)]
+        dens = [(base, e) for (base, _), e in zip(self.denominators, b[3:])]
+        return AnsatzSpace(self.ctx, b[0], b[1], b[2], self.multipliers, dens,
+                           None if self.weight_max is None else b[-1])
 
     def describe(self):
         return "AnsatzSpace(N=%d, d=%d, p=%d, mult=%d, den=%s)" % (
@@ -67,42 +82,89 @@ class AnsatzSpace:
             [(str(b), e) for b, e in self.denominators])
 
     def basis(self) -> List[DFun]:
-        ctx = self.ctx
-        jets = [(ctx.gen(i, n), n) for i in range(ctx.ell)
-                for n in range(0, self.max_dord + 1)]
-        monos = [(ctx.one(), 0)]
-        for deg in range(1, self.max_degree + 1):
+        return BasisTable(self).basis(self.bounds())
+
+
+class BasisTable:
+    """The products monomial * x power * multiplier * denominator of a
+    space, in basis order, each with the index in needs of the least bounds
+    (as AnsatzSpace.bounds) that admit it.  A space inside this one takes
+    its basis from here; a product is made when a basis first needs it, and
+    only once."""
+
+    def __init__(self, space: AnsatzSpace):
+        ctx = space.ctx
+        self.ctx = ctx
+        self.mults = [ctx.one()] + list(space.multipliers)
+        jets = [(i, n) for i in range(ctx.ell) for n in range(0, space.max_dord + 1)]
+        monos = [((), (-1, 0), 0)]  # (jets, least (dord, degree), weight)
+        for deg in range(1, space.max_degree + 1):
             for combo in itertools.combinations_with_replacement(jets, deg):
-                w = sum(n for _, n in combo)
-                m = ctx.one()
-                for f, _ in combo:
-                    m = m * f
-                monos.append((m, w))
-        xs = [(ctx.one(), 0)]
-        for a in range(1, self.x_power + 1):
-            xs.append((ctx.x() ** a, -a))
-        mults = [ctx.one()] + list(self.multipliers)
-        dens = [(ctx.one(), 0)]
-        for base, emax in self.denominators:
+                orders = [n for _, n in combo]
+                monos.append((combo, (max(orders), deg), sum(orders)))
+        dens = [(ctx.one(), (), 0)]  # (denominator, its powers, weight)
+        for base, emax in space.denominators:
             bw = base.dord()
             bw = 0 if bw == float("-inf") else int(bw)
-            dens = [(d * base ** (-e), wd - e * bw)
-                    for d, wd in dens for e in range(0, emax + 1)]
+            dens = [(d * base ** (-e), pw + (e,), wd - e * bw)
+                    for d, pw, wd in dens for e in range(0, emax + 1)]
+        self.dens = [d for d, _, _ in dens]
+        wmax = space.weight_max
+        self.needs = []  # the distinct least bounds
+        self.entries = []  # ((jets, x power, denominator, multiplier), need index)
+        index: Dict = {}
+        for combo, need_m, wm in monos:
+            for a in range(space.x_power + 1):
+                for di, (_, pw, wd) in enumerate(dens):
+                    w = wm - a + wd
+                    if wmax is not None and w > wmax:
+                        continue
+                    need = need_m + (a,) + pw + (() if wmax is None else (w,))
+                    k = index.get(need)
+                    if k is None:
+                        k = index[need] = len(self.needs)
+                        self.needs.append(need)
+                    for si in range(len(self.mults)):
+                        self.entries.append(((combo, a, di, si), k))
+        self.xs = [ctx.one()] + [ctx.x() ** a for a in range(1, space.x_power + 1)]
+        self._monos: Dict = {(): ctx.one()}
+        self._made: Dict = {}  # partial products, by their factors
+
+    def _monomial(self, combo):
+        m = self._monos.get(combo)
+        if m is None:
+            m = self._monos[combo] = self._monomial(combo[:-1]) * self.ctx.gen(*combo[-1])
+        return m
+
+    def _product(self, factors):
+        """((monomial * x^a) * multiplier) * denominator, the monomial
+        multiplied out left to right; each partial product is made once."""
+        made = self._made
+        got = made.get(factors)
+        if got is None:
+            combo, a, di, si = factors
+            ms = made.get((combo, a, si))
+            if ms is None:
+                mx = made.get((combo, a))
+                if mx is None:
+                    mx = made[(combo, a)] = self._monomial(combo) * self.xs[a]
+                ms = made[(combo, a, si)] = mx * self.mults[si]
+            got = made[factors] = ms * self.dens[di]
+        return got
+
+    def basis(self, bounds) -> List[DFun]:
+        """The basis of the space with these bounds, each at most the
+        table's: its elements in order, the first of equal ones kept."""
+        fits = [all(n <= b for n, b in zip(need, bounds)) for need in self.needs]
         out = []
         seen = set()
-        for m, wm in monos:
-            for x, wx in xs:
-                mx = m * x
-                mxs = [mx * s for s in mults]
-                for d, wd in dens:
-                    if self.weight_max is not None and wm + wx + wd > self.weight_max:
-                        continue
-                    for ms in mxs:
-                        f = ms * d
-                        key = f.key()
-                        if key not in seen:
-                            seen.add(key)
-                            out.append(f)
+        for factors, k in self.entries:
+            if fits[k]:
+                f = self._product(factors)
+                key = f.key()
+                if key not in seen:
+                    seen.add(key)
+                    out.append(f)
         return out
 
 
@@ -121,23 +183,25 @@ def _clear(ctx, items):
     """The numerators of items [(num, den)], all cleared to the lcm of the
     denominators and reduced by the relations (None for a zero item).  A
     relation value's own denominator, constant and relation-free, is
-    cleared the same way after the reduction.  The columns of a batch share
-    one den object, so its cofactor is made once."""
-    lcm = ()
-    last = None
+    cleared the same way after the reduction.  Columns applied in one batch
+    share one den object, so its cofactor is made once."""
+    dens = {}
     for num, den in items:
-        if num and den and den is not last:
-            lcm = _den_lcm(lcm, den)
-            last = den
+        if num and den:
+            dens.setdefault(id(den), den)
+    lcm = ()
+    for den in dens.values():
+        lcm = _den_lcm(lcm, den)
+    cofactors = {}
     out = []
     extras = []
     extra_lcm = ()
-    last = None
     for num, den in items:
         extra = ()
         if num:
-            if den is not last:
-                last, cof = den, _den_cofactor(lcm, den)
+            cof = cofactors.get(id(den))
+            if cof is None:
+                cof = cofactors[id(den)] = _den_cofactor(lcm, den)
             if cof != _POLY_ONE:
                 num = poly_mul(num, cof)
             num, extra = _reduce_relations(ctx, num)
@@ -151,14 +215,17 @@ def _clear(ctx, items):
     return out
 
 
-def linear_solve(ctx, columns, rhs: Sequence[DFun], partial=False, den=None):
+def linear_solve(ctx, columns, rhs: Sequence[DFun], partial=False, dens=None):
     """Solve sum_k c_k columns[k] = rhs over the constant field.
 
-    columns and rhs are vectors (length ell) of DFun, or, with den given,
-    the columns are vectors of numerators over that one denominator; the
-    c_k are constants.  Returns (particular or None, kernel basis), both as
-    coefficient lists.  With partial=True the particular is the pivot-row
-    choice even when the system is inconsistent (never None).
+    columns and rhs are vectors (length ell) of DFun, or, with dens given,
+    column k is a vector of numerators over the denominator dens[k]; the
+    c_k are constants.  Returns (particular, kernel basis), both as
+    coefficient lists, or (None, None) when the system is inconsistent: a
+    row with the right-hand side alone shows it before any elimination, and
+    otherwise the elimination stops at the first row that shows it.  With
+    partial=True the particular is the pivot-row choice even then (never
+    None).
 
     Each component's numerators, cleared to one denominator and reduced,
     give one row per monomial in the non-parameter variables, with the
@@ -172,10 +239,10 @@ def linear_solve(ctx, columns, rhs: Sequence[DFun], partial=False, den=None):
     params = bool(ctx.params)
     rational = True
     for comp in range(len(rhs)):
-        if den is None:
+        if dens is None:
             items = [(col[comp].num, col[comp].den) for col in columns]
         else:
-            items = [(col[comp], den) for col in columns]
+            items = [(col[comp], den) for col, den in zip(columns, dens)]
         items.append((rhs[comp].num, rhs[comp].den))
         rows: Dict = {}
         for col, num in enumerate(_clear(ctx, items)):
@@ -197,6 +264,8 @@ def linear_solve(ctx, columns, rhs: Sequence[DFun], partial=False, den=None):
                     row[col].update(q)
                 else:
                     row[col] = q
+        if not partial and any(len(row) == 1 and K in row for row in rows.values()):
+            return None, None  # a monomial of the right-hand side alone
         for rest in sorted(rows, key=lambda m: (len(m), m)):
             raw.append(rows[rest])
     if params and rational:
@@ -204,9 +273,10 @@ def linear_solve(ctx, columns, rhs: Sequence[DFun], partial=False, den=None):
     if rational:
         part, kernel = _gauss_core(raw, K, 0, 1, lambda a: a == 0,
                                    lambda a: qdiv(1, a), partial)
-        if part is not None:
-            part = [ctx.const(v) for v in part]
-        return part, [[ctx.const(v) for v in vec] for vec in kernel]
+        if part is None:
+            return None, None
+        return ([ctx.const(v) for v in part],
+                [[ctx.const(v) for v in vec] for vec in kernel])
     rows = [{c: DFun(ctx, e, (), normalized=True) for c, e in row.items()} for row in raw]
     return _gauss_core(rows, K, ctx.zero(), ctx.one(),
                        lambda a: a.is_zero(), lambda a: a.inverse(), partial)
@@ -214,8 +284,6 @@ def linear_solve(ctx, columns, rhs: Sequence[DFun], partial=False, den=None):
 
 def _gauss_core(rows, K, zero, one, is_zero, inv, partial=False):
     pivots: Dict[int, Dict[int, object]] = {}  # pivot col -> normalized row
-    order: List[int] = []
-    inconsistent = False
     # sparse rows first keeps fill-in and coefficient growth down
     queue = sorted(range(len(rows)), key=lambda i: (len(rows[i]), i))
     for ridx in queue:
@@ -239,14 +307,13 @@ def _gauss_core(rows, K, zero, one, is_zero, inv, partial=False):
                     row[c2] = nv
         lead = min((c for c in row if c < K), default=None)
         if lead is None:
-            if row and not is_zero(row.get(K, zero)):
-                inconsistent = True
+            if not partial and row and not is_zero(row.get(K, zero)):
+                return None, None  # inconsistent: the elimination stops here
             continue
         scale = inv(row[lead])
         row = {c: v * scale for c, v in row.items()}
         row[lead] = one
         pivots[lead] = row
-        order.append(lead)
     # back substitution so every pivot row is reduced against later pivots
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
@@ -262,11 +329,9 @@ def _gauss_core(rows, K, zero, one, is_zero, inv, partial=False):
                 else:
                     row[c3] = nv
         pivots[c] = row
-    particular = None
-    if not inconsistent or partial:
-        particular = [zero] * K
-        for c, row in pivots.items():
-            particular[c] = row.get(K, zero)
+    particular = [zero] * K
+    for c, row in pivots.items():
+        particular[c] = row.get(K, zero)
     kernel = []
     for free in range(K):
         if free in pivots:
@@ -343,38 +408,104 @@ def _basis_batch(scalars, ell):
             for comp in range(ell) for n in nums], den
 
 
+# The spaces a solve tries between its first and its last hold at most this
+# share of the last one's products in all.  The measured liouville and c1
+# K-links that the search answers early need 0.02-0.41 of it; the operator
+# is applied to no basis element twice, so an exhausted search costs the
+# last space plus at most this much elimination.
+_SEARCH_BUDGET = 0.5
+
+
+def _lattice(table: BasisTable, low, step):
+    """The spaces with each bound of low raised by 0 or by step, in order of
+    size, one per distinct set of table products; those with all of the
+    table's products or only low's are left out.  A product is in a space
+    when every bound it needs above low is raised.  Returns (size, steps);
+    the size counts products, before equal ones merge in the basis."""
+    masks = [sum(1 << i for i, (n, b) in enumerate(zip(need, low)) if n > b)
+             for need in table.needs]
+    counts: Dict[int, int] = {}
+    for _, k in table.entries:
+        counts[masks[k]] = counts.get(masks[k], 0) + 1
+    full = (1 << len(low)) - 1
+
+    def inside(M):
+        return frozenset(m for m in counts if m & ~M == 0)
+
+    seen = {inside(0), inside(full)}
+    points = []
+    for M in range(1, full):
+        held = inside(M)
+        if held not in seen:
+            seen.add(held)
+            points.append((sum(counts[m] for m in held),
+                           tuple(step if M >> i & 1 else 0 for i in range(len(low)))))
+    return sorted(points)
+
+
 def solve_operator_equation(op, rhs: Sequence[DFun], space: AnsatzSpace,
                             escalations=2) -> SolutionSet:
     """Solve op(F) = rhs for F inside the ansatz space.
 
     op is an operator with a batch application (AtomChain, SumChain,
-    MatrixPsdOp, or the bound apply of one), which maps the whole basis at
-    once as numerators over one shared denominator; any other callable
-    vector -> vector linear map is applied column by column.  Escalates the
-    space (bounds +1) at most `escalations` times; raises AnsatzExhausted
-    when no solution exists in the largest space.  For rhs = 0 the system
-    is homogeneous, so the first space always answers.
+    MatrixPsdOp, or the bound apply of one), which maps a batch of basis
+    vectors at once as numerators over one shared denominator; any other
+    callable vector -> vector linear map is applied column by column.
+
+    When the space has no solution, the spaces with each bound raised by 0
+    or by `escalations` are searched, fewest products first, and the first
+    with a solution answers.  The space with every bound raised is always
+    tried last, and AnsatzExhausted is raised when it has no solution
+    either; escalations=0 tries the given space alone.  The spaces tried in
+    between hold at most _SEARCH_BUDGET times the last one's products in
+    all.  Every space takes its basis from one table, and the operator is
+    applied to each distinct basis element once per solve.  For rhs = 0
+    the system is homogeneous, so the first space always answers.
     """
     ctx = space.ctx
     ell = len(rhs)
     batch = _batch_operator(op)
-    cur = space
-    for attempt in range(escalations + 1):
-        scalars = cur.basis()
-        basis_vectors = _vector_basis(ctx, scalars, ell)
+    applied: Dict = {}  # basis element key -> its ell columns, with their dens
+
+    def solved(scalars, cur):
+        new = [f for f in scalars if f.key() not in applied]
         if batch is None:
-            particular, kernel = linear_solve(ctx, [op(vec) for vec in basis_vectors], rhs)
-        else:
-            cols, den = batch.apply_batch(*_basis_batch(scalars, ell))
-            particular, kernel = linear_solve(ctx, cols, rhs, den=den)
-        if particular is not None:
-            part_vec = _combine(ctx, basis_vectors, particular)
-            ker_vecs = reduce_span(ctx, [_combine(ctx, basis_vectors, kv)
-                                         for kv in kernel])
-            return SolutionSet(ctx, basis_vectors, part_vec, ker_vecs, cur)
-        cur = cur.escalated()
-    raise AnsatzExhausted("no solution in %s after %d escalations"
-                          % (space.describe(), escalations))
+            for f in new:
+                applied[f.key()] = [(op(vec), None) for vec in _vector_basis(ctx, [f], ell)]
+        elif new:
+            cols, den = batch.apply_batch(*_basis_batch(new, ell))
+            for i, f in enumerate(new):
+                applied[f.key()] = [(cols[comp * len(new) + i], den) for comp in range(ell)]
+        columns = [applied[f.key()][comp] for comp in range(ell) for f in scalars]
+        particular, kernel = linear_solve(
+            ctx, [col for col, _ in columns], rhs,
+            dens=None if batch is None else [den for _, den in columns])
+        if particular is None:
+            return None
+        basis_vectors = _vector_basis(ctx, scalars, ell)
+        part_vec = _combine(ctx, basis_vectors, particular)
+        ker_vecs = reduce_span(ctx, [_combine(ctx, basis_vectors, kv) for kv in kernel])
+        return SolutionSet(ctx, basis_vectors, part_vec, ker_vecs, cur)
+
+    sol = solved(space.basis(), space)
+    if sol is None and escalations:
+        low = space.bounds()
+        top = space.raised([escalations] * len(low))
+        table = BasisTable(top)
+        budget = _SEARCH_BUDGET * len(table.entries)
+        for size, steps in _lattice(table, low, escalations):
+            if size > budget:
+                break
+            budget -= size
+            cur = space.raised(steps)
+            sol = solved(table.basis(cur.bounds()), cur)
+            if sol is not None:
+                return sol
+        sol = solved(table.basis(top.bounds()), top)
+    if sol is None:
+        raise AnsatzExhausted("no solution in %s after %d escalations"
+                              % (space.describe(), escalations))
+    return sol
 
 
 def reduce_mod_span(ctx, vectors: List[List[DFun]], target: List[DFun]):

@@ -1,5 +1,6 @@
 """Undetermined-coefficient solving: the paper's kernel fixtures."""
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -155,6 +156,27 @@ def test_escalation_finds_bigger_solutions(ctx):
                                   AnsatzSpace(ctx, 1, 2), escalations=1)
     assert sol.particular[0] == ctx.u(0) ** 3
     assert sol.space.max_degree == 3
+
+
+def test_the_space_with_every_bound_raised_comes_last(ctx, monkeypatch):
+    # x u''^3 needs dord, degree and x power all raised: no other space of
+    # the lattice holds it.  The spaces tried before share basis elements,
+    # and the operator is applied to each only once.
+    batched = []
+    inner = solve._basis_batch
+
+    def recorded(scalars, ell):
+        batched.extend(f.key() for f in scalars)
+        return inner(scalars, ell)
+
+    monkeypatch.setattr(solve, "_basis_batch", recorded)
+    I = MatrixPsdOp.identity(ctx, 1)
+    rhs = [ctx.x() * ctx.u(2) ** 3]
+    space = AnsatzSpace(ctx, 1, 2)
+    sol = solve_operator_equation(I, rhs, space, escalations=1)
+    assert sol.particular == rhs
+    assert sol.space.describe() == space.raised([1, 1, 1]).describe()
+    assert len(batched) == len(set(batched)) == len(sol.basis)
 
 
 def test_basis_linear_independence(ctx):
@@ -347,25 +369,30 @@ def _columnwise_linear_solve(ctx, columns, rhs):
         conv = [{c: _is_rational(e) for c, e in row.items()} for row in sparse_rows]
         part, kernel = solve._gauss_core(conv, K, 0, 1, lambda a: a == 0,
                                          lambda a: qdiv(1, a))
-        if part is not None:
-            part = [ctx.const(v) for v in part]
-        return part, [[ctx.const(v) for v in vec] for vec in kernel]
+        if part is None:
+            return None, None
+        return [ctx.const(v) for v in part], [[ctx.const(v) for v in vec] for vec in kernel]
     return solve._gauss_core(sparse_rows, K, ctx.zero(), ctx.one(),
                              lambda a: a.is_zero(), lambda a: a.inverse())
 
 
+def _escalated(space, k):
+    """The space with every bound raised by k."""
+    return space.raised([k] * len(space.bounds()))
+
+
 def _columnwise_solve(apply, rhs, space, escalations):
-    """Reference: every column applied and normalized on its own; returns
-    (final space, particular, kernel), or None when the spaces run out."""
+    """Reference: every column applied and normalized on its own, and every
+    bound raised by one per escalation; returns (final space, particular,
+    kernel), or None when the spaces run out."""
     ctx = space.ctx
-    cur = space
-    for _ in range(escalations + 1):
+    for k in range(escalations + 1):
+        cur = _escalated(space, k)
         basis = solve._vector_basis(ctx, cur.basis(), len(rhs))
         particular, kernel = _columnwise_linear_solve(ctx, [apply(v) for v in basis], rhs)
         if particular is not None:
             return (cur, solve._combine(ctx, basis, particular),
                     reduce_span(ctx, [solve._combine(ctx, basis, kv) for kv in kernel]))
-        cur = cur.escalated()
     return None
 
 
@@ -373,16 +400,24 @@ def _keys(vec):
     return [f.key() for f in vec]
 
 
+def _between(low, mid, high):
+    """Is mid a space of the bound lattice from low to high?"""
+    return (mid.multipliers == low.multipliers
+            and [b for b, _ in mid.denominators] == [b for b, _ in low.denominators]
+            and all(a <= m <= b for a, m, b in zip(low.bounds(), mid.bounds(), high.bounds())))
+
+
 def _check_against_columns(op, rhs, space, escalations=0):
-    """Every space the solve visits: each batch column equals the operator
-    applied to its basis vector; then the solve's final space, particular
-    and kernel keys equal the reference's."""
+    """Every space the reference visits: each batch column equals the
+    operator applied to its basis vector; then the solve's particular and
+    kernel keys equal the reference's, and its final space lies between the
+    start space and the reference's final one."""
     ctx, ell = space.ctx, len(rhs)
     apply = op if callable(op) else op.apply
     batch = solve._batch_operator(op)
     ref = _columnwise_solve(apply, rhs, space, escalations)
-    cur = space
-    for _ in range(escalations + 1):
+    for k in range(escalations + 1):
+        cur = _escalated(space, k)
         scalars = cur.basis()
         cols, den = batch.apply_batch(*solve._basis_batch(scalars, ell))
         vectors = solve._vector_basis(ctx, scalars, ell)
@@ -391,13 +426,12 @@ def _check_against_columns(op, rhs, space, escalations=0):
             assert [DFun(ctx, n, den) for n in col] == apply(vec)
         if ref is not None and cur.describe() == ref[0].describe():
             break
-        cur = cur.escalated()
     try:
         sol = solve_operator_equation(op, rhs, space, escalations)
     except AnsatzExhausted:
         assert ref is None
         return 0
-    assert ref is not None and sol.space.describe() == ref[0].describe()
+    assert ref is not None and _between(space, sol.space, ref[0])
     assert _keys(sol.particular) == _keys(ref[1])
     assert [_keys(v) for v in sol.kernel] == [_keys(v) for v in ref[2]]
     return 1
@@ -503,3 +537,149 @@ def test_solves_apply_the_operator_to_the_whole_basis_at_once(monkeypatch):
     assert sol.particular == rhs
     assert calls == []
 
+
+# -- the bound-lattice search against raising every bound at once -------------
+
+
+def _every_bound_raised(op, rhs, space, escalations):
+    """Reference: the spaces with every bound raised by 0, 1, ...,
+    escalations, in turn; the first with a solution answers."""
+    for k in range(escalations + 1):
+        try:
+            return solve_operator_equation(op, rhs, _escalated(space, k), escalations=0)
+        except AnsatzExhausted:
+            pass
+    raise AnsatzExhausted("no solution in %s after %d escalations"
+                          % (space.describe(), escalations))
+
+
+def _summary(sol):
+    """A solution's particular and kernel, by key and by print."""
+    return ([_keys(sol.particular), [str(f) for f in sol.particular]],
+            [[_keys(v), [str(f) for f in v]] for v in sol.kernel])
+
+
+def _answered_solves(module, run, monkeypatch):
+    """(op, rhs, space, escalations, answer, final space) of every solve
+    the module makes while run() runs; an exhausted solve's answer is its
+    message and its final space None."""
+    seen = []
+    inner = module.solve_operator_equation
+
+    def recorded(op, rhs, space, escalations=2):
+        try:
+            sol = inner(op, rhs, space, escalations)
+        except AnsatzExhausted as e:
+            seen.append((op, rhs, space, escalations, ("exhausted", str(e)), None))
+            raise
+        seen.append((op, rhs, space, escalations, _summary(sol), sol.space))
+        return sol
+
+    monkeypatch.setattr(module, "solve_operator_equation", recorded)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def test_lattice_search_answers_as_raising_every_bound(monkeypatch):
+    """Every solve of the liouville-v and -ix right steps, of the c1 pattern
+    (0,0,1),(0,1,0) and of the exhausted blocked-a K-link gives the same
+    particular and kernel, by key and by print, or the same exhaustion, as
+    the reference that raises every bound at once."""
+    from lenard import liouville
+    solves = []
+    for case in ("v", "ix"):
+        pre = load_liouville(case)
+        b = pre.extras["b"]
+        spF, spG = liouville_spaces(pre.ctx, b[1], b[2])
+        solves += _answered_solves(
+            chains, lambda: chains.extend_right(pre.chain, spF, spG, steps=1), monkeypatch)
+    solves += _answered_solves(
+        chains, lambda: liouville.empirical_class((0, 0, 1), (0, 1, 0)), monkeypatch)
+    blocked = _answered_solves(
+        liouville, lambda: liouville.empirical_class((0, 1, 0), (1, 0, 1)), monkeypatch)
+    assert len(blocked) == 1
+    escalated = exhausted = 0
+    for op, rhs, space, esc, answer, final in solves + blocked:
+        try:
+            want = _summary(_every_bound_raised(op, rhs, space, esc))
+        except AnsatzExhausted as e:
+            want = ("exhausted", str(e))
+        assert answer == want
+        exhausted += final is None
+        # answered inside the lattice, short of raising every bound
+        escalated += final is not None and final.describe() not in (
+            space.describe(), _escalated(space, esc).describe())
+    assert exhausted == 1 and escalated == 3
+
+
+def _reference_basis(space):
+    """Reference: every product monomial * x power * multiplier *
+    denominator of the space, built in one loop, the first of equal ones
+    kept."""
+    ctx = space.ctx
+    jets = [(ctx.gen(i, n), n) for i in range(ctx.ell) for n in range(space.max_dord + 1)]
+    monos = [(ctx.one(), 0)]
+    for deg in range(1, space.max_degree + 1):
+        for combo in itertools.combinations_with_replacement(jets, deg):
+            m = ctx.one()
+            for f, _ in combo:
+                m = m * f
+            monos.append((m, sum(n for _, n in combo)))
+    xs = [(ctx.one(), 0)] + [(ctx.x() ** a, -a) for a in range(1, space.x_power + 1)]
+    dens = [(ctx.one(), 0)]
+    for base, emax in space.denominators:
+        bw = base.dord()
+        bw = 0 if bw == float("-inf") else int(bw)
+        dens = [(d * base ** (-e), wd - e * bw) for d, wd in dens for e in range(emax + 1)]
+    out, seen = [], set()
+    for m, wm in monos:
+        for x, wx in xs:
+            for d, wd in dens:
+                if space.weight_max is not None and wm + wx + wd > space.weight_max:
+                    continue
+                for s in [ctx.one()] + space.multipliers:
+                    f = m * x * s * d
+                    if f.key() not in seen:
+                        seen.add(f.key())
+                        out.append(f)
+    return out
+
+
+def _products(table, bounds):
+    """How many of the table's products a space with these bounds admits."""
+    return sum(1 for _, k in table.entries
+               if all(n <= b for n, b in zip(table.needs[k], bounds)))
+
+
+@pytest.mark.parametrize("which", ["sqrt", "exp", "weight"])
+def test_basis_table_restricts_to_each_lattice_space(which):
+    """The table of the largest space, restricted to the bounds of any space
+    of the lattice, gives that space's own basis, in order and with equal
+    products kept once, as the one-loop reference does; the search sizes
+    count the table's products."""
+    ctx = Context(("u",), ("b2", "b3"))
+    u1 = ctx.u(1)
+    if which == "sqrt":
+        # s * (1/s) = 1: the de-duplication case
+        s = ctx.adjoin_sqrt(ctx.param("b2") + ctx.param("b3") * u1 ** 2)
+        space = AnsatzSpace(ctx, 1, 2, multipliers=[s], denominators=[(s, 1)])
+    elif which == "exp":
+        # raising dord or degree alone adds nothing: no jets at degree 0
+        E = ctx.adjoin_exp_x(ctx.const(2))
+        space = AnsatzSpace(ctx, -1, 0, x_power=1, multipliers=[E, 1 / E])
+    else:
+        space = AnsatzSpace(ctx, 1, 2, denominators=[(u1, 1)], weight_max=1)
+    step = 2
+    table = solve.BasisTable(_escalated(space, step))
+    merged = 0
+    for steps in itertools.product((0, step), repeat=len(space.bounds())):
+        point = space.raised(steps)
+        want = [f.key() for f in _reference_basis(point)]
+        assert [f.key() for f in table.basis(point.bounds())] == want
+        assert [f.key() for f in point.basis()] == want
+        merged += _products(table, point.bounds()) > len(want)
+    assert merged or which != "sqrt"
+    for size, steps in solve._lattice(table, space.bounds(), step):
+        assert size == _products(table, space.raised(steps).bounds())
+        assert _products(table, space.bounds()) < size < len(table.entries)
