@@ -77,3 +77,7 @@ class ParseError(LenardError):
         super().__init__(f"{message} (line {line}, col {col})")
         self.line = line
         self.col = col
+
+
+class ExponentOverflow(LenardError, OverflowError):
+    """A monomial's exponent would leave its packed field."""

@@ -11,12 +11,30 @@ qdiv, because int / int is a float.
 
 Representation: a DFun is num/den where num is a sparse multivariate
 polynomial and den a product of monic polynomial factors with positive
-integer exponents.  Square-root symbols and derived parameters carry a
-quadratic relation v**2 = g and are reduced so no power >= 2 survives;
-exponential symbols are Laurent variables (negative powers allowed).
-Neither kind ever remains in a denominator as a factor of its own, and a
-composite factor holds no power of an exponential symbol common to all
-its terms, nor a negative one.
+integer exponents.  A polynomial is a dict from monomial to coefficient,
+and a monomial is one Python int, a packed exponent vector (Monagan and
+Pearce, CASC 2007): the exponent e_v of the variable with id v is the
+signed EXP_BITS-bit field at bit EXP_BITS*v, the int being the sum of the
+e_v * 2**(EXP_BITS*v).  So the monomial 1 is 0, a product of monomials is
+the sum of their ints and a quotient their difference.  A negative field
+borrows one from the field above; reading a field adds EXP_LIMIT to every
+field first, which leaves plain digits.  The fields are 32 bits wide, as
+inputs such as u'^40000 need more than 16, and every exponent lies in
+[-EXP_LIMIT, EXP_LIMIT), EXP_LIMIT = 2**31.  An operation whose result
+would leave that range raises ExponentOverflow; no field ever wraps into
+the next.  The check is cheap: when every exponent of two monomials lies
+in the guard band [-EXP_LIMIT/2, EXP_LIMIT/2), tested with one addition
+and one mask each, their sum cannot leave the range, and only otherwise
+are the fields unpacked and added one by one.  Unpacking (mono_items) is
+memoized, and orders that follow the (var_id, exponent) pairs, such as
+that of a denominator's factors, are taken from the unpacked pairs.
+
+Square-root symbols and derived parameters carry a quadratic relation
+v**2 = g and are reduced so no power >= 2 survives; exponential symbols
+are Laurent variables (negative powers allowed).  Neither kind ever
+remains in a denominator as a factor of its own, and a composite factor
+holds no power of an exponential symbol common to all its terms, nor a
+negative one.
 
 Three operations are canonical by construction, so they skip _normalize,
 which would return their result unchanged.  A sum of two polynomials (no
@@ -31,10 +49,12 @@ reduced, unless a relation value's denominator comes in.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
-from typing import Dict, Optional, Tuple
+from operator import or_
+from typing import Dict, Optional
 
-from .errors import ZeroDivisor
+from .errors import ExponentOverflow, ZeroDivisor
 
 Q = Fraction
 NEG_INF = float("-inf")
@@ -45,70 +65,122 @@ KIND_SYMBOL = 1
 KIND_X = 2
 KIND_GEN = 3
 
-Mono = Tuple[Tuple[int, int], ...]  # sorted ((var_id, exp), ...), exps nonzero
-ONE_MONO: Mono = ()
+# A monomial: the sum of e_v * 2**(EXP_BITS*v) over the variable ids v, each
+# exponent e_v a signed EXP_BITS-bit field in [-EXP_LIMIT, EXP_LIMIT); an
+# operation that would take one outside raises ExponentOverflow
+Mono = int
+ONE_MONO: Mono = 0
+EXP_BITS = 32
+EXP_LIMIT = 1 << (EXP_BITS - 1)
+_MASK = (1 << EXP_BITS) - 1
 _PAIRS_END = (float("inf"),)  # closes a mono_sortkey, after every (place, -exp)
+
+# per-field constants over the variable ids of every context so far (_widen;
+# they only grow, and cover every id a monomial can hold): _ONES has bit 0
+# of each field, _QB the value EXP_LIMIT/2 in each and _HB EXP_LIMIT.
+# m + _QB turns each exponent e into the digit e + EXP_LIMIT/2, so
+# (m + _QB) & _HB is zero exactly when every e lies in the guard band
+# [-EXP_LIMIT/2, EXP_LIMIT/2), where a sum of two monomials cannot leave
+# its fields; and (m + _QB) & (_QB | _HB) == _QB exactly when every e lies
+# in [0, EXP_LIMIT/2), where m's raw bits are its fields, top bits clear.
+_ONES = _QB = _HB = 0
+
+
+def _widen(n):
+    """Let the per-field constants cover the variable ids below n."""
+    global _ONES, _QB, _HB
+    ones = ((1 << (EXP_BITS * n)) - 1) // _MASK
+    if ones > _ONES:
+        _ONES, _QB, _HB = ones, ones << (EXP_BITS - 2), ones << (EXP_BITS - 1)
+
+
+def _banded(monos) -> bool:
+    """Does every exponent of the monomials lie in the guard band?"""
+    return not reduce(or_, map(_QB.__add__, monos), 0) & _HB
+
+
+def _check_exp(e):
+    if not -EXP_LIMIT <= e < EXP_LIMIT:
+        raise ExponentOverflow("exponent %d leaves the %d-bit exponent field"
+                               % (e, EXP_BITS))
+
+
+def mono_var(vid) -> Mono:
+    """The monomial of one variable to the first power."""
+    return 1 << (EXP_BITS * vid)
+
+
+def mono_pack(pairs) -> Mono:
+    """The monomial with these (var_id, exponent) pairs."""
+    m = 0
+    for v, e in pairs:
+        _check_exp(e)
+        m += e << (EXP_BITS * v)
+    return m
+
+
+@lru_cache(maxsize=1 << 10)
+def mono_items(m: Mono):
+    """The (var_id, exponent) pairs of m's nonzero fields, by id.  Each step
+    reads the lowest nonzero field, found from the lowest set bit, and
+    clears it.  Memoized: a computation reuses few monomials many times."""
+    pairs = []
+    while m:
+        shift = (m & -m).bit_length() - 1
+        shift -= shift % EXP_BITS
+        e = ((m >> shift) + EXP_LIMIT & _MASK) - EXP_LIMIT
+        pairs.append((shift // EXP_BITS, e))
+        m -= e << shift
+    return tuple(pairs)
+
+
+def mono_exp(m: Mono, vid) -> int:
+    """The exponent of one variable in m: biased by EXP_LIMIT, every field
+    is a plain digit, with no borrow from the fields below."""
+    return ((m + _HB) >> (EXP_BITS * vid) & _MASK) - EXP_LIMIT
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va < vb:
-            out.append(a[i]); i += 1
-        elif vb < va:
-            out.append(b[j]); j += 1
-        else:
-            e = ea + eb
-            if e:
-                out.append((va, e))
-            i += 1; j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    """a * b, which is a + b once no exponent of it can leave its field."""
+    if not _banded((a, b)):
+        exps = dict(mono_items(a))
+        for v, e in mono_items(b):
+            _check_exp(e + exps.get(v, 0))
+    return a + b
 
 
 def mono_div(a: Mono, b: Mono) -> Optional[Mono]:
-    """a / b, or None when b does not divide a."""
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while j < nb:
-        vb, eb = b[j]
-        while i < na and a[i][0] < vb:
-            out.append(a[i]); i += 1
-        if i == na or a[i][0] != vb or a[i][1] < eb:
+    """a / b, or None unless each variable of b occurs in a, to at least
+    its power in b."""
+    for v, e in mono_items(b):
+        have = mono_exp(a, v)
+        if not have or have < e:
             return None
-        e = a[i][1] - eb
-        if e:
-            out.append((a[i][0], e))
-        i += 1; j += 1
-    out.extend(a[i:])
-    return tuple(out)
+        _check_exp(have - e)
+    return a - b
 
 
 def mono_gcd(a: Mono, b: Mono) -> Mono:
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va < vb:
-            i += 1
-        elif vb < va:
-            j += 1
-        else:
-            if ea > 0 and eb > 0:
-                out.append((va, min(ea, eb)))
-            i += 1; j += 1
-    return tuple(out)
+    """Each variable's lower power in a and b, where both are positive."""
+    qb, band = _QB, _QB | _HB
+    if (a + qb) & band == qb and (b + qb) & band == qb:
+        # raw bits with the top bits clear: each field of (a | _HB) - b is
+        # EXP_LIMIT + a_v - b_v, its top bit set where a_v >= b_v
+        pick = (((a | _HB) - b) >> (EXP_BITS - 1) & _ONES) * _MASK
+        return a & ~pick | b & pick
+    exps = dict(mono_items(a))
+    return mono_pack((v, min(e, exps[v])) for v, e in mono_items(b)
+                     if e > 0 and exps.get(v, 0) > 0)
+
+
+def poly_vars(polys):
+    """The ids of the variables occurring in a list of polynomials."""
+    out = set()
+    for p in polys:
+        for m in p:
+            for v, _ in mono_items(m):
+                out.add(v)
+    return out
 
 
 class Context:
@@ -128,6 +200,8 @@ class Context:
         self._names = []         # id -> display name
         self._rank = []          # id -> canonical sort rank (tuple)
         self._pos = []           # id -> place in descending rank order (int)
+        self._sortkeys = {}      # monomial -> mono_sortkey, until the next id
+        self._d_ratios = {}      # id of x or a jet -> its total derivative over it
         self.laurent = []        # id -> bool (exponential symbols)
         self.relations = {}      # id -> DFun value of var**2 (relation-free)
         self.sym_dlog = {}       # id -> DFun, total derivative of log(symbol)
@@ -150,6 +224,8 @@ class Context:
         self._names.append(name)
         self._rank.append(rank)
         self.laurent.append(laurent)
+        _widen(vid + 1)
+        self._sortkeys = {}
         pos = self._pos = [0] * len(self._rank)
         for i, v in enumerate(sorted(range(len(pos)), key=self._rank.__getitem__,
                                      reverse=True)):
@@ -282,7 +358,7 @@ class Context:
         return DFun(self, {ONE_MONO: q}, (), normalized=True)
 
     def var_fun(self, vid):
-        return DFun(self, {((vid, 1),): 1}, (), normalized=True)
+        return DFun(self, {mono_var(vid): 1}, (), normalized=True)
 
     def x(self):
         return self.var_fun(self.x_id)
@@ -304,16 +380,20 @@ class Context:
         down, a monomial outranking each proper prefix of its pairs.  Here
         each pair becomes (place, -exponent), places counting down the
         ranks, and _PAIRS_END outsorts every pair.  The key is only
-        comparable with keys made before the next variable is registered.
+        comparable with keys made before the next variable is registered,
+        so the cache of keys starts afresh then.
         """
-        pos = self._pos
-        deg = 0
-        pairs = []
-        for v, e in mono:
-            deg -= e
-            pairs.append((pos[v], -e))
-        pairs.sort()
-        return (deg, *pairs, _PAIRS_END)
+        key = self._sortkeys.get(mono)
+        if key is None:
+            pos = self._pos
+            deg = 0
+            pairs = []
+            for v, e in mono_items(mono):
+                deg -= e
+                pairs.append((pos[v], -e))
+            pairs.sort()
+            key = self._sortkeys[mono] = (deg, *pairs, _PAIRS_END)
+        return key
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +432,22 @@ def poly_mul(a: Dict[Mono, Q], b: Dict[Mono, Q]) -> Dict[Mono, Q]:
         return {}
     if len(a) > len(b):
         a, b = b, a
+    # _banded(a) and _banded(b), inlined: most products are of single terms
+    qb = _QB
+    band = 0
+    for m in a:
+        band |= m + qb
+    for m in b:
+        band |= m + qb
+    if band & _HB:
+        for ma in a:
+            for mb in b:
+                mono_mul(ma, mb)  # raises if an exponent leaves its field
     out: Dict[Mono, Q] = {}
     get = out.get
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = mono_mul(ma, mb)
+            m = ma + mb
             v = get(m)
             if v is None:
                 out[m] = ca * cb
@@ -403,6 +494,7 @@ def poly_exact_div(ctx, a: Dict[Mono, Q], b: Dict[Mono, Q]) -> Optional[Dict[Mon
     lb = poly_lead(ctx, b)
     cb = b[lb]
     tail = [(t, ct) for t, ct in b.items() if t != lb]
+    banded = _banded(t for t, _ in tail)
     rem = dict(a)
     heap = [(key(m), m) for m in rem]
     heapify(heap)
@@ -417,8 +509,9 @@ def poly_exact_div(ctx, a: Dict[Mono, Q], b: Dict[Mono, Q]) -> Optional[Dict[Mon
             return None
         c = qdiv(c, cb)
         quo[m] = c
+        plain = banded and _banded((m,))
         for t, ct in tail:
-            mt = mono_mul(m, t)
+            mt = m + t if plain else mono_mul(m, t)
             v = rem.get(mt)
             if v is None:
                 v = -(c * ct)
@@ -438,28 +531,25 @@ def _top_degrees(a: Dict[Mono, Q]) -> Dict[int, Optional[int]]:
     """Each variable's highest exponent in a; None once one is negative."""
     top: Dict[int, Optional[int]] = {}
     for m in a:
-        for v, e in m:
+        for v, e in mono_items(m):
             t = top.get(v, 0)
             if t is not None and (e < 0 or e > t):
                 top[v] = None if e < 0 else e
     return top
 
 
-def _poly_derive(a: Dict[Mono, Q], images: Dict[int, Mono]) -> Dict[Mono, Q]:
-    """The derivation v -> images[v] (a monomial; 0 for the variables not
-    listed) applied to a polynomial: sum over v of d(a)/dv * images[v]."""
+def _poly_derive(a: Dict[Mono, Q], ratios: Dict[int, Mono]) -> Dict[Mono, Q]:
+    """The derivation v -> ratios[v] * v (ratios[v] a Laurent monomial; 0
+    for the variables not listed) applied to a polynomial: sum over v of
+    d(a)/dv * ratios[v] * v, each term of d(a)/dv * v being e * m."""
     out: Dict[Mono, Q] = {}
+    plain = _banded(a)  # then m + ratio stays in its fields, a ratio's exponents 0 or +-1
     for m, c in a.items():
-        for idx, (v, e) in enumerate(m):
-            image = images.get(v)
-            if image is None:
+        for v, e in mono_items(m):
+            ratio = ratios.get(v)
+            if ratio is None:
                 continue
-            nm = list(m)
-            if e == 1:
-                del nm[idx]
-            else:
-                nm[idx] = (v, e - 1)
-            key = mono_mul(tuple(nm), image)
+            key = m + ratio if plain else mono_mul(m, ratio)
             val = out.get(key)
             nv = c * e if val is None else val + c * e
             if nv:
@@ -518,19 +608,27 @@ def _quotient_rule(nums, den, derive, shared):
 
 def _jet_images(ctx, vids):
     """The total derivative on x and the jets among the variables vids, as
-    monomial images (x -> 1, u_i^(n) -> u_i^(n+1); parameters get none),
-    and the symbols among them, in id order."""
-    images = {}
+    _poly_derive's ratios of image to variable (x -> 1, u_i^(n) ->
+    u_i^(n+1); parameters get none), and the symbols among them, in id
+    order."""
+    ratios = {}
     symbols = []
+    cache = ctx._d_ratios
     for vid in sorted(vids):
-        kind = ctx.var_key(vid)
-        if kind[0] == "x":
-            images[vid] = ONE_MONO
-        elif kind[0] == "u":
-            images[vid] = ((ctx.gen_var(kind[1], kind[2] + 1), 1),)
-        elif kind[0] == "s":
-            symbols.append(vid)
-    return images, symbols
+        ratio = cache.get(vid)
+        if ratio is None:
+            kind = ctx.var_key(vid)
+            if kind[0] == "x":
+                ratio = cache[vid] = -mono_var(vid)
+            elif kind[0] == "u":
+                ratio = cache[vid] = (mono_var(ctx.gen_var(kind[1], kind[2] + 1))
+                                      - mono_var(vid))
+            else:
+                if kind[0] == "s":
+                    symbols.append(vid)
+                continue
+        ratios[vid] = ratio
+    return ratios, symbols
 
 
 # ---------------------------------------------------------------------------
@@ -548,27 +646,23 @@ def batch_derivative(ctx, cols, den):
     times the jet part, plus d/ds times s dlog(s) B for each symbol s.  B
     joins the shared denominator."""
     nums = [p for vec in cols for p in vec]
-    vids = set()
-    for p in nums + [f for f, _ in den]:
-        for m in p:
-            for v, _ in m:
-                vids.add(v)
-    images, symbols = _jet_images(ctx, vids)
+    ratios, symbols = _jet_images(ctx, poly_vars(nums + [f for f, _ in den]))
     shared = ()
     for sid in symbols:
         if ctx.sym_dlog[sid].den:
             shared = _den_lcm(shared, ctx.sym_dlog[sid].den)
     unit = _den_cofactor(shared, ())
-    rules = [(sid, poly_mul(poly_mul({((sid, 1),): 1}, ctx.sym_dlog[sid].num),
-                            _den_cofactor(shared, ctx.sym_dlog[sid].den)))
+    rules = [({sid: -mono_var(sid)},
+              poly_mul(poly_mul({mono_var(sid): 1}, ctx.sym_dlog[sid].num),
+                       _den_cofactor(shared, ctx.sym_dlog[sid].den)))
              for sid in symbols]
 
     def derive(p):
-        out = _poly_derive(p, images)
+        out = _poly_derive(p, ratios)
         if shared:
             out = poly_mul(out, unit)
-        for sid, image in rules:
-            ds = _poly_derive(p, {sid: ONE_MONO})
+        for d_ds, image in rules:
+            ds = _poly_derive(p, d_ds)
             if ds:
                 poly_add_into(out, poly_mul(ds, image))
         return out
@@ -647,15 +741,7 @@ class DFun:
         return not self.den and self.num == {ONE_MONO: 1}
 
     def _vars(self):
-        seen = set()
-        for m in self.num:
-            for v, _ in m:
-                seen.add(v)
-        for f, _ in self.den:
-            for m in f:
-                for v, _ in m:
-                    seen.add(v)
-        return seen
+        return poly_vars([self.num] + [f for f, _ in self.den])
 
     def has_relation_vars(self):
         rel = self.ctx.relations
@@ -765,8 +851,16 @@ class DFun:
         return self.inverse() * other
 
     def __pow__(self, k):
+        """self**k, one product at a time; raises ExponentOverflow before any
+        work when k times an exponent of self could leave its field."""
         if k == 0:
             return self.ctx.one()
+        if abs(k) > 1:
+            top = max((abs(e) for p in [self.num] + [f for f, _ in self.den]
+                       for m in p for _, e in mono_items(m)), default=0)
+            if abs(k) * top >= EXP_LIMIT:
+                raise ExponentOverflow("power %d leaves the %d-bit exponent field"
+                                       % (k, EXP_BITS))
         base = self if k > 0 else self.inverse()
         out = base
         for _ in range(abs(k) - 1):
@@ -775,19 +869,19 @@ class DFun:
 
     # -- calculus ---------------------------------------------------------------
 
-    def _derive(self, images):
-        """The derivation v -> images[v] (a monomial per variable, 0 for the
-        rest) of the polynomial ring, extended to self by _quotient_rule:
-        one normalization."""
+    def _derive(self, ratios):
+        """The derivation v -> ratios[v] * v (see _poly_derive) of the
+        polynomial ring, extended to self by _quotient_rule: one
+        normalization."""
         if not self.den:
-            return DFun(self.ctx, _poly_derive(self.num, images), (), normalized=True)
+            return DFun(self.ctx, _poly_derive(self.num, ratios), (), normalized=True)
         (num,), den = _quotient_rule([self.num], self.den,
-                                     lambda p: _poly_derive(p, images), ())
+                                     lambda p: _poly_derive(p, ratios), ())
         return DFun(self.ctx, num, den)
 
     def _formal_partial(self, vid):
         """d/d(var) treating every variable as independent (no chain rules)."""
-        return self._derive({vid: ONE_MONO})
+        return self._derive({vid: -mono_var(vid)})
 
     def total_derivative(self):
         """d/dx through x, all jets (u_i^(n) -> u_i^(n+1)) and symbol rules."""
@@ -796,8 +890,8 @@ class DFun:
             # the jet part, then the symbol rule one symbol at a time: folded
             # into the one quotient rule, as batch_derivative does, it gives
             # equal values whose denominators can print differently
-            images, symbols = _jet_images(ctx, self._vars())
-            out = self._derive(images)
+            ratios, symbols = _jet_images(ctx, self._vars())
+            out = self._derive(ratios)
             for sid in symbols:
                 d = self._formal_partial(sid)
                 if not d.is_zero():
@@ -960,13 +1054,13 @@ def _normalize(ctx, num, den):
             (mono, coeff), = f.items()
             if coeff != 1:
                 num = poly_scale(num, qdiv(1, coeff ** e))
-            for v, k in mono:
+            for v, k in mono_items(mono):
                 p = k * e
                 if ctx.laurent[v]:
-                    extra_num = poly_mul(extra_num, {((v, -p),): 1})
+                    extra_num = poly_mul(extra_num, {mono_pack([(v, -p)]): 1})
                 elif v in ctx.relations:
                     # 1/v**p = v**p / g**p with g = v**2; fold g**p back in
-                    extra_num = poly_mul(extra_num, {((v, p),): 1})
+                    extra_num = poly_mul(extra_num, {mono_pack([(v, p)]): 1})
                     g = ctx.relations[v] ** p
                     gden = {ONE_MONO: 1}
                     for fg, eg in g.den:
@@ -987,7 +1081,7 @@ def _normalize(ctx, num, den):
         for f, e in extra_den:
             if len(f) == 1:  # a normalized factor: a variable, coefficient 1
                 (mono,) = f
-                for v, k in mono:
+                for v, k in mono_items(mono):
                     simple[v] = simple.get(v, 0) + k * e
             else:
                 composite.append((f, e))
@@ -1003,15 +1097,14 @@ def _normalize(ctx, num, den):
             if not content:
                 break
     if content:
-        strip = []
-        for v, e in content:
+        strip = ONE_MONO  # divides every monomial, each exponent at most its own
+        for v, e in mono_items(content):
             if e > 0 and simple.get(v, 0) > 0:
                 k = min(e, simple[v])
                 simple[v] -= k
-                strip.append((v, k))
+                strip += k << (EXP_BITS * v)
         if strip:
-            strip = tuple(strip)
-            num = {mono_div(m, strip): c for m, c in num.items()}
+            num = {m - strip: c for m, c in num.items()}
 
     # exact-division cancellation of composite factors, each first cleared
     # of its Laurent content: a unit, so it moves to the numerator, and the
@@ -1021,9 +1114,9 @@ def _normalize(ctx, num, den):
     for f, e in composite:
         unit = _laurent_content(ctx, f)
         if unit:
-            inv = tuple((v, -k) for v, k in unit)
+            inv = mono_pack((v, -k) for v, k in mono_items(unit))
             f = {mono_mul(m, inv): c for m, c in f.items()}
-            inv = tuple((v, -k * e) for v, k in unit)
+            inv = mono_pack((v, -k * e) for v, k in mono_items(unit))
             num = {mono_mul(m, inv): c for m, c in num.items()}
         k = poly_key(f)
         if k in merged:
@@ -1035,7 +1128,7 @@ def _normalize(ctx, num, den):
     # found, and multiply it back after
     num_unit = _laurent_content(ctx, num) if merged else ONE_MONO
     if num_unit:
-        inv = tuple((v, -k) for v, k in num_unit)
+        inv = mono_pack((v, -k) for v, k in mono_items(num_unit))
         num = {mono_mul(m, inv): c for m, c in num.items()}
     for f, e in merged.values():
         while e > 0:
@@ -1055,10 +1148,11 @@ def _normalize(ctx, num, den):
         num = {mono_mul(m, num_unit): c for m, c in num.items()}
     for v, e in simple.items():
         if e > 0:
-            out_den.append(({((v, 1),): 1}, e))
+            out_den.append(({mono_var(v): 1}, e))
     if not num:
         return {}, ()
-    out_den.sort(key=lambda fe: poly_key(fe[0]))
+    if len(out_den) > 1:  # in the order of their terms' (var_id, exponent) pairs
+        out_den.sort(key=lambda fe: sorted((mono_items(m), c) for m, c in fe[0].items()))
     return num, tuple(out_den)
 
 
@@ -1070,10 +1164,10 @@ def _laurent_content(ctx, f) -> Mono:
         return ONE_MONO
     low = None
     for m in f:
-        part = {v: e for v, e in m if laurent[v]}
+        part = {v: e for v, e in mono_items(m) if laurent[v]}
         low = part if low is None else {v: min(low.get(v, 0), part.get(v, 0))
                                         for v in low.keys() | part.keys()}
-    return tuple(sorted((v, e) for v, e in low.items() if e))
+    return mono_pack(low.items())
 
 
 def _reduce_relations(ctx, num):
@@ -1085,23 +1179,22 @@ def _reduce_relations(ctx, num):
     if not ctx.relations:
         return num, []
     rel = ctx.relations
-    if not any(v in rel and e >= 2 for m in num for v, e in m):
+    vids = sorted(rel)
+    if not any(mono_exp(m, v) >= 2 for m in num for v in vids):
         return num, []
     plain: Dict[Mono, Q] = {}
     patched = None
     for m, c in num.items():
-        if any(v in rel and e >= 2 for v, e in m):
-            rest = []
+        if any(mono_exp(m, v) >= 2 for v in vids):
+            rest = m
             factor = None
-            for v, e in m:
-                if v in rel and e >= 2:
+            for v in vids:
+                e = mono_exp(m, v)
+                if e >= 2:
                     g = rel[v] ** (e // 2)
                     factor = g if factor is None else factor * g
-                    if e % 2:
-                        rest.append((v, 1))
-                else:
-                    rest.append((v, e))
-            term = factor * DFun(ctx, {tuple(sorted(rest)): c}, (), normalized=True)
+                    rest -= (e - e % 2) << (EXP_BITS * v)
+            term = factor * DFun(ctx, {rest: c}, (), normalized=True)
             patched = term if patched is None else patched + term
         else:
             plain[m] = c
@@ -1119,15 +1212,9 @@ def _poly_subs(ctx, a: Dict[Mono, Q], vid, value: DFun) -> DFun:
         return pow_cache[k]
 
     for m, c in a.items():
-        rest = []
-        k = 0
-        for v, e in m:
-            if v == vid:
-                k = e
-            else:
-                rest.append((v, e))
+        k = mono_exp(m, vid)
         # one term of a reduced numerator, less a variable: canonical
-        term = DFun(ctx, {tuple(rest): c}, (), normalized=True)
+        term = DFun(ctx, {m - (k << (EXP_BITS * vid)): c}, (), normalized=True)
         out = out + (term * vpow(k) if k else term)
     return out
 

@@ -14,7 +14,7 @@ Undecidable instead of guessing.
 from __future__ import annotations
 
 from .errors import AnsatzExhausted, Undecidable
-from .field import DFun, NEG_INF, qdiv
+from .field import DFun, EXP_BITS, NEG_INF, mono_exp, mono_items, mono_var, poly_vars, qdiv
 from .operators import MatrixPsdOp, ScalarPsdOp
 from .solve import AnsatzSpace, reduce_mod_span, solve_operator_equation
 
@@ -97,9 +97,9 @@ def antiderivative_in_var(ctx, f: DFun, vid):
     v_pow_den = 0
     const_den = []
     for fac, e in f.den:
-        if not any(vv == vid or vv in rates for m in fac for vv, _ in m):
+        if not any(vv == vid or vv in rates for vv in poly_vars([fac])):
             const_den.append((fac, e))
-        elif fac == {((vid, 1),): 1}:
+        elif fac == {mono_var(vid): 1}:
             v_pow_den = e
         else:
             return None
@@ -112,25 +112,22 @@ def antiderivative_in_var(ctx, f: DFun, vid):
     out = ctx.zero()
     groups = {}     # rate key -> [rate, q]
     for mono, c in f.num.items():
-        k = -v_pow_den
+        k = mono_exp(mono, vid)
+        rest = mono - (k << (EXP_BITS * vid))
+        k -= v_pow_den
         rate = ctx.zero()
-        rest = []
-        for vv, e in mono:
-            if vv == vid:
-                k += e
-            else:
-                rest.append((vv, e))
-                if vv in rates:
-                    rate = rate + rates[vv] * e
+        for vv, e in mono_items(rest):
+            if vv in rates:
+                rate = rate + rates[vv] * e
         if rate.is_zero():
             if k == -1:
                 return None
-            out = out + term(tuple(rest), qdiv(c, k + 1)) * ctx.var_fun(vid) ** (k + 1)
+            out = out + term(rest, qdiv(c, k + 1)) * ctx.var_fun(vid) ** (k + 1)
         elif k < 0:
             return None
         else:
             group = groups.setdefault(rate.key(), [rate, ctx.zero()])
-            group[1] = group[1] + term(tuple(rest), c) * ctx.var_fun(vid) ** k
+            group[1] = group[1] + term(rest, c) * ctx.var_fun(vid) ** k
     for rate, q in groups.values():
         part = _by_parts(q, rate, vid)
         if part is None:
@@ -192,7 +189,7 @@ def _antiderivative_ansatz(f: DFun):
             if not ctx.laurent[v]:
                 mult.append(1 / sym)
     dens = [(DFun(ctx, dict(fac), ()), e + 1) for fac, e in f.den]
-    deg = max((sum(ee for vv, ee in mono if not ctx.is_param_var(vv))
+    deg = max((sum(ee for vv, ee in mono_items(mono) if not ctx.is_param_var(vv))
                for mono in f.num), default=1) + 1
     space = AnsatzSpace(ctx, max_dord=int(d), max_degree=min(deg, 6),
                         x_power=1, multipliers=mult, denominators=dens)

@@ -18,8 +18,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction as Q
 
-from .errors import ParseError
-from .field import DFun, ONE_MONO
+from .errors import ExponentOverflow, ParseError
+from .field import DFun, EXP_LIMIT, ONE_MONO, mono_items
 from .jacobi import AtomChain, AtomStructure, entry_chain
 from .operators import OperatorSum, RationalOpPair
 
@@ -48,7 +48,7 @@ def _var_text(ctx, vid, latex=False):
 
 def _mono_text(ctx, mono, latex=False):
     parts = []
-    for v, e in sorted(mono, key=lambda ve: ctx._rank[ve[0]]):
+    for v, e in sorted(mono_items(mono), key=lambda ve: ctx._rank[ve[0]]):
         base = _var_text(ctx, v, latex)
         need_paren = not latex and ("(" in base or "'" in base) and e != 1
         if e == 1:
@@ -272,7 +272,13 @@ class _Parser:
             if t.kind != "num":
                 raise ParseError("integer exponent expected", t.line, t.col)
             k = int(t.text)
-            return base ** (-k if neg else k)
+            if k >= EXP_LIMIT:
+                raise ParseError("exponent %s leaves the exponent field" % t.text,
+                                 t.line, t.col)
+            try:
+                return base ** (-k if neg else k)
+            except ExponentOverflow as e:
+                raise ParseError(str(e), t.line, t.col) from None
         return base
 
     def fun_atom(self):

@@ -32,8 +32,8 @@ import itertools
 from typing import Dict, List, Sequence
 
 from .errors import AnsatzExhausted
-from .field import (DFun, ONE_MONO, _den_cofactor, _den_lcm, _reduce_relations,
-                    poly_mul, qdiv)
+from .field import (DFun, EXP_BITS, ONE_MONO, _den_cofactor, _den_lcm,
+                    _reduce_relations, mono_items, poly_mul, qdiv)
 
 _POLY_ONE = {ONE_MONO: 1}
 
@@ -169,14 +169,12 @@ class BasisTable:
 
 
 def _split_param_mono(ctx, mono):
-    par = []
-    rest = []
-    for v, e in mono:
+    """(parameter part, rest) of a monomial."""
+    par = ONE_MONO
+    for v, e in mono_items(mono):
         if ctx.is_param_var(v):
-            par.append((v, e))
-        else:
-            rest.append((v, e))
-    return tuple(par), tuple(rest)
+            par += e << (EXP_BITS * v)
+    return par, mono - par
 
 
 def _clear(ctx, items):
@@ -215,6 +213,13 @@ def _clear(ctx, items):
     return out
 
 
+def _row_order(mono):
+    """Rows by their monomial's variable count, then its (var_id, exponent)
+    pairs."""
+    pairs = mono_items(mono)
+    return len(pairs), pairs
+
+
 def linear_solve(ctx, columns, rhs: Sequence[DFun], partial=False, dens=None):
     """Solve sum_k c_k columns[k] = rhs over the constant field.
 
@@ -234,7 +239,7 @@ def linear_solve(ctx, columns, rhs: Sequence[DFun], partial=False, dens=None):
     in the parameters.
     """
     K = len(columns)
-    raw: List[Dict[int, object]] = []
+    comps: List[Dict] = []  # per component: rest monomial -> row
     split: Dict = {}
     params = bool(ctx.params)
     rational = True
@@ -266,10 +271,15 @@ def linear_solve(ctx, columns, rhs: Sequence[DFun], partial=False, dens=None):
                     row[col] = q
         if not partial and any(len(row) == 1 and K in row for row in rows.values()):
             return None, None  # a monomial of the right-hand side alone
-        for rest in sorted(rows, key=lambda m: (len(m), m)):
-            raw.append(rows[rest])
+        comps.append(rows)
+    # a rational system has one reduced echelon form, whatever the row order;
+    # a parametric one may print its entries differently, and partial=True
+    # picks its pivot rows, by the order, so these keep the order of the
+    # rows' (var_id, exponent) pairs
+    order = None if rational and not partial else _row_order
+    raw = [rows[rest] for rows in comps for rest in sorted(rows, key=order)]
     if params and rational:
-        raw = [{c: e[()] for c, e in row.items()} for row in raw]
+        raw = [{c: e[ONE_MONO] for c, e in row.items()} for row in raw]
     if rational:
         part, kernel = _gauss_core(raw, K, 0, 1, lambda a: a == 0,
                                    lambda a: qdiv(1, a), partial)

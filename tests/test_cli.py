@@ -268,6 +268,20 @@ def test_unexpected_errors_exit_2_without_traceback(argv):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def test_an_exponent_beyond_the_exponent_field_is_a_parse_error():
+    # it used to multiply u' into the power ~10^11 times; now the exponent
+    # token is refused at once, while u'^40000 keeps its verdict
+    proc = subprocess.run([sys.executable, "-m", "lenard.cli", "check", "--op",
+                           "u'^99999999999 D^-1 u'", "--what", "skew"],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: --op: exponent 99999999999 leaves the exponent "
+                           "field (line 1, col 3)\n")
+    code, out = run_cli("check", "--op", "u'^40000 D^-1 u'", "--what", "skew")
+    assert code == 1
+    assert json.loads(out)["results"][0]["verdict"] == "fails"
+
+
 def test_chain_kn_rational_param():
     code, out = run_cli("chain", "--preset", "kn", "--params", "a=3/2",
                         "--steps", "0", "--verify-only")

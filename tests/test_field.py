@@ -4,13 +4,16 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenard import field
 from lenard.brackets import check_jacobi
-from lenard.errors import ZeroDivisor
+from lenard.errors import ExponentOverflow, ZeroDivisor
 from lenard.chains import extend_right
-from lenard.field import (Context, DFun, NEG_INF, ONE_MONO, _den_cofactor, _den_lcm,
-                          _den_merge, mono_div, poly_add_into, poly_exact_div, poly_lead,
+from lenard.field import (EXP_LIMIT, Context, DFun, NEG_INF, ONE_MONO, _den_cofactor,
+                          _den_lcm, _den_merge, mono_div, mono_gcd, mono_items, mono_mul,
+                          mono_pack, mono_var, poly_add_into, poly_exact_div, poly_lead,
                           poly_mul, poly_scale)
 from lenard.jacobi import AtomChain, AtomStructure
 from lenard.operators import MatrixPsdOp, ScalarPsdOp
@@ -96,7 +99,7 @@ def test_derived_parameter_relation(ctx):
     cf = ctx.param("c")
     assert cf * cf == -b3 / b2
     # powers >= 2 never survive canonicalization
-    assert not any(v == c and e >= 2 for m in (cf ** 5).num for v, e in m)
+    assert not any(v == c and e >= 2 for m in (cf ** 5).num for v, e in mono_items(m))
 
 
 def test_exp_symbols(ctx):
@@ -175,14 +178,203 @@ def test_bind_params(ctx):
     assert f.bind_params({"b2": 2, "b3": Q(1, 3)}) == 2 * ctx.u(1) + Q(1, 3)
 
 
+# -- packed monomials against the tuple form they replaced -------------------
+
+
+def _var_id(f):
+    (mono,) = f.num
+    return mono_items(mono)[0][0]
+
+
+def _tuple_mul(a, b):
+    """Oracle: the product of sorted ((var_id, exp), ...) tuples."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if a[i][0] < b[j][0]:
+            out.append(a[i]); i += 1
+        elif b[j][0] < a[i][0]:
+            out.append(b[j]); j += 1
+        else:
+            e = a[i][1] + b[j][1]
+            if e:
+                out.append((a[i][0], e))
+            i += 1; j += 1
+    return tuple(out + list(a[i:]) + list(b[j:]))
+
+
+def _tuple_div(a, b):
+    """Oracle: a / b for tuples, or None when b does not divide a."""
+    out = []
+    i = j = 0
+    while j < len(b):
+        vb, eb = b[j]
+        while i < len(a) and a[i][0] < vb:
+            out.append(a[i]); i += 1
+        if i == len(a) or a[i][0] != vb or a[i][1] < eb:
+            return None
+        e = a[i][1] - eb
+        if e:
+            out.append((vb, e))
+        i += 1; j += 1
+    return tuple(out + list(a[i:]))
+
+
+def _tuple_gcd(a, b):
+    """Oracle: each variable's lower power in tuples a and b, both positive."""
+    eb = dict(b)
+    return tuple((v, min(e, eb[v])) for v, e in a if e > 0 and eb.get(v, 0) > 0)
+
+
+def _tuple_sortkey(ctx, mono):
+    """Oracle: the graded key of a tuple monomial."""
+    pairs = sorted((ctx._pos[v], -e) for v, e in mono)
+    return (-sum(e for _, e in mono), *pairs, (float("inf"),))
+
+
+def _tuple_top_degrees(monos):
+    """Oracle: each variable's highest exponent; None once one is negative."""
+    top = {}
+    for m in monos:
+        for v, e in m:
+            t = top.get(v, 0)
+            if t is not None and (e < 0 or e > t):
+                top[v] = None if e < 0 else e
+    return top
+
+
+def _oracle_vars():
+    """A context with jets of two generators, x, parameters, a derived
+    parameter, a sqrt symbol and two exp symbols: [(var_id, laurent)]."""
+    ctx = Context(("u", "v"), ("b2", "b3"))
+    b2, b3 = ctx.param("b2"), ctx.param("b3")
+    funs = [ctx.gen(i, n) for i in range(2) for n in range(4)] + [ctx.x(), b2, b3]
+    funs.append(ctx.adjoin_sqrt(b2 + b3 * ctx.u(1) ** 2))
+    funs.append(ctx.adjoin_exp_x(b2))
+    funs.append(ctx.adjoin_exp_u(ctx.const(2), 1))
+    vids = [_var_id(f) for f in funs] + [ctx.add_derived_parameter("c", -b3 / b2)]
+    return ctx, [(v, ctx.laurent[v]) for v in vids]
+
+
+_ORACLE_CTX, _ORACLE_VARS = _oracle_vars()
+
+
+@st.composite
+def _tuple_monos(draw):
+    """A tuple monomial: exponents mostly small, some anywhere in the field,
+    negative only for exp symbols."""
+    out = {}
+    for v, laurent in draw(st.lists(st.sampled_from(_ORACLE_VARS), max_size=5, unique=True)):
+        low = -EXP_LIMIT if laurent else 0
+        e = draw(st.one_of(st.integers(max(low, -3), 3), st.integers(low, EXP_LIMIT - 1)))
+        if e:
+            out[v] = e
+    return tuple(sorted(out.items()))
+
+
+def _in_field(mono):
+    return all(-EXP_LIMIT <= e < EXP_LIMIT for _, e in mono)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tuple_monos(), _tuple_monos())
+def test_packed_monomials_match_the_tuple_form(a, b):
+    """Round trip, product, quotient (None included), gcd and sort key of
+    packed monomials agree with the tuple form; a product or quotient with
+    an exponent outside the field raises instead."""
+    ctx = _ORACLE_CTX
+    pa, pb = mono_pack(a), mono_pack(b)
+    assert mono_items(pa) == a and mono_items(pb) == b
+    want = _tuple_mul(a, b)
+    if _in_field(want):
+        assert mono_mul(pa, pb) == pa + pb and mono_items(pa + pb) == want
+        assert poly_mul({pa: 2, ONE_MONO: 1}, {pb: 3}) == {pa + pb: 6, pb: 3}
+    else:
+        with pytest.raises(ExponentOverflow):
+            mono_mul(pa, pb)
+        with pytest.raises(ExponentOverflow):
+            poly_mul({pa: 2, ONE_MONO: 1}, {pb: 3})
+    for ta, tb in [(a, b), (_tuple_mul(a, b), b)]:
+        if not _in_field(ta):
+            continue
+        want = _tuple_div(ta, tb)
+        if want is None:
+            assert mono_div(mono_pack(ta), pb) is None
+        elif _in_field(want):
+            assert mono_items(mono_div(mono_pack(ta), pb)) == want
+        else:
+            with pytest.raises(ExponentOverflow):
+                mono_div(mono_pack(ta), pb)
+    assert mono_items(mono_gcd(pa, pb)) == _tuple_gcd(a, b)
+    assert field._top_degrees({pa: 1, pb: 1, ONE_MONO: 1}) == _tuple_top_degrees([a, b])
+    assert ctx.mono_sortkey(pa) == _tuple_sortkey(ctx, a)
+    assert ((ctx.mono_sortkey(pa) < ctx.mono_sortkey(pb))
+            == (_tuple_sortkey(ctx, a) < _tuple_sortkey(ctx, b)))
+
+
+def test_exponents_leaving_the_field_raise():
+    """A product or power whose exponent reaches the field's limit raises;
+    one below the limit is kept exactly, and no field wraps into the next."""
+    ctx = Context(("u",))
+    u, E = ctx.u(0), ctx.adjoin_exp_x(1)
+    uid, eid = _var_id(u), _var_id(E)
+    for vid in (uid, eid):
+        assert mono_items(mono_pack([(vid, EXP_LIMIT - 1)])) == ((vid, EXP_LIMIT - 1),)
+        with pytest.raises(ExponentOverflow):
+            mono_pack([(vid, EXP_LIMIT)])
+    assert mono_items(mono_pack([(eid, -EXP_LIMIT)])) == ((eid, -EXP_LIMIT),)
+    with pytest.raises(ExponentOverflow):
+        mono_pack([(eid, -EXP_LIMIT - 1)])
+    # repeated squaring of one monomial
+    f = u * E
+    for _ in range(30):
+        f = f * f
+    assert f.num == {mono_pack([(uid, 1 << 30), (eid, 1 << 30)]): 1}
+    with pytest.raises(ExponentOverflow):
+        f * f
+    g = f * (f / (u * E))
+    assert g.num == {mono_pack([(uid, EXP_LIMIT - 1), (eid, EXP_LIMIT - 1)]): 1}
+    assert "u^%d" % (EXP_LIMIT - 1) in str(g)
+    for h in (u, E, u + 1):
+        with pytest.raises(ExponentOverflow):
+            g * h
+    # a negative Laurent exponent: E^(-2^31) lies in the field, E^(-2^31-1) not
+    h = 1 / E
+    for _ in range(31):
+        h = h * h
+    assert h.num == {mono_pack([(eid, -EXP_LIMIT)]): 1}
+    with pytest.raises(ExponentOverflow):
+        h / E
+    # a derivative: u'' * u'^(2^31-1) has the term u''^2 * u'^(2^31-2), but
+    # u' * u''^(2^31-1) the term u''^(2^31) * u'^0
+    u1, u2 = mono_var(ctx.gen_var(0, 1)), mono_var(ctx.gen_var(0, 2))
+    top = DFun(ctx, {u2 + (EXP_LIMIT - 1) * u1: 1}, (), normalized=True)
+    assert top.total_derivative().num == {
+        2 * u2 + (EXP_LIMIT - 2) * u1: EXP_LIMIT - 1,
+        mono_var(ctx.gen_var(0, 3)) + (EXP_LIMIT - 1) * u1: 1}
+    with pytest.raises(ExponentOverflow):
+        DFun(ctx, {u1 + (EXP_LIMIT - 1) * u2: 1}, (), normalized=True).total_derivative()
+    # exact division: (u'^2 * u^(2^31-2)) / (u'^2 + u^2) takes the quotient
+    # term u^(2^31-2), whose product with u^2 leaves the field
+    a = {2 * u1 + (EXP_LIMIT - 2) * mono_var(uid): 1}
+    with pytest.raises(ExponentOverflow):
+        poly_exact_div(ctx, a, {2 * u1: 1, 2 * mono_var(uid): 1})
+    # a power raises before its first product (it would take ~2^31 of them)
+    for base, k in [(u, EXP_LIMIT), (u * u, EXP_LIMIT // 2), (E, -EXP_LIMIT - 1),
+                    (1 / (u + E), EXP_LIMIT)]:
+        with pytest.raises(ExponentOverflow):
+            base ** k
+
+
 # -- exact division: the heap loop against the max-scan loop it replaced -----
 
 
 def _max_scan_sortkey(ctx, mono):
     """The graded key of the max-scan division: degree, then the (rank,
     exponent) pairs from the highest-ranked variable down."""
-    deg = sum(e for _, e in mono)
-    return (deg, tuple(sorted(((ctx._rank[v], e) for v, e in mono), reverse=True)))
+    pairs = mono_items(mono)
+    deg = sum(e for _, e in pairs)
+    return (deg, tuple(sorted(((ctx._rank[v], e) for v, e in pairs), reverse=True)))
 
 
 _DIVERGES = "diverges"
@@ -221,11 +413,6 @@ def _max_scan_div(ctx, a, b):
     return _DIVERGES if rem else quo
 
 
-def _var_id(f):
-    (mono,) = f.num
-    return mono[0][0]
-
-
 def _division_vars(ctx, laurent=True):
     """(var id, lowest, highest exponent) for jets, x, parameters, a derived
     parameter, a sqrt symbol and two exp symbols, whose exponents may be
@@ -243,8 +430,8 @@ def _division_vars(ctx, laurent=True):
 
 def _random_mono(rng, pool):
     picks = rng.sample(pool, rng.randint(0, 3))
-    return tuple(sorted((v, e) for v, lo, hi in picks
-                        for e in [rng.randint(lo, hi)] if e))
+    return mono_pack(sorted((v, e) for v, lo, hi in picks
+                            for e in [rng.randint(lo, hi)] if e))
 
 
 def _random_poly(rng, pool, terms):
@@ -316,8 +503,8 @@ def test_exact_div_against_sympy(ctx, rng):
 
     def expr(p):
         return sum((sympy.Rational(c.numerator, c.denominator)
-                    * sympy.Mul(*[gens[v] ** e for v, e in m]) for m, c in p.items()),
-                   sympy.Integer(0))
+                    * sympy.Mul(*[gens[v] ** e for v, e in mono_items(m)])
+                    for m, c in p.items()), sympy.Integer(0))
 
     for a, b, _ in _division_cases(rng, pool, 120):
         got = poly_exact_div(ctx, a, b)
@@ -381,18 +568,12 @@ def test_numerator_laurent_content_cancels():
 def _poly_partial(a, vid):
     out = {}
     for m, c in a.items():
-        for idx, (v, e) in enumerate(m):
-            if v == vid:
-                nm = list(m)
-                if e == 1:
-                    del nm[idx]
-                else:
-                    nm[idx] = (v, e - 1)
-                key = tuple(nm)
-                out[key] = out.get(key, 0) + c * e
-                if not out[key]:
-                    del out[key]
-                break
+        e = dict(mono_items(m)).get(vid, 0)
+        if e:
+            key = m - mono_var(vid)
+            out[key] = out.get(key, 0) + c * e
+            if not out[key]:
+                del out[key]
     return out
 
 
@@ -466,8 +647,8 @@ def test_total_derivative_against_sympy(ctx, rng):
     def expr(f):
         def poly(p):
             return sum((sympy.Rational(c.numerator, c.denominator)
-                        * sympy.Mul(*[gens[v] ** e for v, e in m]) for m, c in p.items()),
-                       sympy.Integer(0))
+                        * sympy.Mul(*[gens[v] ** e for v, e in mono_items(m)])
+                        for m, c in p.items()), sympy.Integer(0))
         return poly(f.num) / sympy.Mul(*[poly(g) ** e for g, e in f.den])
 
     for _ in range(12):
@@ -601,8 +782,8 @@ def _general_subs(f, vid, value):
     def poly(a):
         out = ctx.zero()
         for m, c in a.items():
-            k = dict(m).get(vid, 0)
-            term = DFun(ctx, {tuple((v, e) for v, e in m if v != vid): c}, ())
+            k = dict(mono_items(m)).get(vid, 0)
+            term = DFun(ctx, {mono_pack((v, e) for v, e in mono_items(m) if v != vid): c}, ())
             out = out + (term * value ** k if k else term)
         return out
 
@@ -664,7 +845,8 @@ def test_integral_operands_divide_to_fractions(ctx):
     """Each division of coefficients goes through qdiv: integral operands
     with a non-integral quotient give a Fraction, never a float."""
     u = ctx.u(0)
-    um, um2 = ((ctx.gen_var(0, 0), 1),), ((ctx.gen_var(0, 0), 2),)
+    um = mono_var(ctx.gen_var(0, 0))
+    um2 = 2 * um
     # a composite factor is made monic: 1/(2u+1) = (1/2)/(u + 1/2)
     f = 1 / (2 * u + 1)
     assert f.num == {ONE_MONO: Q(1, 2)} and f.den == (({um: 1, ONE_MONO: Q(1, 2)}, 1),)

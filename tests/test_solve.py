@@ -363,7 +363,7 @@ def _columnwise_linear_solve(ctx, columns, rhs):
         for col_idx, f in enumerate(items):
             if not f.is_zero():
                 _columnwise_rows_of(ctx, f, den_lcm, rows, col_idx)
-        for rest in sorted(rows, key=lambda m: (len(m), m)):
+        for rest in sorted(rows, key=solve._row_order):
             sparse_rows.append(rows[rest])
     if all(_is_rational(e) is not None for row in sparse_rows for e in row.values()):
         conv = [{c: _is_rational(e) for c, e in row.items()} for row in sparse_rows]
