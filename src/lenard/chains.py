@@ -15,22 +15,24 @@ term and yields the non-evolutionary equation at the blockage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from .errors import (AnsatzExhausted, HelmholtzFailure, InsufficientChain,
                      InvalidWitness, LengthMismatch, ThresholdNotMet)
 from .field import DFun, NEG_INF, vec_eq, vec_is_zero
 from .functional import (LocalFunctional, antiderivative_or_none,
                          is_self_adjoint_frechet, reduce_by_parts)
-from .jacobi import AtomChain
+from .jacobi import AtomChain, SumChain
 from .operators import MatrixPsdOp, RationalOpPair
 from .solve import AnsatzSpace, kernel_of, reduce_mod_span, solve_operator_equation
+
+Chainlike = Union[AtomChain, SumChain]
 
 
 class StructurePair:
     """A structure H = A B^-1 with both operators as factored atom chains."""
 
-    def __init__(self, name, num: AtomChain, den: AtomChain):
+    def __init__(self, name, num: Chainlike, den: Chainlike):
         self.name = name
         self.num = num
         self.den = den
@@ -593,10 +595,7 @@ def extend_left(chain: Chain, spaceG: AnsatzSpace, spaceF: AnsatzSpace,
         if chain.left_status.kind != "extendable":
             return chain
         n = -(len(chain.left_steps)) - 1
-        if not chain.left_steps:
-            grad_prev = [ctx.zero()] * H.ell
-        else:
-            grad_prev = chain.left_steps[-1].grad
+        grad_prev = chain.left_steps[-1].grad if chain.left_steps else [ctx.zero()] * H.ell
         # K-link: D G = grad_prev, P = C G
         if vec_is_zero(grad_prev):
             if left_P is not None:
@@ -669,7 +668,14 @@ def extend_left(chain: Chain, spaceG: AnsatzSpace, spaceF: AnsatzSpace,
     return chain
 
 
-def _stack_ops(top: AtomChain, bottom: AtomChain):
-    def apply(vec):
-        return top.apply(vec) + bottom.apply(vec)
-    return apply
+def _stack_ops(top: Chainlike, bottom: Chainlike) -> SumChain:
+    """The 2l x l operator [top; bottom] of two l x l operators: each summand
+    of either behind a 0/1 mult atom that puts its rows in place."""
+    ctx, ell = top.ctx, top.ell
+    summands = []
+    for part, first in ((top, 0), (bottom, ell)):
+        place = [[ctx.one() if r == first + c else ctx.zero() for c in range(ell)]
+                 for r in range(2 * ell)]
+        for ch in part.summands if isinstance(part, SumChain) else [part]:
+            summands.append(AtomChain(ctx, [("mult", place)] + ch.atoms))
+    return SumChain(summands)

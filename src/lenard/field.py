@@ -835,11 +835,7 @@ class DFun:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisor("inverse of zero")
-        num = {ONE_MONO: 1}
-        for f, e in self.den:
-            for _ in range(e):
-                num = poly_mul(num, f)
-        return DFun(self.ctx, num, ((dict(self.num), 1),))
+        return DFun(self.ctx, _den_expand(self.den), ((dict(self.num), 1),))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -851,7 +847,7 @@ class DFun:
         return self.inverse() * other
 
     def __pow__(self, k):
-        """self**k, one product at a time; raises ExponentOverflow before any
+        """self**k by repeated squaring; raises ExponentOverflow before any
         work when k times an exponent of self could leave its field."""
         if k == 0:
             return self.ctx.one()
@@ -861,11 +857,12 @@ class DFun:
             if abs(k) * top >= EXP_LIMIT:
                 raise ExponentOverflow("power %d leaves the %d-bit exponent field"
                                        % (k, EXP_BITS))
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        if k < 0:
+            return self.inverse() ** -k
+        if k == 1:
+            return self
+        half = self ** (k // 2)
+        return half * half * self if k % 2 else half * half
 
     # -- calculus ---------------------------------------------------------------
 
@@ -1022,14 +1019,18 @@ def _den_lcm(a, b):
     return tuple(out.values())
 
 
-def _den_cofactor(lcm, den) -> Dict[Mono, Q]:
-    have = {poly_key(f): e for f, e in den}
+def _den_expand(den) -> Dict[Mono, Q]:
+    """The product of f**e over the factors (f, e) of den, multiplied out."""
     out = {ONE_MONO: 1}
-    for f, e in lcm:
-        extra = e - have.get(poly_key(f), 0)
-        for _ in range(extra):
+    for f, e in den:
+        for _ in range(e):
             out = poly_mul(out, f)
     return out
+
+
+def _den_cofactor(lcm, den) -> Dict[Mono, Q]:
+    have = {poly_key(f): e for f, e in den}
+    return _den_expand([(f, e - have.get(poly_key(f), 0)) for f, e in lcm])
 
 
 def _normalize(ctx, num, den):
@@ -1062,11 +1063,7 @@ def _normalize(ctx, num, den):
                     # 1/v**p = v**p / g**p with g = v**2; fold g**p back in
                     extra_num = poly_mul(extra_num, {mono_pack([(v, p)]): 1})
                     g = ctx.relations[v] ** p
-                    gden = {ONE_MONO: 1}
-                    for fg, eg in g.den:
-                        for _ in range(eg):
-                            gden = poly_mul(gden, fg)
-                    extra_num = poly_mul(extra_num, gden)
+                    extra_num = poly_mul(extra_num, _den_expand(g.den))
                     composite.append((dict(g.num), 1))
                     rerun = True
                 else:

@@ -162,8 +162,7 @@ class SumChain:
     __slots__ = ("ctx", "summands", "ell")
 
     def __init__(self, summands):
-        self.summands = [s if isinstance(s, AtomChain) else AtomChain(*s)
-                         for s in summands]
+        self.summands = list(summands)
         self.ctx = self.summands[0].ctx
         self.ell = self.summands[0].ell
 

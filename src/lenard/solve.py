@@ -392,12 +392,14 @@ def _combine(ctx, basis_vectors, coeffs):
 
 
 def _batch_operator(op):
-    """op itself when it applies to batches, also when given as its bound
-    apply; None for any other callable."""
+    """op itself, also when given as its bound apply; TypeError for an
+    operator that does not apply to batches."""
     owner = getattr(op, "__self__", None)
     if owner is not None and op == getattr(owner, "apply", None):
         op = owner
-    return op if hasattr(op, "apply_batch") else None
+    if not hasattr(op, "apply_batch"):
+        raise TypeError("%r does not apply to a batch of basis vectors" % (op,))
+    return op
 
 
 def _basis_batch(scalars, ell):
@@ -460,7 +462,7 @@ def solve_operator_equation(op, rhs: Sequence[DFun], space: AnsatzSpace,
     op is an operator with a batch application (AtomChain, SumChain,
     MatrixPsdOp, or the bound apply of one), which maps a batch of basis
     vectors at once as numerators over one shared denominator; any other
-    callable vector -> vector linear map is applied column by column.
+    op raises TypeError.
 
     When the space has no solution, the spaces with each bound raised by 0
     or by `escalations` are searched, fewest products first, and the first
@@ -479,17 +481,13 @@ def solve_operator_equation(op, rhs: Sequence[DFun], space: AnsatzSpace,
 
     def solved(scalars, cur):
         new = [f for f in scalars if f.key() not in applied]
-        if batch is None:
-            for f in new:
-                applied[f.key()] = [(op(vec), None) for vec in _vector_basis(ctx, [f], ell)]
-        elif new:
+        if new:
             cols, den = batch.apply_batch(*_basis_batch(new, ell))
             for i, f in enumerate(new):
                 applied[f.key()] = [(cols[comp * len(new) + i], den) for comp in range(ell)]
         columns = [applied[f.key()][comp] for comp in range(ell) for f in scalars]
-        particular, kernel = linear_solve(
-            ctx, [col for col, _ in columns], rhs,
-            dens=None if batch is None else [den for _, den in columns])
+        particular, kernel = linear_solve(ctx, [col for col, _ in columns], rhs,
+                                          dens=[den for _, den in columns])
         if particular is None:
             return None
         basis_vectors = _vector_basis(ctx, scalars, ell)

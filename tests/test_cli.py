@@ -262,7 +262,7 @@ def test_entry_point_installed():
 ])
 def test_unexpected_errors_exit_2_without_traceback(argv):
     proc = subprocess.run([sys.executable, "-m", "lenard.cli"] + argv,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
@@ -277,6 +277,13 @@ def test_an_exponent_beyond_the_exponent_field_is_a_parse_error():
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == ("error: --op: exponent 99999999999 leaves the exponent "
                            "field (line 1, col 3)\n")
+    # a power inside the field is taken by repeated squaring, so the product
+    # that leaves the field is reached, and refused, at once
+    proc = subprocess.run([sys.executable, "-m", "lenard.cli", "check", "--op",
+                           "u'^1073741824*u'^1073741824 D^-1 u'", "--what", "skew"],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: exponent 2147483648 leaves the 32-bit exponent field\n"
     code, out = run_cli("check", "--op", "u'^40000 D^-1 u'", "--what", "skew")
     assert code == 1
     assert json.loads(out)["results"][0]["verdict"] == "fails"

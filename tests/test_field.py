@@ -366,6 +366,25 @@ def test_exponents_leaving_the_field_raise():
             base ** k
 
 
+def test_a_power_by_squaring_equals_its_product_one_factor_at_a_time(rng):
+    """By key and by print, with composite denominators, a sqrt symbol and
+    an exp symbol; u'^(2^30) takes 30 squarings."""
+    ctx = Context(("u",), ("b2", "b3"))
+    s = ctx.adjoin_sqrt(ctx.param("b2") + ctx.param("b3") * ctx.u(1) ** 2)
+    E = ctx.adjoin_exp_u(ctx.const(2))
+    for _ in range(12):
+        f = (random_dfun(ctx, rng, denominator=True, symbols=(s, E))
+             / random_dfun(ctx, rng, max_degree=1, symbols=(s,)))
+        for k in range(-4, 8):
+            want = ctx.one()
+            for _ in range(abs(k)):
+                want = want * (f if k > 0 else 1 / f)
+            got = f ** k
+            assert (got.key(), str(got)) == (want.key(), str(want))
+    big = ctx.u(1) ** (EXP_LIMIT // 2)
+    assert big.num == {(EXP_LIMIT // 2) * mono_var(ctx.gen_var(0, 1)): 1}
+
+
 # -- exact division: the heap loop against the max-scan loop it replaced -----
 
 

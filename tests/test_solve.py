@@ -11,7 +11,7 @@ from lenard.field import DFun, ONE_MONO, Context, _den_cofactor, _den_lcm, poly_
 from lenard.functional import variational_derivative
 from lenard.jacobi import AtomChain, SumChain
 from lenard.operators import MatrixPsdOp, ScalarPsdOp
-from lenard.presets import liouville_spaces, load_liouville, load_nls, nls_spaces
+from lenard.presets import liouville_spaces, load_kn, load_liouville, load_nls, nls_spaces
 from lenard.solve import (AnsatzSpace, in_span, kernel_of, linear_solve,
                           reduce_span, solve_operator_equation)
 
@@ -507,14 +507,36 @@ def test_batch_columns_and_solutions_match_column_by_column(monkeypatch):
     space = AnsatzSpace(ctx, 0, 1, denominators=[(ctx.gen(0, 0), 1)])
     for op in (pre.H.den, pre.K.num):
         checked += _check_against_columns(op, [ctx.zero()] * 2, space)
+    # the stacked [C; D] at l = 2, against applying C and D one after the other
+    stacked = chains._stack_ops(pre.K.num, pre.K.den)
+    for vec in solve._vector_basis(ctx, space.basis(), 4):
+        assert stacked.apply(vec) == pre.K.num.apply(vec) + pre.K.den.apply(vec)
+    checked += _check_against_columns(stacked, [ctx.zero()] * 4, space)
     spF, _ = nls_spaces(ctx)
     checked += _check_against_columns(pre.H.den, pre.chain.last().grad, spF)
-    assert checked == 9
+    # the first left step: the K-link C G = P, D G = 0 as one stacked operator
+    # (C a sum of chains for liouville-i), then the H-link
+    pre = load_liouville("i")
+    ctx = pre.ctx
+    sp = AnsatzSpace(ctx, 1, 2, x_power=1)
+    solves = _recorded_solves(lambda: chains.extend_left(pre.chain, sp, sp, steps=1,
+                                                         left_P=[ctx.u(1)]), monkeypatch)
+    kn = load_kn(a_value=1)
+    u = kn.ctx.u(0)
+    spF = AnsatzSpace(kn.ctx, 3, 5, denominators=[(kn.ctx.u(1), 3)], weight_max=3)
+    solves += _recorded_solves(
+        lambda: chains.extend_left(kn.chain, AnsatzSpace(kn.ctx, 0, 2), spF, steps=1,
+                                   left_P=[kn.ctx.one() + u + u * u]), monkeypatch)
+    assert [len(rhs) for _, rhs, _, _ in solves] == [2, 1, 2, 1]
+    for op, rhs, space, esc in solves:
+        checked += _check_against_columns(op, rhs, space, esc)
+    assert checked == 14
 
 
 def test_solves_apply_the_operator_to_the_whole_basis_at_once(monkeypatch):
-    """The batch path may not fall back to applying the operator column by
-    column, whether the solve gets the operator or its bound apply."""
+    """A solve never applies its operator column by column, whether it gets
+    the operator or its bound apply; the left K-link's stacked operator is
+    no exception, and an operator with no batch application is refused."""
     ctx = Context(("u",))
     u2 = ctx.u(2)
     D = ScalarPsdOp.d(ctx)
@@ -522,10 +544,22 @@ def test_solves_apply_the_operator_to_the_whole_basis_at_once(monkeypatch):
     space = AnsatzSpace(ctx, 1, 2, x_power=1)
     nls = load_nls()
     nls_space = AnsatzSpace(nls.ctx, 0, 1, denominators=[(nls.ctx.gen(0, 0), 1)])
-    calls = []
+    solves, calls, inside = [], [], [0]
+
+    def counted_solve(op, rhs, space, escalations=2, inner=solve.solve_operator_equation):
+        solves.append((type(op).__name__, len(rhs)))
+        inside[0] += 1
+        try:
+            return inner(op, rhs, space, escalations)
+        finally:
+            inside[0] -= 1
+
+    for module in (solve, chains):
+        monkeypatch.setattr(module, "solve_operator_equation", counted_solve)
     for cls in (AtomChain, SumChain, MatrixPsdOp):
         def counted(self, vec, inner=cls.apply):
-            calls.append(type(self).__name__)
+            if inside[0]:
+                calls.append(type(self).__name__)
             return inner(self, vec)
         monkeypatch.setattr(cls, "apply", counted)
     for op, sp, ell in [(_kn_B(ctx), space, 1), (matrix, space, 1),
@@ -533,9 +567,16 @@ def test_solves_apply_the_operator_to_the_whole_basis_at_once(monkeypatch):
         assert kernel_of(op, sp, ell=ell)
         assert kernel_of(op.apply, sp, ell=ell)
     rhs = [ctx.u(0) ** 2]
-    sol = solve_operator_equation(MatrixPsdOp.identity(ctx, 1), rhs, space)
+    sol = solve.solve_operator_equation(MatrixPsdOp.identity(ctx, 1), rhs, space)
     assert sol.particular == rhs
+    # extend_left applies K's numerator to the solution itself, after the solve
+    pre = load_liouville("i")
+    sp = AnsatzSpace(pre.ctx, 1, 2, x_power=1)
+    chains.extend_left(pre.chain, sp, sp, steps=1, left_P=[pre.ctx.u(1)])
+    assert pre.chain.left_steps and ("SumChain", 2) in solves
     assert calls == []
+    with pytest.raises(TypeError):
+        solve.solve_operator_equation(lambda vec: vec, rhs, space)
 
 
 # -- the bound-lattice search against raising every bound at once -------------
