@@ -379,7 +379,7 @@ def extend_right(chain: Chain, spaceF: AnsatzSpace, spaceG: AnsatzSpace,
                 if den_kernel is not None:
                     kernel = den_kernel
                 elif spaceF is not None:
-                    kernel = kernel_of(H.den, spaceF, ell=H.ell)
+                    kernel = kernel_of(H.den, spaceF)
                 else:
                     kernel = []
                 chain._kerB_cache = kernel
@@ -562,16 +562,14 @@ def _merge_terms(nv: NonlocalVectorField) -> NonlocalVectorField:
 def render_blocked(P: NonlocalVectorField) -> BlockedEquation:
     """The non-evolutionary equation at a blockage.
 
-    With constant prefactors, u_t = P differentiates once to
-    u_tx = sum pref*kernel + (local)_x, and the local part is displayed
-    through its antiderivative as a second x-derivative when one exists.
+    P's prefactors are constants (extend_left renders no other field), so
+    u_t = P differentiates once to u_tx = sum pref*kernel + (local)_x, and
+    the local part is displayed through its antiderivative as a second
+    x-derivative when one exists.
     """
     ctx = P.local.ctx
     kernel_part = ctx.zero()
     for t in P.terms:
-        if not t.prefactor.is_constant():
-            # generic fallback: no massaged rendering
-            return BlockedEquation([], P.local, None, None)
         kernel_part = kernel_part + t.prefactor * t.kernel
     dxx = None if P.local.is_zero() else antiderivative_or_none(P.local)
     if dxx is None and not P.local.is_zero():
@@ -608,7 +606,7 @@ def extend_left(chain: Chain, spaceG: AnsatzSpace, spaceF: AnsatzSpace,
                                                     "no K-link witness: " + str(e))
                     return chain
             else:
-                kers = kernel_of(K.den, spaceG, ell=K.ell)
+                kers = kernel_of(K.den, spaceG)
                 if not kers:
                     chain.left_status = ChainStatus("finite-type", "left", n,
                                                     "denominator kernel is zero")
@@ -632,8 +630,8 @@ def extend_left(chain: Chain, spaceG: AnsatzSpace, spaceF: AnsatzSpace,
                 P_formal = eq = None
                 if G_formal is not None:
                     P_formal = _merge_terms(K.num.apply(G_formal)[0])
-                if P_formal is not None and (blocked_info is None or all(
-                        t.prefactor.is_constant() for t in P_formal.terms)):
+                if P_formal is not None and all(
+                        t.prefactor.is_constant() for t in P_formal.terms):
                     eq = render_blocked(P_formal)
                 elif blocked_info is not None:
                     eq = BlockedEquation(list(blocked_info[0]), blocked_info[1])

@@ -195,8 +195,10 @@ def _antiderivative_ansatz(f: DFun):
                         x_power=1, multipliers=mult, denominators=dens)
 
     from .jacobi import AtomChain  # jacobi imports functional through brackets
+    # d acts on every generator's component: solve (g, 0, ...)' = (f, 0, ...)
+    rhs = [f] + [ctx.zero()] * (ctx.ell - 1)
     try:
-        sol = solve_operator_equation(AtomChain(ctx, [("d", 1)]), [f], space,
+        sol = solve_operator_equation(AtomChain(ctx, [("d", 1)]), rhs, space,
                                       escalations=0)
     except AnsatzExhausted:
         return None

@@ -6,8 +6,9 @@ One tokenizer feeds two recursive-descent parsers:
   derivative marks u', u'', u^(n), exp(...), sqrt(...), rationals,
   + - * / and integer ^ powers;
 * operator expressions -- D = d/dx, D^k (k possibly negative), composition
-  by juxtaposition or *, + and -, scalar function literals, matrix literals
-  [[...],[...]], frac(A, B) and chain((A1,B1),(A2,B2),...).
+  by juxtaposition or *, + and -, scalar function literals (a parenthesized
+  one with an integer ^ power), matrix literals [[...],[...]], frac(A, B)
+  and chain((A1,B1),(A2,B2),...).
 
 Printing is canonical: fixed monomial order, deterministic parenthesation,
 so printed forms are stable golden-test keys.  parse(print(e)) == e.
@@ -15,7 +16,9 @@ so printed forms are stable golden-test keys.  parse(print(e)) == e.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from fractions import Fraction as Q
 
 from .errors import ExponentOverflow, ParseError
@@ -260,26 +263,45 @@ class _Parser:
             else:
                 return f
 
+    def exponent(self):
+        """The signed integer after a '^', with its number token; its size
+        must lie inside the exponent field."""
+        self.expect("^")
+        neg = self.peek().text == "-"
+        if neg:
+            self.next()
+        t = self.next()
+        if t.kind != "num":
+            raise ParseError("integer exponent expected", t.line, t.col)
+        # the length test keeps int() off digit strings Python will not read
+        short = len(t.text.lstrip("0")) <= len(str(EXP_LIMIT))
+        k = int(t.text) if short else EXP_LIMIT
+        if k >= EXP_LIMIT:
+            raise ParseError("exponent %s leaves the exponent field" % t.text,
+                             t.line, t.col)
+        return (-k if neg else k), t
+
+    def power(self, base: DFun):
+        """base ** k for the exponent that follows.  A rational constant
+        whose power has more digits than Python prints is refused before
+        the integer is built."""
+        k, t = self.exponent()
+        # Python's int-to-str digit limit, or its default where there is none
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        if not base.den and set(base.num) == {ONE_MONO}:
+            c = Q(base.num[ONE_MONO])
+            top = max(abs(c.numerator), c.denominator)
+            if top > 1 and abs(k) * math.log10(top) >= limit:
+                raise ParseError("power %s of a constant has more than %d digits"
+                                 % (t.text, limit), t.line, t.col)
+        try:
+            return base ** k
+        except ExponentOverflow as e:
+            raise ParseError(str(e), t.line, t.col) from None
+
     def fun_power(self):
         base = self.fun_atom()
-        if self.peek().text == "^":
-            self.next()
-            neg = False
-            if self.peek().text == "-":
-                self.next()
-                neg = True
-            t = self.next()
-            if t.kind != "num":
-                raise ParseError("integer exponent expected", t.line, t.col)
-            k = int(t.text)
-            if k >= EXP_LIMIT:
-                raise ParseError("exponent %s leaves the exponent field" % t.text,
-                                 t.line, t.col)
-            try:
-                return base ** (-k if neg else k)
-            except ExponentOverflow as e:
-                raise ParseError(str(e), t.line, t.col) from None
-        return base
+        return self.power(base) if self.peek().text == "^" else base
 
     def fun_atom(self):
         ctx = self.ctx
@@ -436,23 +458,23 @@ class _Parser:
             self.next()
             a = self.op_sum()
             self.expect(")")
-            return a
+            if self.peek().text != "^":
+                return a
+            terms, shape = a
+            if shape or any(kind != "mult" for _, ch in terms for kind, _ in ch.atoms):
+                self.error("only a scalar function may take a power")
+            f = ctx.zero()
+            for c, ch in terms:
+                for _, data in ch.atoms:
+                    c = c * data[0][0]
+                f = f + c
+            return [(ctx.one(), AtomChain(ctx, [("mult", [[self.power(f)]])], 1))], None
         if t.kind == "name" and t.text in ("frac", "chain"):
             raise ParseError("%s(...) must be the whole operator" % t.text,
                              t.line, t.col)
         if t.kind == "name" and t.text == "D":
             self.next()
-            k = 1
-            if self.peek().text == "^":
-                self.next()
-                neg = False
-                if self.peek().text == "-":
-                    self.next()
-                    neg = True
-                tn = self.next()
-                if tn.kind != "num":
-                    raise ParseError("integer power of D expected", tn.line, tn.col)
-                k = -int(tn.text) if neg else int(tn.text)
+            k = self.exponent()[0] if self.peek().text == "^" else 1
             return [(ctx.one(), AtomChain(ctx, [("d", k)], 1))], None
         # a scalar function literal (multiplication operator)
         self._opmode = True

@@ -110,20 +110,20 @@ def family_inverse_powers(ctx, a2, a3, b3, n):
 # C2-type polynomial recursions (b1 != 0)
 
 
-def pq_recursion(ctx, a1, ax, b1, bx, n, var_is_x=True):
+def pq_recursion(ctx, a1, ax, b1, bx, n, in_u=False):
     """The (p_n, q_n) pairs: q'' + 2 c q' = p and
     p_next = (a1/b1) p + ((ax b1 - a1 bx)/b1^2) q.
 
     c = sqrt(-bx/b1) is a derived parameter; integration constants are zero,
     except the seeding constant of q_0 which is set to one (a zero seed
-    collapses the whole family).  Works in x or in u.
+    collapses the whole family).  Works in t = x, or in t = u when in_u.
     """
-    name = "c12" if var_is_x else "c13"
+    name = "c13" if in_u else "c12"
     if bx.is_zero() or b1.is_zero():
         raise ParamDegenerate("needs b1 bx != 0 in the two-term recursion")
     ctx.add_derived_parameter(name, -bx / b1)
     c = ctx.param(name)
-    tid = ctx.x_id if var_is_x else ctx.gen_var(0, 0)
+    tid = ctx.gen_var(0, 0) if in_u else ctx.x_id
 
     def solve_q(p):
         # polynomial solution of q'' + 2c q' = p, constant term zero:
@@ -147,46 +147,31 @@ def pq_recursion(ctx, a1, ax, b1, bx, n, var_is_x=True):
     return pairs, c
 
 
-def family_exp_x(ctx, a1, a2, b1, b2, n):
-    """b1 b2 != 0, b3 = a3 = 0: (P_k, h_k, F_k) with e^(c x) factors.
+def family_exp(ctx, a1, ax, b1, bx, n, in_u=False):
+    """b1 bx != 0, the other cross pair zero: (P_k, g_k, F_k) with e^(c t).
 
-    F_k witnesses both links: D F = delta h_k, C F = P_k, and the same F
+    t = x (ax = a2, bx = b2, a3 = b3 = 0): g_k is the density h_k.
+    t = u (ax = a3, bx = b3, a2 = b2 = 0): g_k is the gradient of h_k.
+    F_k witnesses both links: D F = grad h_k, C F = P_k, and the same F
     drives the H-link to P_(k+1).
     """
-    pairs, c = pq_recursion(ctx, a1, a2, b1, b2, n, var_is_x=True)
-    E = ctx.adjoin_exp_x(c)
+    pairs, c = pq_recursion(ctx, a1, ax, b1, bx, n, in_u=in_u)
+    E = ctx.adjoin_exp_u(c) if in_u else ctx.adjoin_exp_x(c)
     u = ctx.gen(0, 0)
-    x = ctx.x()
+    tid, t = (ctx.gen_var(0, 0), u) if in_u else (ctx.x_id, ctx.x())
     out = []
     for p, q in pairs:
-        pm = p.subs_var(ctx.x_id, -x)
-        qm = q.subs_var(ctx.x_id, -x)           # q(-x)
-        qp = q._formal_partial(ctx.x_id)        # q'(x)
-        qpm = qp.subs_var(ctx.x_id, -x)         # q'(-x)
+        pm = p.subs_var(tid, -t)
+        qm = q.subs_var(tid, -t)                # q(-t)
+        qp = q._formal_partial(tid)             # q'(t)
+        qpm = qp.subs_var(tid, -t)              # q'(-t)
         P = p * E + pm / E
-        h = ((qp + c * q) * E - (qpm + c * qm) / E) * u / b1
+        if in_u:
+            P = P * ctx.u(1)
+        g = (qp + c * q) * E - (qpm + c * qm) / E
+        g = g / b1 if in_u else g * u / b1
         F = (q * E + qm / E) / b1
-        out.append((P, h, F))
-    return out
-
-
-def family_exp_u(ctx, a1, a3, b1, b3, n):
-    """b1 b3 != 0, b2 = a2 = 0: (P_k, grad h_k, F_k) with e^(c u) factors."""
-    pairs, c = pq_recursion(ctx, a1, a3, b1, b3, n, var_is_x=False)
-    E = ctx.adjoin_exp_u(c)
-    uid = ctx.gen_var(0, 0)
-    u = ctx.gen(0, 0)
-    u1 = ctx.u(1)
-    out = []
-    for p, q in pairs:
-        pm = p.subs_var(uid, -u)
-        qm = q.subs_var(uid, -u)
-        qp = q._formal_partial(uid)
-        qpm = qp.subs_var(uid, -u)
-        P = (p * E + pm / E) * u1
-        grad = ((qp + c * q) * E - (qpm + c * qm) / E) / b1
-        F = (q * E + qm / E) / b1
-        out.append((P, grad, F))
+        out.append((P, g, F))
     return out
 
 
@@ -239,8 +224,10 @@ def closed_form_family(family, params, n, verify=True):
 
     family in FAMILY_IDS; params a dict of parameter names to bind
     symbolically present coefficients (a1, a2, a3, b1, b2, b3 as needed).
-    Returns a list of (P_k, h_or_grad_k) pairs; every consecutive pair is
-    verified on both association links before returning.
+    Returns (ctx, [(P_k, g_k)]), g_k the density h_k; exp-u alone gives
+    its gradient (family_exp: density for t = x, gradient for t = u).
+    Every consecutive pair is verified on both association links before
+    returning.
     """
     ctx = Context(("u",), tuple(sorted(params)))
     vals = {k: (ctx.param(k) if v is None else ctx.const(v))
@@ -254,50 +241,40 @@ def closed_form_family(family, params, n, verify=True):
     b3 = vals.get("b3", zero)
     u1 = ctx.u(1)
     vd = variational_derivative
+    in_u = family in ("exp-u", "case6b")
+    ax, bx = (a3, b3) if in_u else (a2, b2)
 
-    if family == "sqrt":
-        seq = [family_sqrt(ctx, a2, a3, b2, b3, k) for k in range(n + 1)]
+    def fraction_in_t(x1, xt):   # x1 L1 + xt L3 for t = u, x1 L1 + xt L2 for t = x
+        return liouville_fraction(ctx, x1, *((zero, xt) if in_u else (xt, zero)))
+
+    if family in ("sqrt", "odd-powers", "inverse-powers"):
+        # H = L(0, a2, a3), K = L(0, b2, b3): only the K-witness differs
+        if family == "sqrt":
+            seq = [family_sqrt(ctx, a2, a3, b2, b3, k) for k in range(n + 1)]
+            witness_K = lambda P, h: [-h]
+        elif family == "odd-powers":
+            seq = [family_odd_powers(ctx, a2, a3, b2, k) for k in range(n + 1)]
+            witness_K = lambda P, h: [P / b2]
+        else:
+            seq = [family_inverse_powers(ctx, a2, a3, b3, k) for k in range(n + 1)]
+            witness_K = lambda P, h: [P / (b3 * u1)]
         if verify:
             _verify_links(family, liouville_fraction(ctx, zero, a2, a3),
                           liouville_fraction(ctx, zero, b2, b3),
-                          [(P, vd(h), [-h], [-h]) for P, h in seq])
+                          [(P, vd(h), witness_K(P, h), [-h]) for P, h in seq])
         return ctx, seq
-    if family == "odd-powers":
-        seq = [family_odd_powers(ctx, a2, a3, b2, k) for k in range(n + 1)]
+    if family in ("exp-x", "exp-u"):
+        rows = family_exp(ctx, a1, ax, b1, bx, n, in_u=in_u)
         if verify:
-            _verify_links(family, liouville_fraction(ctx, zero, a2, a3),
-                          liouville_fraction(ctx, zero, b2, b3),
-                          [(P, vd(h), [P / b2], [-h]) for P, h in seq])
-        return ctx, seq
-    if family == "inverse-powers":
-        seq = [family_inverse_powers(ctx, a2, a3, b3, k) for k in range(n + 1)]
-        if verify:
-            _verify_links(family, liouville_fraction(ctx, zero, a2, a3),
-                          liouville_fraction(ctx, zero, b2, b3),
-                          [(P, vd(h), [P / (b3 * u1)], [-h]) for P, h in seq])
-        return ctx, seq
-    if family == "exp-x":
-        rows = family_exp_x(ctx, a1, a2, b1, b2, n)
-        if verify:
-            _verify_links(family, liouville_fraction(ctx, a1, a2, zero),
-                          liouville_fraction(ctx, b1, b2, zero),
-                          [(P, vd(h), [F], [F]) for P, h, F in rows])
-        return ctx, [(P, h) for P, h, _ in rows]
-    if family == "exp-u":
-        rows = family_exp_u(ctx, a1, a3, b1, b3, n)
-        if verify:
-            _verify_links(family, liouville_fraction(ctx, a1, zero, a3),
-                          liouville_fraction(ctx, b1, zero, b3),
-                          [(P, [g], [F], [F]) for P, g, F in rows])
+            _verify_links(family, fraction_in_t(a1, ax), fraction_in_t(b1, bx),
+                          [(P, [g] if in_u else vd(g), [F], [F])
+                           for P, g, F in rows])
         return ctx, [(P, g) for P, g, _ in rows]
     if family in ("case6a", "case6b"):
-        in_u = family == "case6b"
-        ax = a3 if in_u else a2
         rows = family_case6(ctx, a1, ax, b1, n, in_u=in_u)
         if verify:
-            H = (liouville_fraction(ctx, a1, zero, ax) if in_u
-                 else liouville_fraction(ctx, a1, ax, zero))
-            _verify_links(family, H, liouville_fraction(ctx, b1, zero, zero),
+            _verify_links(family, fraction_in_t(a1, ax),
+                          liouville_fraction(ctx, b1, zero, zero),
                           [(P, vd(h), [G], [F]) for P, h, F, G in rows])
         return ctx, [(P, h) for P, h, _, _ in rows]
     raise ParamDegenerate("unknown family %r" % (family,))
@@ -494,7 +471,7 @@ def empirical_class(a_pattern, b_pattern):
         H = liouville_fraction(ctx, ctx.const(2), ctx.zero(), ctx.zero())
         K = liouville_fraction(ctx, ctx.zero(), ctx.const(3), ctx.zero())
         spG = AnsatzSpace(ctx, 1, 2, x_power=1)
-        kers = kernel_of(H.den, spG, ell=1)
+        kers = kernel_of(H.den, spG)
         candidates = [H.num.apply(k) for k in kers]
         if all(vec_is_zero(c) for c in candidates):
             return FINITE
@@ -507,7 +484,7 @@ def empirical_class(a_pattern, b_pattern):
         K = liouville_fraction(ctx, ctx.const(5), ctx.const(7), ctx.const(11))
         # P0 in the image of ker(B_H): pick A k != 0, then ask the K-link
         spK = AnsatzSpace(ctx, 1, 2, x_power=1)
-        kers = kernel_of(H.den, spK, ell=1)
+        kers = kernel_of(H.den, spK)
         P0 = None
         for k in kers:
             cand = H.num.apply(k)

@@ -456,7 +456,6 @@ def _mat_inverse(B: MatrixPsdOp, floor: int) -> MatrixPsdOp:
         except InsufficientTruncation:
             if attempt == 2:
                 raise
-    raise InsufficientTruncation("matrix inversion did not reach floor %d" % floor)
 
 
 def _mat_inverse_once(B: MatrixPsdOp, floor: int, extra=0) -> MatrixPsdOp:

@@ -64,32 +64,24 @@ def liouville_fraction(ctx, x1, x2, x3) -> StructurePair:
     """The minimal fractional decomposition, dispatched on the zero pattern."""
     u1, u2 = ctx.u(1), ctx.u(2)
     z2, z3 = x2.is_zero(), x3.is_zero()
+    if z2 and z3:
+        return StructurePair("liouville", _ch(ctx, _ms(x1), ("d", 1)),
+                             _ch(ctx, _ms(ctx.one())))
     if not z2 and not z3:
-        num = SumChain([
-            _ch(ctx, _ms(x1), ("d", 2), _ms(1 / u2), ("d", 1)),
-            _ch(ctx, _ms((x2 + x3 * u1 ** 2) / u2), ("d", 1)),
-            _ch(ctx, _ms(-x3 * u1)),
-        ]) if not x1.is_zero() else SumChain([
-            _ch(ctx, _ms((x2 + x3 * u1 ** 2) / u2), ("d", 1)),
-            _ch(ctx, _ms(-x3 * u1)),
-        ])
+        lead = [("d", 2), _ms(1 / u2), ("d", 1)]
+        rest = [_ch(ctx, _ms((x2 + x3 * u1 ** 2) / u2), ("d", 1)),
+                _ch(ctx, _ms(-x3 * u1))]
         den = _ch(ctx, ("d", 1), _ms(1 / u2), ("d", 1))
-        return StructurePair("liouville", num, den)
-    if not z2 and z3:
-        if x1.is_zero():
-            num = _ch(ctx, _ms(x2))
-        else:
-            num = SumChain([_ch(ctx, _ms(x1), ("d", 2)), _ch(ctx, _ms(x2))])
-        return StructurePair("liouville", num, _ch(ctx, ("d", 1)))
-    if z2 and not z3:
-        if x1.is_zero():
-            num = _ch(ctx, _ms(x3 * u1))
-        else:
-            num = SumChain([_ch(ctx, _ms(x1), ("d", 1), _ms(1 / u1), ("d", 1)),
-                            _ch(ctx, _ms(x3 * u1))])
-        return StructurePair("liouville", num, _ch(ctx, _ms(1 / u1), ("d", 1)))
-    return StructurePair("liouville", _ch(ctx, _ms(x1), ("d", 1)),
-                         _ch(ctx, _ms(ctx.one())))
+    elif z3:
+        lead, rest, den = [("d", 2)], [_ch(ctx, _ms(x2))], _ch(ctx, ("d", 1))
+    else:
+        lead = [("d", 1), _ms(1 / u1), ("d", 1)]
+        rest = [_ch(ctx, _ms(x3 * u1))]
+        den = _ch(ctx, _ms(1 / u1), ("d", 1))
+    # the x1 L1 term joins the numerator only when x1 != 0
+    chains = rest if x1.is_zero() else [_ch(ctx, _ms(x1), *lead)] + rest
+    num = chains[0] if len(chains) == 1 else SumChain(chains)
+    return StructurePair("liouville", num, den)
 
 
 _LIOUVILLE_CASES = {

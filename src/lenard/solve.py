@@ -459,10 +459,12 @@ def solve_operator_equation(op, rhs: Sequence[DFun], space: AnsatzSpace,
                             escalations=2) -> SolutionSet:
     """Solve op(F) = rhs for F inside the ansatz space.
 
-    op is an operator with a batch application (AtomChain, SumChain,
-    MatrixPsdOp, or the bound apply of one), which maps a batch of basis
-    vectors at once as numerators over one shared denominator; any other
-    op raises TypeError.
+    F has one component per generator of the space's context; op's output
+    must have as many components as rhs, or ValueError is raised (a
+    stacked operator maps l components to 2l).  op is an operator with a
+    batch application (AtomChain, SumChain, MatrixPsdOp, or the bound
+    apply of one), which maps a batch of basis vectors at once as
+    numerators over one shared denominator; any other op raises TypeError.
 
     When the space has no solution, the spaces with each bound raised by 0
     or by `escalations` are searched, fewest products first, and the first
@@ -475,7 +477,7 @@ def solve_operator_equation(op, rhs: Sequence[DFun], space: AnsatzSpace,
     the system is homogeneous, so the first space always answers.
     """
     ctx = space.ctx
-    ell = len(rhs)
+    ell = ctx.ell
     batch = _batch_operator(op)
     applied: Dict = {}  # basis element key -> its ell columns, with their dens
 
@@ -483,6 +485,9 @@ def solve_operator_equation(op, rhs: Sequence[DFun], space: AnsatzSpace,
         new = [f for f in scalars if f.key() not in applied]
         if new:
             cols, den = batch.apply_batch(*_basis_batch(new, ell))
+            if len(cols[0]) != len(rhs):
+                raise ValueError("the operator has %d output components, rhs %d"
+                                 % (len(cols[0]), len(rhs)))
             for i, f in enumerate(new):
                 applied[f.key()] = [(cols[comp * len(new) + i], den) for comp in range(ell)]
         columns = [applied[f.key()][comp] for comp in range(ell) for f in scalars]
@@ -550,9 +555,8 @@ def in_span(ctx, vectors, target) -> bool:
 
 
 def kernel_of(op, space: AnsatzSpace, ell=None) -> List[List[DFun]]:
-    """The kernel of a differential operator inside the ansatz space."""
+    """The kernel of a differential operator inside the ansatz space; ell
+    is the number of op's output components, one per generator if None."""
     ctx = space.ctx
-    if ell is None:
-        ell = op.cols if hasattr(op, "cols") else ctx.ell
-    rhs = [ctx.zero()] * ell
+    rhs = [ctx.zero()] * (ctx.ell if ell is None else ell)
     return solve_operator_equation(op, rhs, space, escalations=0).kernel

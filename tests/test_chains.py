@@ -255,6 +255,40 @@ def test_left_kn_nonzero_a_finite_type():
     assert all(g.is_zero() for g in pre.chain.left_steps[-1].grad)
 
 
+def test_every_stored_witness_has_one_component_per_generator():
+    """The left K-link solves the stacked [C; D] G = [P; 0] for an l-vector
+    G, not a 2l-vector; right steps store l-vectors as well."""
+    runs = []
+    for case in ("i", "iv"):
+        pre = load_liouville(case)
+        sp = AnsatzSpace(pre.ctx, 1, 2, x_power=1)
+        extend_left(pre.chain, sp, sp, steps=2, left_P=[pre.ctx.u(1)])
+        runs.append(pre)
+    pre = load_kn0()
+    sp = AnsatzSpace(pre.ctx, 0, 2)
+    extend_left(pre.chain, sp, sp, steps=2, left_P=[pre.ctx.one()])
+    runs.append(pre)
+    pre = load_kn(a_value=1)
+    u = pre.ctx.u(0)
+    spF = AnsatzSpace(pre.ctx, 3, 5, denominators=[(pre.ctx.u(1), 3)], weight_max=3)
+    extend_left(pre.chain, AnsatzSpace(pre.ctx, 0, 2), spF, steps=1,
+                left_P=[pre.ctx.one() + u + u * u])
+    runs.append(pre)
+    pre = load_nls()
+    spF, spG = nls_spaces(pre.ctx)
+    extend_right(pre.chain, spF, spG, steps=2, k_solver=nls_k_solver(pre),
+                 h_solver=nls_h_solver(pre))
+    runs.append(pre)
+    stored = 0
+    for pre in runs:
+        assert pre.chain.left_steps or pre.id == "nls"
+        for step in pre.chain.steps + pre.chain.left_steps:
+            for w in (step.witness_H or []) + (step.witness_K or []):
+                assert len(w) == pre.ctx.ell, (pre.id, step.index)
+                stored += 1
+    assert stored
+
+
 def test_left_finite_when_kernel_trivial():
     # H = a1 d alone: the dual K-side kernel is zero -> finite immediately
     pre = load_liouville("vi")

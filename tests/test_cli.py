@@ -289,6 +289,44 @@ def test_an_exponent_beyond_the_exponent_field_is_a_parse_error():
     assert json.loads(out)["results"][0]["verdict"] == "fails"
 
 
+def _check_skew(op):
+    return subprocess.run([sys.executable, "-m", "lenard.cli", "check", "--op", op,
+                           "--what", "skew"], capture_output=True, text=True, timeout=10)
+
+
+def test_a_parenthesized_function_takes_a_power_in_operator_mode():
+    squared = _check_skew("(u'+1)^2 D^-1 (u'+1)^2")
+    expanded = _check_skew("(u'^2+2*u'+1) D^-1 (u'^2+2*u'+1)")
+    assert squared.returncode == expanded.returncode == 0
+    assert squared.stdout == expanded.stdout
+    assert json.loads(squared.stdout)["results"][0]["verdict"] == "holds-to-floor"
+    # a group composed of multiplications is a scalar function too
+    assert (_check_skew("(u' (u'+1))^2 D^-1 u'").stdout
+            == _check_skew("(u'^2+u')^2 D^-1 u'").stdout)
+    # only a scalar function may take the power
+    proc = _check_skew("(D+u)^2")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: --op: only a scalar function may take a power "
+                           "(line 1, col 5)\n")
+
+
+@pytest.mark.parametrize("op, message", [
+    # 2^30000000 has more digits than Python prints; 2^1073741823 is refused
+    # without building a 2^30-bit integer
+    ("2^30000000 D^-1 u'", "power 30000000 of a constant has more than {limit} digits "
+                           "(line 1, col 2)"),
+    ("2^1073741823 D^-1 u'", "power 1073741823 of a constant has more than {limit} "
+                             "digits (line 1, col 2)"),
+    # D^k reads its exponent as a function power does
+    ("D^99999999999 u'", "exponent 99999999999 leaves the exponent field (line 1, col 2)"),
+])
+def test_an_exponent_too_large_to_use_is_a_parse_error(op, message):
+    proc = _check_skew(op)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    assert proc.stderr == "error: --op: %s\n" % message.format(limit=limit)
+
+
 def test_chain_kn_rational_param():
     code, out = run_cli("chain", "--preset", "kn", "--params", "a=3/2",
                         "--steps", "0", "--verify-only")

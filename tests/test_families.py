@@ -3,10 +3,11 @@
 import pytest
 
 from lenard.errors import ParamDegenerate, Proportional
+from lenard.field import Context
 from lenard.liouville import (EMPIRICAL_PATTERNS, classification_table,
                               classify, classify_liouville, closed_form_family,
-                              double_factorial, empirical_class, family_sqrt,
-                              hodograph_dual)
+                              double_factorial, empirical_class, family_exp,
+                              family_sqrt, hodograph_dual, pq_recursion)
 
 
 def test_double_factorial():
@@ -50,6 +51,62 @@ def test_exp_families():
                                  "b2": None}, 4)
     closed_form_family("exp-u", {"a1": None, "a3": None, "b1": None,
                                  "b3": None}, 4)
+
+
+def _exp_x_reference(ctx, a1, a2, b1, b2, n):
+    """The t = x builder written out on its own, the reference for family_exp."""
+    pairs, c = pq_recursion(ctx, a1, a2, b1, b2, n)
+    E = ctx.adjoin_exp_x(c)
+    u = ctx.gen(0, 0)
+    x = ctx.x()
+    out = []
+    for p, q in pairs:
+        pm = p.subs_var(ctx.x_id, -x)
+        qm = q.subs_var(ctx.x_id, -x)
+        qp = q._formal_partial(ctx.x_id)
+        qpm = qp.subs_var(ctx.x_id, -x)
+        P = p * E + pm / E
+        h = ((qp + c * q) * E - (qpm + c * qm) / E) * u / b1
+        F = (q * E + qm / E) / b1
+        out.append((P, h, F))
+    return out
+
+
+def _exp_u_reference(ctx, a1, a3, b1, b3, n):
+    """The t = u builder written out on its own, the reference for family_exp."""
+    pairs, c = pq_recursion(ctx, a1, a3, b1, b3, n, in_u=True)
+    E = ctx.adjoin_exp_u(c)
+    uid = ctx.gen_var(0, 0)
+    u = ctx.gen(0, 0)
+    u1 = ctx.u(1)
+    out = []
+    for p, q in pairs:
+        pm = p.subs_var(uid, -u)
+        qm = q.subs_var(uid, -u)
+        qp = q._formal_partial(uid)
+        qpm = qp.subs_var(uid, -u)
+        P = (p * E + pm / E) * u1
+        grad = ((qp + c * q) * E - (qpm + c * qm) / E) / b1
+        F = (q * E + qm / E) / b1
+        out.append((P, grad, F))
+    return out
+
+
+@pytest.mark.parametrize("in_u", [False, True], ids=["x", "u"])
+@pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
+def test_family_exp_matches_the_x_and_u_builders(in_u, numeric):
+    names = ("a1", "a3", "b1", "b3") if in_u else ("a1", "a2", "b1", "b2")
+    values = (-1, 16, -1, 4)   # sqrt(-bx/b1) = 2 is rational
+
+    def rows(build):
+        ctx = Context(("u",), () if numeric else tuple(sorted(names)))
+        args = [ctx.const(v) if numeric else ctx.param(t) for t, v in zip(names, values)]
+        ctx.u(1)
+        return [[(f.key(), str(f)) for f in row] for row in build(ctx, *args)]
+
+    for n in range(4):
+        want = rows(lambda *a: (_exp_u_reference if in_u else _exp_x_reference)(*a, n))
+        assert rows(lambda *a: family_exp(*a, n, in_u=in_u)) == want
 
 
 def test_case6_families():

@@ -6,8 +6,8 @@ import pytest
 
 from lenard.errors import Undecidable
 from lenard.field import Context
-from lenard.functional import (LocalFunctional, antiderivative, antiderivative_in_var,
-                               is_null_functional, reduce_by_parts,
+from lenard.functional import (LocalFunctional, _antiderivative_ansatz, antiderivative,
+                               antiderivative_in_var, is_null_functional, reduce_by_parts,
                                variational_derivative)
 
 from conftest import random_dfun
@@ -99,6 +99,16 @@ def test_antiderivative_exact(ctx):
     g = u ** 2 * u1
     assert antiderivative(g) == u ** 3 / 3
     assert antiderivative(ctx.one()) == ctx.x()
+
+
+def test_antiderivative_ansatz_with_two_generators():
+    # d acts on every component, so the scalar equation g' = f is solved as
+    # the diagonal system with zero right-hand sides for the other generators
+    ctx = Context(("u", "v"))
+    u1, v = ctx.gen(0, 1), ctx.gen(1, 0)
+    f = (u1 ** 2 * v).total_derivative()
+    g = _antiderivative_ansatz(f)
+    assert g is not None and g.total_derivative() == f
 
 
 def test_antiderivative_in_var_divides_integers_exactly(ctx):

@@ -251,3 +251,50 @@ def test_names_the_benchmark_relies_on_exist():
                     and node.value.id in modules
                     and not hasattr(modules[node.value.id], node.attr)]
     assert not missing, "names bench/ relies on that lenard lacks: %s" % sorted(set(missing))
+
+
+def _lenard_callee(node, names):
+    """The lenard object a call's dotted function name resolves to, or None
+    when it does not start from a lenard name the script imported."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name) or node.id not in names:
+        return None
+    obj = names[node.id]
+    for attr in reversed(attrs):
+        obj = getattr(obj, attr, None)
+    return obj if callable(obj) else None
+
+
+def test_bench_calls_bind_to_lenard_signatures():
+    """Every call a bench script makes through a name it imported from
+    lenard binds to the callee's signature, so a parameter only the
+    benchmark passes cannot be dropped unseen; calls with * or ** are
+    skipped."""
+    unbound = []
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lenard"):
+                owner = importlib.import_module(node.module)
+                names.update((alias.asname or alias.name, getattr(owner, alias.name))
+                             for alias in node.names if hasattr(owner, alias.name))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or (
+                    any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                continue
+            callee = _lenard_callee(node.func, names)
+            if callee is None:
+                continue
+            try:
+                inspect.signature(callee).bind(*[None] * len(node.args),
+                                               **{k.arg: None for k in node.keywords})
+            except TypeError as e:
+                unbound.append("%s:%d %s" % (path.name, node.lineno, e))
+            except ValueError:   # a builtin without a signature
+                pass
+    assert not unbound, "bench calls that no longer bind: %s" % unbound

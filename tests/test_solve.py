@@ -388,7 +388,7 @@ def _columnwise_solve(apply, rhs, space, escalations):
     ctx = space.ctx
     for k in range(escalations + 1):
         cur = _escalated(space, k)
-        basis = solve._vector_basis(ctx, cur.basis(), len(rhs))
+        basis = solve._vector_basis(ctx, cur.basis(), ctx.ell)
         particular, kernel = _columnwise_linear_solve(ctx, [apply(v) for v in basis], rhs)
         if particular is not None:
             return (cur, solve._combine(ctx, basis, particular),
@@ -412,7 +412,7 @@ def _check_against_columns(op, rhs, space, escalations=0):
     operator applied to its basis vector; then the solve's particular and
     kernel keys equal the reference's, and its final space lies between the
     start space and the reference's final one."""
-    ctx, ell = space.ctx, len(rhs)
+    ctx, ell = space.ctx, space.ctx.ell
     apply = op if callable(op) else op.apply
     batch = solve._batch_operator(op)
     ref = _columnwise_solve(apply, rhs, space, escalations)
@@ -509,7 +509,7 @@ def test_batch_columns_and_solutions_match_column_by_column(monkeypatch):
         checked += _check_against_columns(op, [ctx.zero()] * 2, space)
     # the stacked [C; D] at l = 2, against applying C and D one after the other
     stacked = chains._stack_ops(pre.K.num, pre.K.den)
-    for vec in solve._vector_basis(ctx, space.basis(), 4):
+    for vec in solve._vector_basis(ctx, space.basis(), 2):
         assert stacked.apply(vec) == pre.K.num.apply(vec) + pre.K.den.apply(vec)
     checked += _check_against_columns(stacked, [ctx.zero()] * 4, space)
     spF, _ = nls_spaces(ctx)
@@ -577,6 +577,15 @@ def test_solves_apply_the_operator_to_the_whole_basis_at_once(monkeypatch):
     assert calls == []
     with pytest.raises(TypeError):
         solve.solve_operator_equation(lambda vec: vec, rhs, space)
+
+
+def test_an_operator_whose_output_does_not_match_rhs_is_refused(ctx):
+    """A 2x1 stacked operator maps one component to two; against a
+    one-component rhs the elimination would drop the second row unseen."""
+    stacked = chains._stack_ops(AtomChain(ctx, [("d", 1)]),
+                                AtomChain(ctx, [("mult", [[ctx.u(1)]])]))
+    with pytest.raises(ValueError):
+        solve_operator_equation(stacked, [ctx.u(2)], AnsatzSpace(ctx, 1, 2, x_power=1))
 
 
 # -- the bound-lattice search against raising every bound at once -------------
