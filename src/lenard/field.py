@@ -427,6 +427,17 @@ def poly_add_into(acc: Dict[Mono, Q], other: Dict[Mono, Q]):
                 acc[m] = v if v.__class__ is int or v.denominator != 1 else v.numerator
 
 
+def poly_add_scaled(acc: Dict[Mono, Q], other: Dict[Mono, Q], b: int):
+    """acc += b * other, in place, for an integer b."""
+    for m, c in other.items():
+        v = acc.get(m)
+        v = b * c if v is None else v + b * c
+        if not v:
+            acc.pop(m, None)
+        else:
+            acc[m] = v if v.__class__ is int or v.denominator != 1 else v.numerator
+
+
 def poly_mul(a: Dict[Mono, Q], b: Dict[Mono, Q]) -> Dict[Mono, Q]:
     if not a or not b:
         return {}
@@ -672,18 +683,27 @@ def batch_derivative(ctx, cols, den):
     return [[next(it) for _ in vec] for vec in cols], den
 
 
+def over_lcm(funs):
+    """Field elements as numerators over the lcm of their denominators:
+    (numerators, lcm).  With no denominator the numerators are the
+    elements' own, so they are only to be read."""
+    lcm = ()
+    for f in funs:
+        if f.den:
+            lcm = _den_lcm(lcm, f.den)
+    if not lcm:
+        return [f.num for f in funs], lcm
+    return [poly_mul(f.num, _den_cofactor(lcm, f.den)) for f in funs], lcm
+
+
 def batch_matmul(matrix, cols, den):
     """Left-multiply numerator vectors over one denominator den by a matrix
     of field elements.  An entry contributes its numerator times its
     cofactor in L, the lcm of the entries' denominators, and L joins den.
     Returns (vectors, denominator), unnormalized."""
-    lcm = ()
-    for row in matrix:
-        for a in row:
-            if a.den:
-                lcm = _den_lcm(lcm, a.den)
-    mult = [[poly_mul(a.num, _den_cofactor(lcm, a.den)) if lcm else a.num
-             for a in row] for row in matrix]
+    nums, lcm = over_lcm([a for row in matrix for a in row])
+    it = iter(nums)
+    mult = [[next(it) for _ in row] for row in matrix]
     out = []
     for vec in cols:
         new = []
@@ -824,11 +844,8 @@ class DFun:
             return self.ctx.zero()
         num = poly_mul(self.num, other.num)
         if not self.den and not other.den:
-            reduced, extra_den = _reduce_relations(self.ctx, num)
-            if not extra_den:
-                return DFun(self.ctx, reduced, (), normalized=True)
-        den = _den_merge(self.den, other.den)
-        return DFun(self.ctx, num, den)
+            return field_element(self.ctx, num, ())
+        return DFun(self.ctx, num, _den_merge(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -989,6 +1006,16 @@ class DFun:
 
 
 # -- normalization ------------------------------------------------------------
+
+
+def field_element(ctx, num, den) -> DFun:
+    """num / den as a field element.  A polynomial whose relations reduce
+    without a denominator is canonical as it is, and skips _normalize."""
+    if not den:
+        reduced, extra_den = _reduce_relations(ctx, num)
+        if not extra_den:
+            return DFun(ctx, reduced, (), normalized=True)
+    return DFun(ctx, num, den)
 
 
 def _den_merge(a, b):

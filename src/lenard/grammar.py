@@ -20,6 +20,7 @@ import math
 import re
 import sys
 from fractions import Fraction as Q
+from functools import lru_cache
 
 from .errors import ExponentOverflow, ParseError
 from .field import DFun, EXP_LIMIT, ONE_MONO, mono_items
@@ -189,6 +190,17 @@ class _ScalarStop(Exception):
     """Internal: a scalar literal ran into an operator keyword."""
 
 
+def _digit_limit():
+    """Python's int-to-str digit limit, or its default where there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+@lru_cache(maxsize=4)
+def _digit_bound(limit):
+    """The least integer with more than `limit` digits."""
+    return 10 ** limit
+
+
 class _Parser:
     def __init__(self, ctx, toks):
         self.ctx = ctx
@@ -248,6 +260,7 @@ class _Parser:
                     self.i = save
                     return f
                 f = f * g if t.text == "*" else f / g
+                self.printable(f, "product", t)
             elif t.kind in ("name", "num") or t.text == "(":
                 # juxtaposition; in operator mode "(" starts a composition instead
                 if self._opmode and (t.text == "(" or
@@ -260,6 +273,7 @@ class _Parser:
                     self.i = save
                     return f
                 f = f * g
+                self.printable(f, "product", t)
             else:
                 return f
 
@@ -282,22 +296,38 @@ class _Parser:
         return (-k if neg else k), t
 
     def power(self, base: DFun):
-        """base ** k for the exponent that follows.  A rational constant
-        whose power has more digits than Python prints is refused before
-        the integer is built."""
+        """base ** k for the exponent that follows.  A base of one term, with
+        no relation variable, whose coefficient's power would have more
+        digits than Python prints is refused before the integer is built;
+        any other power, once made."""
         k, t = self.exponent()
-        # Python's int-to-str digit limit, or its default where there is none
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-        if not base.den and set(base.num) == {ONE_MONO}:
-            c = Q(base.num[ONE_MONO])
+        limit = _digit_limit()
+        if len(base.num) == 1 and not base.has_relation_vars():
+            (c,) = base.num.values()
             top = max(abs(c.numerator), c.denominator)
             if top > 1 and abs(k) * math.log10(top) >= limit:
-                raise ParseError("power %s of a constant has more than %d digits"
-                                 % (t.text, limit), t.line, t.col)
+                constant = not base.den and set(base.num) == {ONE_MONO}
+                raise ParseError("power %s %s more than %d digits"
+                                 % (t.text, "of a constant has" if constant
+                                    else "has a coefficient of", limit), t.line, t.col)
         try:
-            return base ** k
+            out = base ** k
         except ExponentOverflow as e:
             raise ParseError(str(e), t.line, t.col) from None
+        self.printable(out, "power %s" % t.text, t)
+        return out
+
+    @staticmethod
+    def printable(f: DFun, what, t):
+        """Refuse f, made by `what` at token t, when a coefficient of it has
+        more digits than Python prints."""
+        limit = _digit_limit()
+        bound = _digit_bound(limit)
+        for poly in [f.num] + [g for g, _ in f.den]:
+            for c in poly.values():
+                if abs(c.numerator) >= bound or c.denominator >= bound:
+                    raise ParseError("%s has a coefficient of more than %d digits"
+                                     % (what, limit), t.line, t.col)
 
     def fun_power(self):
         base = self.fun_atom()

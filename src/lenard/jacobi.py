@@ -20,6 +20,12 @@ third terms are evaluated in operator form over the structure's atom chain
 where "-> c" carries the substitution s = l+m+d acting on c.  Expanding any
 bracket argument coefficientwise instead silently lands in the opposite
 completion and breaks on genuinely non-local structures.
+
+Both operator-form terms apply (l+m+d)^r, and a series h(l+m+d), to grids
+through _grid_trinomial.  It is its own numerator walk, not the univariate
+kernel operators._binomial_shift: the grid goes over one denominator, each
+l-row's (m+d)-tower is walked once, a step being a shift in m plus one
+batch total derivative, and each output coefficient is normalized once.
 """
 
 from __future__ import annotations
@@ -27,10 +33,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InsufficientTruncation
-from .field import DFun, NEG_INF, batch_derivative, batch_matmul, batch_sum
+from .field import (DFun, NEG_INF, ONE_MONO, _den_cofactor, _den_merge, batch_derivative,
+                    batch_matmul, batch_sum, field_element, over_lcm, poly_add_into,
+                    poly_add_scaled, poly_mul)
 from .brackets import master_bracket
 from .operators import (MatrixPsdOp, OperatorSum, RationalOpPair, ScalarPsdOp,
-                        _accumulate, _binomial_shift, _jf, structure_sum)
+                        _accumulate, _jf, binom, structure_sum)
 from .series import BiSeries, LambdaSeries
 
 
@@ -301,40 +309,73 @@ def _grid_mul_series(g: BiSeries, s: LambdaSeries) -> BiSeries:
     return BiSeries(ctx, out, (fl, g.floors[1]))
 
 
-def _lambda_rows(g: BiSeries) -> Dict[int, LambdaSeries]:
-    """The grid as l-power -> m-series, ascending in l, each with g's m floor."""
+def _grid_mu_shift(g: BiSeries, r: int, mu_floor: Optional[int]) -> BiSeries:
+    """(m+d)^r along the second variable of a grid, one l-row at a time."""
+    if r >= 0 and g.floors[1] is None:
+        mu_floor = None  # finite binomial of an exact series stays exact
     rows: Dict[int, Dict[int, DFun]] = {}
     for (p, q), c in g.coeffs.items():
         rows.setdefault(p, {})[q] = c
-    return {p: LambdaSeries(g.ctx, rows[p], g.floors[1]) for p in sorted(rows)}
-
-
-def _grid_of_rows(ctx, rows: Dict[int, LambdaSeries], floors) -> BiSeries:
-    return BiSeries(ctx, {(p, q): c for p, ser in rows.items()
-                          for q, c in ser.coeffs.items()}, floors)
-
-
-def _grid_mu_shift(g: BiSeries, r: int, mu_floor: Optional[int]) -> BiSeries:
-    """(m+d)^r along the second variable of a grid."""
-    if r >= 0 and g.floors[1] is None:
-        mu_floor = None  # finite binomial of an exact series stays exact
-    rows = {p: ser.apply_shift(r, floor=mu_floor)
-            for p, ser in _lambda_rows(g).items()}
+    out = {}
+    for p in sorted(rows):
+        ser = LambdaSeries(g.ctx, rows[p], g.floors[1]).apply_shift(r, floor=mu_floor)
+        out.update(((p, q), c) for q, c in ser.coeffs.items())
     fm = g.floors[1]
     if fm is not None and r > 0:
         fm += r
-    return _grid_of_rows(g.ctx, rows, (g.floors[0], _jf(fm, mu_floor)))
+    return BiSeries(g.ctx, out, (g.floors[0], _jf(fm, mu_floor)))
+
+
+def _mu_step(ctx, rows, den, floor):
+    """(m+d) on l-rows {p: {q: numerator}} over one denominator den: the d
+    part is one batch_derivative of every numerator, the m part moves each
+    numerator up one m-power, times its cofactor in the new denominator.
+    m-powers below floor (None: none) and rows that vanish are dropped.
+    Returns (rows, denominator)."""
+    keys = [(p, q) for p, row in rows.items() for q in row]
+    (nums,), new_den = batch_derivative(ctx, [[rows[p][q] for p, q in keys]], den)
+    cof = _den_cofactor(new_den, den)
+    unit = cof == {ONE_MONO: 1}
+    out: Dict[int, Dict[int, dict]] = {p: {} for p in rows}
+    for (p, q), dn in zip(keys, nums):
+        if dn and (floor is None or q >= floor):
+            out[p][q] = dn
+    for p, row in rows.items():
+        new = out[p]
+        for q, n in row.items():
+            if floor is not None and q + 1 < floor:
+                continue
+            s = n if unit else poly_mul(n, cof)
+            acc = new.get(q + 1)
+            if acc is None:
+                new[q + 1] = s  # may be n itself: a level is only read once built
+            else:
+                poly_add_into(acc, s)
+                if not acc:
+                    del new[q + 1]
+    return {p: row for p, row in out.items() if row}, new_den
 
 
 def _grid_trinomial(g: BiSeries, h: LambdaSeries, lam_floor: int,
                     mu_floor: int) -> BiSeries:
-    """h(l+m+d) on a grid, for h a series in l (l^r for (l+m+d)^r): the
-    shift kernel with D = m+d, applied to the grid's l-rows in one pass.
+    """h(l+m+d) on a grid, for h a series in l (l^r for (l+m+d)^r):
+    sum over r and k of h_r binom(r, k) l^(r-k) (m+d)^k, on numerators.
+
+    The grid goes over one shared denominator, and each l-row's (m+d)-tower
+    is walked once, all rows a step at a time (_mu_step).  Level k keeps
+    the m-powers from g's m floor + k up: a row cut off below that floor is
+    still right there.  The denominators of the levels divide one another,
+    so each level is lifted to the last one's with one cofactor product per
+    numerator, and binom(r, k) adds it in place at l-power r+p-k.  Each h_r
+    then multiplies its sums once, as a numerator over the lcm of h's
+    denominators, and each output coefficient becomes a DFun once, with
+    relations reduced (field_element).
 
     The floors join those of each (l+m+d)^r that reaches lam_floor: l at
     lam_floor or g's l floor + r, m at g's m floor + the last k reached.
     h's floor caps l at h.floor + the grid's top l-power, the rule
-    apply_symbol applies to a symbol's floor."""
+    apply_symbol applies to a symbol's floor.  No output coefficient below
+    the floors is formed."""
     ctx = g.ctx
     fl, fm = lam_floor, g.floors[1]
     if not g.coeffs:
@@ -347,9 +388,58 @@ def _grid_trinomial(g: BiSeries, h: LambdaSeries, lam_floor: int,
             fm = None if fm is None else max(fm, mu_floor, g.floors[1] + kmax)
     if h.floor is not None:
         fl = max(fl, h.floor + ptop)
-    rows = _binomial_shift(h.coeffs, _lambda_rows(g), lam_floor,
-                           step=lambda ser: ser.apply_shift(1))
-    return _grid_of_rows(ctx, rows, (fl, fm))
+    # row p's last k for each r: its l-power r+p-k reaches fl, and k <= r if r >= 0
+    reach = {}
+    for p in {p for p, _ in g.coeffs}:
+        ks = {r: min(r, r + p - fl) if r >= 0 else r + p - fl for r in h.coeffs}
+        ks = {r: k for r, k in ks.items() if k >= 0}
+        if ks:
+            reach[p] = ks
+    cells = [pq for pq in g.coeffs if pq[0] in reach]
+    nums, den = over_lcm([g.coeffs[pq] for pq in cells])
+    rows: Dict[int, Dict[int, dict]] = {}
+    for (p, q), n in zip(cells, nums):
+        rows.setdefault(p, {})[q] = n
+    levels = []
+    gm = g.floors[1]
+    while rows:
+        levels.append((rows, den))
+        k = len(levels)
+        rows = {p: row for p, row in rows.items() if max(reach[p].values()) >= k}
+        if rows:
+            rows, den = _mu_step(ctx, rows, den, None if gm is None else gm + k)
+    sums: Dict[Tuple[int, int, int], dict] = {}  # (r, l-power, m-power) -> numerator over den
+    for k, (rows, lden) in enumerate(levels):
+        cof = _den_cofactor(den, lden)
+        unit = cof == {ONE_MONO: 1}
+        for p, row in rows.items():
+            weights = [(r, binom(r, k), r + p - k)
+                       for r, kmax in reach[p].items() if k <= kmax]
+            for q, n in row.items():
+                if fm is not None and q < fm:
+                    continue
+                if not unit:
+                    n = poly_mul(n, cof)
+                for r, b, deg in weights:
+                    acc = sums.get((r, deg, q))
+                    if acc is None:
+                        acc = sums[(r, deg, q)] = {}
+                    poly_add_scaled(acc, n, b)
+    hnums, hden = over_lcm(list(h.coeffs.values()))
+    hnum = dict(zip(h.coeffs, hnums))
+    out: Dict[Tuple[int, int], dict] = {}
+    for (r, deg, q), s in sums.items():
+        hn = hnum[r]
+        term = s if hn == {ONE_MONO: 1} else poly_mul(hn, s)
+        acc = out.get((deg, q))
+        if acc is None:
+            out[(deg, q)] = term
+        else:
+            poly_add_into(acc, term)
+    if hden:
+        den = _den_merge(den, hden)
+    return BiSeries(ctx, {pq: field_element(ctx, n, den) for pq, n in out.items() if n},
+                    (fl, fm))
 
 
 # ---------------------------------------------------------------------------

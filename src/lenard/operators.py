@@ -33,26 +33,25 @@ def binom(m: int, k: int) -> int:
 
 
 def _binomial_shift(h: Dict[int, DFun], t: Dict[int, DFun], floor: Optional[int] = None,
-                    out: Optional[Dict[int, DFun]] = None,
-                    step=DFun.total_derivative) -> Dict[int, DFun]:
-    """h(l+D) applied to t: sum of binom(q, k) h_q D^k(t_p) at degree q+p-k.
+                    out: Optional[Dict[int, DFun]] = None) -> Dict[int, DFun]:
+    """h(l+d) applied to t: sum of binom(q, k) h_q d^k(t_p) at degree q+p-k.
 
-    The one place that sums over h.  D is `step`, the total derivative
-    unless given; a coefficient t_p only needs a zero test, + and products
-    with a rational and (on the right) with h_q.  Each t_p's D-tower is
-    walked once and serves every q; h_q multiplies each degree's sum over
-    (p, k) once.  Degrees below the floor are dropped.  For q >= 0 the
-    k-sum is finite; for q < 0 it runs down to the floor, or, without one,
-    until D^k(t_p) vanishes, which never happens when t_p has a jet variable
-    (its top jet partial survives every D): InsufficientTruncation at once
-    for such a t_p, and past k = 80 for a quasiconstant.  Terms are added
-    into `out` when it is given.
+    The one univariate shift kernel (compose, master_bracket, apply_shift;
+    the Jacobi grid's (l+m+d)^r walks its own numerator towers, see
+    jacobi._grid_trinomial).  Each t_p's total-derivative tower is walked
+    once and serves every q; h_q multiplies each degree's sum over (p, k)
+    once.  Degrees below the floor are dropped.  For q >= 0 the k-sum is
+    finite; for q < 0 it runs down to the floor, or, without one, until
+    d^k(t_p) vanishes, which never happens when t_p has a jet variable (its
+    top jet partial survives every d): InsufficientTruncation at once for
+    such a t_p, and past k = 80 for a quasiconstant.  Terms are added into
+    `out` when it is given.
     """
     if out is None:
         out = {}
     sums: Dict[int, Dict[int, DFun]] = {q: {} for q in h}
     for p, c in t.items():
-        reach = {}  # q -> last k; None runs until D^k(t_p) vanishes
+        reach = {}  # q -> last k; None runs until d^k(t_p) vanishes
         for q in h:
             kmax = None if floor is None else q + p - floor
             if q >= 0:
@@ -63,7 +62,7 @@ def _binomial_shift(h: Dict[int, DFun], t: Dict[int, DFun], floor: Optional[int]
         k = 0
         while top is None or k <= top:
             if k:
-                c = step(c)
+                c = c.total_derivative()
             if c.is_zero():
                 break
             if top is None and (k > 80 or c.dord() != NEG_INF):

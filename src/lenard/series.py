@@ -57,8 +57,7 @@ class LambdaSeries:
 
     def __mul__(self, q):
         """Product with a rational or a function, each coefficient times q
-        (the shift kernel's h_q times a row, a mult atom's function times a
-        suffix value)."""
+        (a mult atom's function times a suffix value)."""
         return LambdaSeries(self.ctx, {p: c * q for p, c in self.coeffs.items()},
                             self.floor)
 

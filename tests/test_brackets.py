@@ -3,6 +3,8 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenard.brackets import (check_compatible, check_jacobi, check_skewadjoint,
                              evolutionary_bracket, functional_action,
@@ -12,7 +14,7 @@ from lenard.field import Context, vec_is_zero
 from lenard.functional import LocalFunctional
 from lenard.jacobi import AtomChain, AtomStructure, _grid_trinomial
 from lenard.operators import (MatrixPsdOp, OperatorSum, RationalOpPair,
-                              ScalarPsdOp, binom)
+                              ScalarPsdOp, _accumulate, _jf, binom)
 from lenard.series import BiSeries, LambdaSeries
 
 from conftest import random_dfun
@@ -247,3 +249,118 @@ def test_grid_trinomial_against_definition(ctx, rng, r, floors):
     for p, q in set(got.coeffs) | set(ref):
         if p >= fl and (fm is None or q >= fm):
             assert got.coeffs.get((p, q), ctx.zero()) == ref.get((p, q), ctx.zero())
+
+
+# The iterated path _grid_trinomial replaced, as an oracle: the grid's
+# l-rows as LambdaSeries in m, each (m+d) step an apply_shift(1) of a row,
+# summed by the univariate shift kernel with that step.
+
+
+def _iterated_binomial_shift(h, t, floor):
+    sums = {q: {} for q in h}
+    for p, c in t.items():
+        reach = {q: q + p - floor if q < 0 else min(q, q + p - floor) for q in h}
+        reach = {q: k for q, k in reach.items() if k >= 0}
+        for k in range(max(reach.values(), default=-1) + 1):
+            if k:
+                c = c.apply_shift(1)
+            if c.is_zero():
+                break
+            for q, kmax in reach.items():
+                if k <= kmax:
+                    _accumulate(sums[q], q + p - k, c * binom(q, k))
+    out = {}
+    for q, a in h.items():
+        for deg, s in sums[q].items():
+            _accumulate(out, deg, s * a)
+    return out
+
+
+def _iterated_grid_trinomial(g, h, lam_floor, mu_floor):
+    ctx = g.ctx
+    fl, fm = lam_floor, g.floors[1]
+    ptop = max(p for p, _ in g.coeffs)
+    for r in h.coeffs:
+        kmax = r if r >= 0 else ptop + r - lam_floor
+        if kmax >= 0:
+            fl = _jf(fl, None if g.floors[0] is None else g.floors[0] + r)
+            fm = None if fm is None else max(fm, mu_floor, g.floors[1] + kmax)
+    if h.floor is not None:
+        fl = max(fl, h.floor + ptop)
+    rows = {}
+    for (p, q), c in g.coeffs.items():
+        rows.setdefault(p, {})[q] = c
+    rows = {p: LambdaSeries(ctx, row, g.floors[1]) for p, row in rows.items()}
+    out = _iterated_binomial_shift(h.coeffs, rows, lam_floor)
+    return BiSeries(ctx, {(p, q): c for p, ser in out.items()
+                          for q, c in ser.coeffs.items()}, (fl, fm))
+
+
+def _grid_field(kind):
+    """A context and the pieces its grid entries are drawn from: factors of
+    a term, and the denominator factors of the rational kind."""
+    ctx = Context(("u",))
+    u, u1, u2 = ctx.u(0), ctx.u(1), ctx.u(2)
+    factors, dens = [u, u1, u2, ctx.x()], []
+    if kind == "sqrt":
+        factors.append(ctx.adjoin_sqrt(u1 * u1 + 1))
+    elif kind == "relation":
+        factors.append(ctx.var_fun(ctx.add_derived_parameter("c", ctx.const(Q(3, 2)))))
+    elif kind == "rational":
+        dens = [u1 + 1, u2 * u2 + 1]
+    elif kind == "exp":
+        e = ctx.adjoin_exp_u(ctx.const(2))
+        factors += [e, 1 / e]
+        dens = [e + u1]
+    return ctx, factors, dens
+
+
+@st.composite
+def _grid_entry(draw, ctx, factors, dens):
+    out = ctx.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = ctx.const(draw(st.integers(-3, 3).filter(bool)))
+        for f in draw(st.lists(st.sampled_from(factors), max_size=2)):
+            term = term * f
+        out = out + term
+    if dens and draw(st.booleans()):
+        out = out * draw(st.sampled_from(dens)).inverse() ** draw(st.integers(1, 2))
+    return out if out else ctx.one()
+
+
+@st.composite
+def _trinomial_case(draw, kind):
+    """A grid, exact or floored on either side, and an h with powers of
+    either sign, unit or drawn coefficients, and maybe a floor."""
+    ctx, factors, dens = _grid_field(kind)
+    entry = _grid_entry(ctx, factors, dens)
+    cells = draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-2, 1)),
+                          min_size=1, max_size=4, unique=True))
+    floors = (draw(st.sampled_from([None, -2])), draw(st.sampled_from([None, -3])))
+    g = BiSeries(ctx, {pq: draw(entry) for pq in cells}, floors)
+    powers = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2, unique=True))
+    unit = draw(st.booleans())
+    h = LambdaSeries(ctx, {r: ctx.one() if unit else draw(entry) for r in powers},
+                     draw(st.sampled_from([None, min(powers) - 1])))
+    return g, h
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "rational", "sqrt", "relation", "exp"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_grid_trinomial_matches_the_iterated_path(kind, data):
+    """Polynomial grids agree by key and print; the others (a composite
+    denominator factor, a sqrt symbol, a derived parameter's relation, an
+    exponential symbol) as field elements, as the printed form is not
+    canonical."""
+    g, h = data.draw(_trinomial_case(kind))
+    got = _grid_trinomial(g, h, -3, -4)
+    ref = _iterated_grid_trinomial(g, h, -3, -4)
+    assert got.floors == ref.floors
+    assert set(got.coeffs) == set(ref.coeffs)
+    for pq, c in got.coeffs.items():
+        assert c == ref.coeffs[pq]
+    if kind == "polynomial":
+        assert ([c.key() for c in got.coeffs.values()]
+                == [ref.coeffs[pq].key() for pq in got.coeffs])
+        assert str(got) == str(ref)

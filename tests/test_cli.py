@@ -319,6 +319,17 @@ def test_a_parenthesized_function_takes_a_power_in_operator_mode():
                              "digits (line 1, col 2)"),
     # D^k reads its exponent as a function power does
     ("D^99999999999 u'", "exponent 99999999999 leaves the exponent field (line 1, col 2)"),
+    # a product of two printable powers, written with * or side by side
+    ("2^14000*2^14000 D^-1 u'", "product has a coefficient of more than {limit} digits "
+                                "(line 1, col 7)"),
+    ("2^8000 2^8000 D^-1 u'", "product has a coefficient of more than {limit} digits "
+                              "(line 1, col 7)"),
+    # the power of a one-term base is refused before it is built, any other
+    # once made
+    ("(2*u')^1073741823 D^-1 u'", "power 1073741823 has a coefficient of more than "
+                                  "{limit} digits (line 1, col 7)"),
+    ("(u+10^3000)^2 D^-1 u'", "power 2 has a coefficient of more than {limit} digits "
+                              "(line 1, col 12)"),
 ])
 def test_an_exponent_too_large_to_use_is_a_parse_error(op, message):
     proc = _check_skew(op)
@@ -611,6 +622,24 @@ README_COMMANDS = [
 @pytest.mark.parametrize("name, argv, code", README_COMMANDS,
                          ids=[c[0] for c in README_COMMANDS])
 def test_readme_command_output_is_unchanged(name, argv, code):
+    assert run_cli(*argv) == (code, _golden(name + ".out"))
+
+
+# the rational Jacobi path: grids whose entries have denominators, which the
+# README commands do not reach
+RATIONAL_JACOBI = [
+    ("check_jacobi_rational_u2",
+     ["check", "--op", "(u''+1)^-1 D^-1 (u''+1)^-1", "--what", "jacobi",
+      "--floor", "-3"], 1),
+    ("check_jacobi_rational_u1",
+     ["check", "--op", "(u'+1)^-1 D^-1 (u'+1)^-1", "--what", "jacobi",
+      "--floor", "-3"], 0),
+]
+
+
+@pytest.mark.parametrize("name, argv, code", RATIONAL_JACOBI,
+                         ids=[c[0] for c in RATIONAL_JACOBI])
+def test_rational_jacobi_output_is_unchanged(name, argv, code):
     assert run_cli(*argv) == (code, _golden(name + ".out"))
 
 

@@ -885,11 +885,13 @@ def test_every_coefficient_is_int_or_a_proper_fraction(monkeypatch):
     in num and in each den factor, is an int or a Fraction with a
     denominator other than 1; and so is every coefficient of the batches
     of numerators an ansatz solve clears into rows, and of their cleared
-    numerators."""
-    from lenard import solve
+    numerators, and of the numerators of each step of a Jacobi grid's
+    (l+m+d)-shift."""
+    from lenard import jacobi, solve
     made, broken = [0], []
     init = DFun.__init__
     clear = solve._clear
+    mu_step = jacobi._mu_step
 
     def check(polys):
         for poly in polys:
@@ -907,12 +909,19 @@ def test_every_coefficient_is_int_or_a_proper_fraction(monkeypatch):
               + [num for num in out if num is not None])
         return out
 
+    def checked_mu_step(ctx, rows, den, floor):
+        out, out_den = mu_step(ctx, rows, den, floor)
+        check([num for row in out.values() for num in row.values()]
+              + [f for f, _ in out_den])
+        return out, out_den
+
     monkeypatch.setattr(DFun, "__init__", checked)
     monkeypatch.setattr(solve, "_clear", checked_clear)
+    monkeypatch.setattr(jacobi, "_mu_step", checked_mu_step)
     ctx = Context(("u",))
     u1 = ctx.u(1)
     L3 = AtomStructure(AtomChain(ctx, [("mult", [[u1]]), ("d", -1), ("mult", [[u1]])]))
-    assert check_jacobi(L3, (-3, -3)).holds
+    assert check_jacobi(L3, (-5, -5)).holds
     # ker(((x2+x3 u'^2)/u'')d - x3 u') = C sqrt(x2+x3 u'^2)
     ctx = Context(("u",), ("x1", "x2", "x3"))
     x1, x2, x3 = ctx.param("x1"), ctx.param("x2"), ctx.param("x3")
