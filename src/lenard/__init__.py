@@ -13,8 +13,8 @@ from .functional import (LocalFunctional, antiderivative, is_null_functional,
 from .grammar import (fun_latex, fun_text, parse_function, parse_operator,
                       vec_latex, vec_text)
 from .jacobi import AtomChain, AtomStructure, SumChain
-from .liouville import (classification_table, classify, classify_liouville,
-                        closed_form_family, empirical_class, hodograph_dual)
+from .liouville import (classification_table, classify, closed_form_family,
+                        empirical_class, hodograph_dual)
 from .operators import (MatrixPsdOp, OperatorSum, RationalOpPair, ScalarPsdOp,
                         default_floor, expand_fraction, is_nondegenerate,
                         right_lcm, skew_divide, verify_fraction)

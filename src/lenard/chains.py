@@ -23,7 +23,7 @@ from .field import DFun, NEG_INF, vec_eq, vec_is_zero
 from .functional import (LocalFunctional, antiderivative_or_none,
                          is_self_adjoint_frechet, reduce_by_parts)
 from .jacobi import AtomChain, SumChain
-from .operators import MatrixPsdOp, RationalOpPair
+from .operators import MatrixPsdOp
 from .solve import AnsatzSpace, kernel_of, reduce_mod_span, solve_operator_equation
 
 Chainlike = Union[AtomChain, SumChain]
@@ -56,9 +56,6 @@ class StructurePair:
         if self._den_op is None:
             self._den_op = self.den.to_operator()
         return self._den_op
-
-    def fraction(self) -> RationalOpPair:
-        return RationalOpPair.fraction(self.num_op(), self.den_op())
 
     def order(self):
         a, b = self.num_op().order(), self.den_op().order()

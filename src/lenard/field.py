@@ -199,7 +199,7 @@ class Context:
         self._ids = {}           # structural key -> id
         self._names = []         # id -> display name
         self._rank = []          # id -> canonical sort rank (tuple)
-        self._pos = []           # id -> place in descending rank order (int)
+        self._pos = None         # id -> place in descending rank order, when needed
         self._sortkeys = {}      # monomial -> mono_sortkey, until the next id
         self._d_ratios = {}      # id of x or a jet -> its total derivative over it
         self.laurent = []        # id -> bool (exponential symbols)
@@ -226,10 +226,7 @@ class Context:
         self.laurent.append(laurent)
         _widen(vid + 1)
         self._sortkeys = {}
-        pos = self._pos = [0] * len(self._rank)
-        for i, v in enumerate(sorted(range(len(pos)), key=self._rank.__getitem__,
-                                     reverse=True)):
-            pos[v] = i
+        self._pos = None
         return vid
 
     def add_parameter(self, name):
@@ -386,6 +383,10 @@ class Context:
         key = self._sortkeys.get(mono)
         if key is None:
             pos = self._pos
+            if pos is None:   # a run of registrations places the ids once
+                rank = self._rank
+                ranked = sorted(range(len(rank)), key=rank.__getitem__, reverse=True)
+                pos = self._pos = {v: i for i, v in enumerate(ranked)}
             deg = 0
             pairs = []
             for v, e in mono_items(mono):

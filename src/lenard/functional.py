@@ -20,15 +20,15 @@ from .solve import AnsatzSpace, reduce_mod_span, solve_operator_equation
 
 
 def variational_derivative(f: DFun):
-    """delta f / delta u as a vector of length ell: sum_n (-d)^n df/du_i^(n)."""
+    """delta f / delta u as a vector of length ell: sum_n (-d)^n p_n with
+    p_n = df/du_i^(n), in Horner form p_0 - d(p_1 - d(p_2 - ...))."""
     ctx = f.ctx
     out = []
     for i in range(ctx.ell):
+        parts = f.jet_partials(i)
         acc = ctx.zero()
-        for n, term in f.jet_partials(i).items():
-            for _ in range(n):
-                term = -term.total_derivative()
-            acc = acc + term
+        for n in range(max(parts, default=0), -1, -1):
+            acc = parts.get(n, ctx.zero()) - acc.total_derivative()
         out.append(acc)
     return out
 

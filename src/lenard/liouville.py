@@ -360,15 +360,6 @@ def classify(a: Tuple[bool, bool, bool], b: Tuple[bool, bool, bool]) -> str:
     return FINITE
 
 
-def classify_liouville(a_vals, b_vals) -> str:
-    """Classify from actual coefficient values (zero tests, Proportional check)."""
-    av = tuple(not c.is_zero() if isinstance(c, DFun) else bool(c) for c in a_vals)
-    bv = tuple(not c.is_zero() if isinstance(c, DFun) else bool(c) for c in b_vals)
-    if av == bv and sum(av) == 1:
-        raise Proportional("structures are proportional")
-    return classify(av, bv)
-
-
 # ---------------------------------------------------------------------------
 # empirical cross-validation: run the engine on representative patterns
 

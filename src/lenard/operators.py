@@ -13,6 +13,7 @@ denominators, expanded on demand by leading-term inversion.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional
 
 from .errors import (InsufficientTruncation, NotDifferential, SingularLeadingSymbol,
@@ -23,13 +24,11 @@ DEFAULT_GUARD = 6
 
 
 def binom(m: int, k: int) -> int:
-    """binom(m, k) for integer m of either sign, k >= 0."""
+    """binom(m, k) for integer m of either sign; 0 for k < 0.  For m < 0,
+    binom(m, k) = (-1)^k binom(k - m - 1, k)."""
     if k < 0:
         return 0
-    out = 1
-    for j in range(k):
-        out = out * (m - j) // (j + 1)
-    return out
+    return math.comb(m, k) if m >= 0 else (-1) ** k * math.comb(k - m - 1, k)
 
 
 def _binomial_shift(h: Dict[int, DFun], t: Dict[int, DFun], floor: Optional[int] = None,
@@ -59,6 +58,7 @@ def _binomial_shift(h: Dict[int, DFun], t: Dict[int, DFun], floor: Optional[int]
             if kmax is None or kmax >= 0:
                 reach[q] = kmax
         top = None if None in reach.values() else max(reach.values(), default=-1)
+        weights = dict.fromkeys(reach, 1)  # q -> binom(q, k), stepped with k
         k = 0
         while top is None or k <= top:
             if k:
@@ -70,8 +70,9 @@ def _binomial_shift(h: Dict[int, DFun], t: Dict[int, DFun], floor: Optional[int]
                     "composition has an infinite tail; pass a floor")
             for q, kmax in reach.items():
                 if kmax is None or k <= kmax:
-                    b = binom(q, k)
+                    b = weights[q]
                     _accumulate(sums[q], q + p - k, c if b == 1 else c * b)
+                    weights[q] = b * (q - k) // (k + 1)
             k += 1
     for q, a in h.items():
         unit = a.is_one()
@@ -571,12 +572,6 @@ class RationalOpPair:
     def fraction(cls, a, b):
         return cls([(a, b)])
 
-    @classmethod
-    def of_operator(cls, a):
-        if isinstance(a, ScalarPsdOp):
-            a = MatrixPsdOp.scalar(a)
-        return cls([(a, MatrixPsdOp.identity(a.ctx, a.rows))])
-
     @property
     def ell(self):
         return self.pairs[0][0].rows
@@ -697,28 +692,10 @@ def expand_fraction(H, floor: int) -> MatrixPsdOp:
 
 
 def verify_fraction(X, H, floor: int) -> bool:
-    """True iff the fraction H expands to the same series as X, to the floor."""
-    if isinstance(X, MatrixPsdOp):
-        ref = X.truncate(floor) if X.floor() is None or X.floor() <= floor else None
-        if ref is None:
-            raise InsufficientTruncation("reference too shallow")
-    else:
-        ref = expand_fraction(X, floor)
-    got = expand_fraction(H, floor)
-    return got.eq_to_floor(ref, floor)
-
-
-def check_fraction_times_denominator(H: RationalOpPair) -> bool:
-    """Re-expansion check: expand(H) o B reproduces A on the computed window."""
-    if not H.is_single():
-        return True
-    A, B = H.pairs[0]
-    fl = default_floor(A, B)
-    exp = H.expand(fl)
-    prod = exp.compose(B, fl + int(B.order() if B.order() != NEG_INF else 0))
-    pf = prod.floor()
-    target = pf if pf is not None else fl
-    return prod.eq_to_floor(A, target)
+    """True iff the fraction H expands to the same series as the structure
+    X, to the floor."""
+    ref = expand_fraction(X, floor)
+    return expand_fraction(H, floor).eq_to_floor(ref, floor)
 
 
 # ---------------------------------------------------------------------------

@@ -300,16 +300,6 @@ def load_kn(a_value=None) -> Preset:
     return pre
 
 
-def kn_spaces(ctx, step_index):
-    """Ansatz spaces for the KN right extension at a given step index."""
-    u1 = ctx.u(1)
-    n = max(step_index, 4)
-    w = 2 * n - 5
-    spaceF = AnsatzSpace(ctx, max_dord=min(n - 1, w), max_degree=n,
-                         denominators=[(u1, n - 1)], weight_max=w)
-    return spaceF
-
-
 def load_kn0() -> Preset:
     """The a = 0 case: H = Sokolov = 1 S^-1, K = Dorfman = 1 D^-1."""
     ctx = kn_context(symbolic_a=False)

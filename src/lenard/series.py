@@ -35,11 +35,6 @@ class LambdaSeries:
         """No stored coefficient (the floor is not consulted)."""
         return not self.coeffs
 
-    def is_zero_to(self, floor):
-        if self.floor is not None and self.floor > floor:
-            return False
-        return all(c.is_zero() for p, c in self.coeffs.items() if p >= floor)
-
     def top(self):
         return max(self.coeffs) if self.coeffs else NEG_INF
 
@@ -48,12 +43,6 @@ class LambdaSeries:
         for p, c in other.coeffs.items():
             _accumulate(out, p, c)
         return LambdaSeries(self.ctx, out, _jf(self.floor, other.floor))
-
-    def __neg__(self):
-        return LambdaSeries(self.ctx, {p: -c for p, c in self.coeffs.items()}, self.floor)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, q):
         """Product with a rational or a function, each coefficient times q

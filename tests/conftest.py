@@ -40,3 +40,13 @@ def random_dfun(ctx, rng, max_dord=2, max_degree=2, terms=3,
 @pytest.fixture
 def rng():
     return random.Random(20260808)
+
+
+def series_agree_to(a, b, floor):
+    """a and b (series or operators in one variable: `coeffs` and `floor`)
+    are both accurate at the floor and agree at every power from it up."""
+    if any(s.floor is not None and s.floor > floor for s in (a, b)):
+        return False
+    zero = a.ctx.zero()
+    return all((a.coeffs.get(p, zero) - b.coeffs.get(p, zero)).is_zero()
+               for p in set(a.coeffs) | set(b.coeffs) if p >= floor)

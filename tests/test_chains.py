@@ -12,7 +12,7 @@ from lenard.errors import ThresholdNotMet, Undecidable
 from lenard.field import Context, vec_eq
 from lenard.functional import antiderivative, variational_derivative
 from lenard.jacobi import AtomChain, SumChain
-from lenard.presets import (kn_spaces, liouville_fraction, liouville_spaces, load_kn,
+from lenard.presets import (liouville_fraction, liouville_spaces, load_kn,
                             load_kn0, load_liouville, load_nls, load_preset,
                             nls_h_solver, nls_k_solver, nls_spaces, preset_ids)
 from lenard.solve import AnsatzSpace, in_span

@@ -643,6 +643,21 @@ def test_rational_jacobi_output_is_unchanged(name, argv, code):
     assert run_cli(*argv) == (code, _golden(name + ".out"))
 
 
+# the `--format text` printer, one command per subcommand that offers it
+TEXT_COMMANDS = [
+    ("check_skew_d2_text", ["check", "--op", "D^2", "--what", "skew"], 1),
+    ("classify_pattern_text", ["classify", "--pattern", "b=(0,1,1),a=(1,0,0)"], 0),
+    ("chain_kn0_verify_only_text",
+     ["chain", "--preset", "kn0", "--steps", "0", "--verify-only"], 0),
+]
+
+
+@pytest.mark.parametrize("name, argv, code", TEXT_COMMANDS,
+                         ids=[c[0] for c in TEXT_COMMANDS])
+def test_text_format_output_is_unchanged(name, argv, code):
+    assert run_cli(*argv, "--format", "text") == (code, _golden(name + ".out"))
+
+
 def test_readme_session_export_is_unchanged(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli("chain", "--preset", "kn", "--steps", "1",

@@ -5,7 +5,7 @@ import pytest
 from lenard.errors import ParamDegenerate, Proportional
 from lenard.field import Context
 from lenard.liouville import (EMPIRICAL_PATTERNS, classification_table,
-                              classify, classify_liouville, closed_form_family,
+                              classify, closed_form_family,
                               double_factorial, empirical_class, family_exp,
                               family_sqrt, hodograph_dual, pq_recursion)
 
@@ -149,13 +149,6 @@ def test_classification_spec_examples():
 def test_classification_proportional():
     with pytest.raises(Proportional):
         classify((True, False, False), (True, False, False))
-
-
-def test_classify_liouville_values():
-    from lenard.field import Context
-    ctx = Context(("u",), ("t",))
-    t = ctx.param("t")
-    assert classify_liouville((t, t, t), (ctx.zero(), t, t)) == "S-type"
 
 
 def test_classification_table_complete():

@@ -227,8 +227,9 @@ def _tuple_gcd(a, b):
 
 
 def _tuple_sortkey(ctx, mono):
-    """Oracle: the graded key of a tuple monomial."""
-    pairs = sorted((ctx._pos[v], -e) for v, e in mono)
+    """Oracle: the graded key of a tuple monomial; a variable's place is the
+    number of variables ranked above it."""
+    pairs = sorted((sum(r > ctx._rank[v] for r in ctx._rank), -e) for v, e in mono)
     return (-sum(e for _, e in mono), *pairs, (float("inf"),))
 
 

@@ -41,23 +41,26 @@ ROOT = SRC.parent.parent
 USER_DIRS = ("src", "tests", "bench", "demos")
 
 
-def _referenced_names():
-    """Every name a module in src, tests, bench or demos could refer to."""
+def _user_files(dirs=USER_DIRS):
+    return [path for sub in dirs for path in (ROOT / sub).rglob("*.py")]
+
+
+def _referenced_names(paths):
+    """Every name the modules at these paths could refer to."""
     names = set()
-    for sub in USER_DIRS:
-        for path in (ROOT / sub).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.update(node.name.split("."))
-                    if node.asname:
-                        names.add(node.asname)
-                elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                      and node.value.isidentifier()):
-                    names.add(node.value)
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+                if node.asname:
+                    names.add(node.asname)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                names.add(node.value)
     return names
 
 
@@ -75,33 +78,49 @@ def _definitions(tree):
                     yield member.lineno, "%s.%s" % (node.name, member.name)
 
 
-def test_no_dead_definitions():
-    names = _referenced_names()
-    dead = sorted("%s:%d %s" % (path.name, line, qual)
+def _unreferenced(names):
+    """path:line qualified name of each definition whose name is not in names."""
+    return sorted("%s:%d %s" % (path.name, line, qual)
                   for path in MODULES
                   for line, qual in _definitions(ast.parse(path.read_text()))
                   if qual.rsplit(".", 1)[-1] not in names)
+
+
+def test_no_dead_definitions():
+    dead = _unreferenced(_referenced_names(_user_files()))
     assert not dead, "defined but never referenced: %s" % dead
+
+
+def test_definitions_only_tests_reach_are_exported():
+    """A definition referenced only under tests/ is reached by no entry
+    point; it stays only as public API, exported from lenard/__init__.py.
+    A name clash can hide such a definition, never invent one."""
+    init = SRC / "__init__.py"
+    outside = [p for p in _user_files(("src", "bench", "demos")) if p != init]
+    exported = {alias.asname or alias.name
+                for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    only_tests = _unreferenced(_referenced_names(outside) | exported)
+    assert not only_tests, "referenced only by tests, not exported: %s" % only_tests
 
 
 def _calls_by_name():
     """{callee name: [(positional count, keyword names, uses * or **)]} over
     every call in src, tests, bench and demos, matched by name only."""
     calls = {}
-    for sub in USER_DIRS:
-        for path in (ROOT / sub).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if not isinstance(node, ast.Call):
-                    continue
-                f = node.func
-                name = (f.id if isinstance(f, ast.Name)
-                        else f.attr if isinstance(f, ast.Attribute) else None)
-                if name is None:
-                    continue
-                star = (any(isinstance(a, ast.Starred) for a in node.args)
-                        or any(k.arg is None for k in node.keywords))
-                calls.setdefault(name, []).append(
-                    (len(node.args), {k.arg for k in node.keywords}, star))
+    for path in _user_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = (f.id if isinstance(f, ast.Name)
+                    else f.attr if isinstance(f, ast.Attribute) else None)
+            if name is None:
+                continue
+            star = (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, star))
     return calls
 
 

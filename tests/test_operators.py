@@ -14,7 +14,7 @@ from lenard.operators import (MatrixPsdOp, OperatorSum, RationalOpPair,
                               verify_fraction)
 from lenard.series import LambdaSeries
 
-from conftest import random_dfun
+from conftest import random_dfun, series_agree_to
 
 
 def m(f):
@@ -219,9 +219,8 @@ def test_nondegeneracy_matrix():
 def test_fraction_trivial(ctx):
     D = ScalarPsdOp.d(ctx)
     one = RationalOpPair.fraction(ScalarPsdOp.identity(ctx), D)
-    assert verify_fraction(RationalOpPair.of_operator(D),
-                           RationalOpPair.fraction(D, ScalarPsdOp.identity(ctx)),
-                           -8)
+    assert verify_fraction(RationalOpPair.fraction(D, ScalarPsdOp.identity(ctx)),
+                           RationalOpPair.fraction(D.compose(D), D), -8)
     exp = one.expand(-5)
     assert exp.entries[0][0].coeffs == {-1: ctx.one()}
 
@@ -270,14 +269,17 @@ def test_floor_formula_by_reexpansion(ctx, rng):
 
 
 def test_fraction_times_denominator(ctx):
-    from lenard.operators import check_fraction_times_denominator
+    # expand(A B^-1) o B reproduces A on the window the expansion is accurate to
     u1, u2 = ctx.u(1), ctx.u(2)
     D = ScalarPsdOp.d(ctx)
     A = D.compose(D).compose(m(1 / u2)).compose(D) \
         + ScalarPsdOp(ctx, {1: (1 + u1 ** 2) / u2, 0: -u1})
     B = D.compose(m(1 / u2)).compose(D)
     H = RationalOpPair.fraction(A, B)
-    assert check_fraction_times_denominator(H)
+    A, B = H.pairs[0]
+    fl = default_floor(A, B)
+    prod = H.expand(fl).compose(B, fl + int(B.order()))
+    assert prod.eq_to_floor(A, prod.floor())
 
 
 def test_compose_agrees_with_successive_application(ctx, rng):
@@ -300,9 +302,9 @@ def test_shift_group_law_to_floor(ctx, rng):
         for b in range(-2, 3):
             two = ser.apply_shift(b, floor=floor).apply_shift(a, floor=floor)
             one = ser.apply_shift(a + b, floor=floor)
-            diff = two - one
-            assert diff.is_zero_to(diff.floor), (a, b)
-            assert diff.floor <= floor + max(a, 0)
+            fl = max(two.floor, one.floor)
+            assert series_agree_to(two, one, fl), (a, b)
+            assert fl <= floor + max(a, 0)
 
 
 def test_jet_partials_match_partial(ctx, rng):
@@ -357,7 +359,8 @@ def _adjoint_chain_matches(H, floor):
 @pytest.mark.parametrize("pid", ["kn0", "nls"])
 def test_adjoint_chain_expansion(pid):
     from lenard.presets import load_preset
-    _adjoint_chain_matches(load_preset(pid).H.fraction(), -6)
+    H = load_preset(pid).H
+    _adjoint_chain_matches(RationalOpPair.fraction(H.num_op(), H.den_op()), -6)
 
 
 @pytest.mark.parametrize("pid", ["kn0", "nls"])
@@ -366,7 +369,7 @@ def test_fraction_pairs_are_skewadjoint(pid):
     from lenard.presets import load_preset
     pre = load_preset(pid)
     for P in (pre.H, pre.K):
-        assert check_skewadjoint(P.fraction(), -8).holds
+        assert check_skewadjoint(RationalOpPair.fraction(P.num_op(), P.den_op()), -8).holds
 
 
 def test_adjoint_chain_expansion_three_pairs():

@@ -21,10 +21,11 @@ def test_unknown_preset():
 def test_fraction_against_sums(pid):
     # every preset has both sums, and they equal the fractions; a load does
     # not re-check this
-    from lenard.operators import verify_fraction
+    from lenard.operators import RationalOpPair, verify_fraction
     pre = load_preset(pid)
     for key, P in (("H_sum", pre.H), ("K_sum", pre.K)):
-        assert verify_fraction(pre.extras[key], P.fraction(), -8), key
+        frac = RationalOpPair.fraction(P.num_op(), P.den_op())
+        assert verify_fraction(pre.extras[key], frac, -8), key
 
 
 def test_numeric_binding_helper():
