@@ -76,22 +76,23 @@ _MASK = (1 << EXP_BITS) - 1
 _PAIRS_END = (float("inf"),)  # closes a mono_sortkey, after every (place, -exp)
 
 # per-field constants over the variable ids of every context so far (_widen;
-# they only grow, and cover every id a monomial can hold): _ONES has bit 0
+# they only grow, and cover the _WIDTH ids a monomial can hold): _ONES has bit 0
 # of each field, _QB the value EXP_LIMIT/2 in each and _HB EXP_LIMIT.
 # m + _QB turns each exponent e into the digit e + EXP_LIMIT/2, so
 # (m + _QB) & _HB is zero exactly when every e lies in the guard band
 # [-EXP_LIMIT/2, EXP_LIMIT/2), where a sum of two monomials cannot leave
 # its fields; and (m + _QB) & (_QB | _HB) == _QB exactly when every e lies
 # in [0, EXP_LIMIT/2), where m's raw bits are its fields, top bits clear.
-_ONES = _QB = _HB = 0
+_ONES = _QB = _HB = _WIDTH = 0
 
 
 def _widen(n):
-    """Let the per-field constants cover the variable ids below n."""
-    global _ONES, _QB, _HB
-    ones = ((1 << (EXP_BITS * n)) - 1) // _MASK
-    if ones > _ONES:
-        _ONES, _QB, _HB = ones, ones << (EXP_BITS - 2), ones << (EXP_BITS - 1)
+    """Let the per-field constants cover the variable ids below n: only the
+    fields not yet covered are made, so the ids covered cost no division."""
+    global _ONES, _QB, _HB, _WIDTH
+    if n > _WIDTH:
+        _ONES |= ((1 << (EXP_BITS * (n - _WIDTH))) - 1) // _MASK << (EXP_BITS * _WIDTH)
+        _QB, _HB, _WIDTH = _ONES << (EXP_BITS - 2), _ONES << (EXP_BITS - 1), n
 
 
 def _banded(monos) -> bool:

@@ -6,34 +6,38 @@ denominators).  solve_operator_equation writes F as a constant
 combination of basis vectors.  When the given space has no solution it
 searches the lattice of spaces with each bound raised by 0 or by the
 escalation, fewest products first, and the space with every bound raised
-comes last; all of them take their basis from one BasisTable.  The
-operator is applied to each distinct basis element once per solve, in
-batches on numerators: a batch is cleared to one shared denominator, and
-each atom of the operator maps that batch to a batch (field.batch_*), so
-the quotient rule's shared work is done once per d and no column is
-normalized.  linear_solve reads the rows straight off the numerators: it
-clears every column and the right-hand side to one denominator, reduces
-the relations of each cleared numerator, and takes one row per monomial in
-the non-parameter variables.  The system is solved by Gaussian
-elimination, over plain rationals when no parameter occurs and otherwise
-over the field of rational functions in the named parameters.  A
+comes last; all of these take their products from its BasisTable, made
+only then.  A table's products are numerators over one denominator, each
+its multiplier * denominator pair's numerator shifted by its monomial, so
+equal numerators are equal products; a field element is made only for a
+product a solution reads.  The operator is applied to each product once
+per solve, in batches of numerators: each atom maps a batch to a batch
+(field.batch_*), so the quotient rule's shared work is done once per d.
+linear_solve clears every column and the right-hand side to one
+denominator, reduces the relations of each cleared numerator, and takes
+one row per monomial in the non-parameter variables.  Gaussian elimination
+solves the system over plain rationals when no parameter occurs, with the
+rows that repeat an earlier one up to a scalar left out, and otherwise over
+the field of rational functions in the named parameters.  A
 multiple of the rows by a common polynomial spans the same row space, and
 the pivots are the reduced echelon form of that space, so neither the
 shared denominator nor the batch a column was applied in changes the
 solution.  Parameters are generic: any nonzero constant is invertible;
 zero-parameter cases are handled by binding those parameters to literal
-zero in the preset context.  Each span question (reduce_span, in_span,
-reduce_mod_span) is one elimination.
+zero in the preset context.  Each span question is one elimination.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from math import gcd
 from typing import Dict, List, Sequence
 
 from .errors import AnsatzExhausted
-from .field import (DFun, EXP_BITS, ONE_MONO, _den_cofactor, _den_lcm,
-                    _reduce_relations, mono_items, poly_mul, qdiv)
+from .field import (DFun, EXP_BITS, EXP_LIMIT, ONE_MONO, _banded, _den_cofactor,
+                    _den_lcm, _den_merge, _reduce_relations, mono_items, mono_var,
+                    poly_mul, qdiv)
 
 _POLY_ONE = {ONE_MONO: 1}
 
@@ -88,14 +92,16 @@ class AnsatzSpace:
 class BasisTable:
     """The products monomial * x power * multiplier * denominator of a
     space, in basis order, each with the index in needs of the least bounds
-    (as AnsatzSpace.bounds) that admit it.  A space inside this one takes
-    its basis from here; a product is made when a basis first needs it, and
-    only once."""
+    (as AnsatzSpace.bounds) that admit it.  Each multiplier * denominator
+    pair has one numerator over den, the lcm of them all; a product's is its
+    pair's shifted by its monomial * x power, and equal numerators are equal
+    products.  A space inside this one takes its products from here, and a
+    product becomes a field element only when it is read."""
 
     def __init__(self, space: AnsatzSpace):
         ctx = space.ctx
         self.ctx = ctx
-        self.mults = [ctx.one()] + list(space.multipliers)
+        mults = [ctx.one()] + list(space.multipliers)
         jets = [(i, n) for i in range(ctx.ell) for n in range(0, space.max_dord + 1)]
         monos = [((), (-1, 0), 0)]  # (jets, least (dord, degree), weight)
         for deg in range(1, space.max_degree + 1):
@@ -108,64 +114,100 @@ class BasisTable:
             bw = 0 if bw == float("-inf") else int(bw)
             dens = [(d * base ** (-e), pw + (e,), wd - e * bw)
                     for d, pw, wd in dens for e in range(0, emax + 1)]
-        self.dens = [d for d, _, _ in dens]
+        # the pairs, by denominator and then multiplier, as (numerator, its
+        # least monomial, its shape): equal shapes are equal numerators up
+        # to a monomial factor
+        nums, self.den = _clear(ctx, [(p.num, p.den) for d, _, _ in dens
+                                      for p in (s * d for s in mults)])
+        shapes: Dict = {}
+        self._pairs = []
+        for num in nums:
+            low = min(num)
+            shape = frozenset((m - low, c) for m, c in num.items())
+            self._pairs.append((num, low, shapes.setdefault(shape, len(shapes))))
+        # sums of monomials inside the guard band cannot leave their fields
+        self._in_band = (max(space.max_degree, space.x_power) < EXP_LIMIT // 2
+                         and _banded(m for num in nums for m in num))
+        nm = self._nm = len(mults)
+        self._factors = [(pw, si) for _, pw, _ in dens for si in range(nm)]
+        self._combos = [combo for combo, _, _ in monos]
+        self._jets = [None] * len(monos)  # a monomial's, made when first read
+        self._x = mono_var(ctx.x_id)
+        # (x power, first pair index, least bounds, weight) per x power * denominator
+        tails = [(a, di * nm, (a,) + pw, wd - a)
+                 for a in range(space.x_power + 1) for di, (_, pw, wd) in enumerate(dens)]
         wmax = space.weight_max
         self.needs = []  # the distinct least bounds
-        self.entries = []  # ((jets, x power, denominator, multiplier), need index)
+        self.entries = []  # ((monomial index, x power, first pair index), need index)
         index: Dict = {}
-        for combo, need_m, wm in monos:
-            for a in range(space.x_power + 1):
-                for di, (_, pw, wd) in enumerate(dens):
-                    w = wm - a + wd
-                    if wmax is not None and w > wmax:
-                        continue
-                    need = need_m + (a,) + pw + (() if wmax is None else (w,))
-                    k = index.get(need)
-                    if k is None:
-                        k = index[need] = len(self.needs)
-                        self.needs.append(need)
-                    for si in range(len(self.mults)):
-                        self.entries.append(((combo, a, di, si), k))
-        self.xs = [ctx.one()] + [ctx.x() ** a for a in range(1, space.x_power + 1)]
-        self._monos: Dict = {(): ctx.one()}
-        self._made: Dict = {}  # partial products, by their factors
+        for ci, (_, need_m, wm) in enumerate(monos):
+            for a, p, need_t, wt in tails:
+                if wmax is not None and wm + wt > wmax:
+                    continue
+                need = need_m + need_t if wmax is None else need_m + need_t + (wm + wt,)
+                k = index.get(need)
+                if k is None:
+                    k = index[need] = len(self.needs)
+                    self.needs.append(need)
+                self.entries += [((ci, a, p), k)] * nm  # entry i has pair p + i % nm
+        self._keys = [None] * len(self.entries)
+        self._made: Dict = {}
+        self._low = self._masks = None
 
-    def _monomial(self, combo):
-        m = self._monos.get(combo)
-        if m is None:
-            m = self._monos[combo] = self._monomial(combo[:-1]) * self.ctx.gen(*combo[-1])
-        return m
-
-    def _product(self, factors):
-        """((monomial * x^a) * multiplier) * denominator, the monomial
-        multiplied out left to right; each partial product is made once."""
-        made = self._made
-        got = made.get(factors)
+    def key(self, i):
+        """(identity, value) of entry i.  The identity, (monomial * x power,
+        denominator powers, multiplier index), is the same in every table;
+        equal values are equal products."""
+        got = self._keys[i]
         if got is None:
-            combo, a, di, si = factors
-            ms = made.get((combo, a, si))
-            if ms is None:
-                mx = made.get((combo, a))
-                if mx is None:
-                    mx = made[(combo, a)] = self._monomial(combo) * self.xs[a]
-                ms = made[(combo, a, si)] = mx * self.mults[si]
-            got = made[factors] = ms * self.dens[di]
+            (ci, a, p), _ = self.entries[i]
+            p += i % self._nm
+            jets = self._jets[ci]
+            if jets is None:  # registers the jets in the order products read them
+                jets = self._jets[ci] = sum(mono_var(self.ctx.gen_var(*j))
+                                            for j in self._combos[ci])
+            shift = jets + a * self._x
+            _, low, shape = self._pairs[p]
+            got = self._keys[i] = ((shift,) + self._factors[p], (low + shift, shape))
         return got
+
+    def distinct(self, picked):
+        """The entries picked (indices, in order), the first of equal
+        products kept."""
+        first: Dict = {}
+        for i in picked:
+            first.setdefault(self.key(i)[1], i)
+        return list(first.values())
+
+    def masks(self, low):
+        """Per entry, the bits of the bounds of low that it needs raised."""
+        if self._low != low:
+            need = [sum(1 << i for i, (n, b) in enumerate(zip(nd, low)) if n > b)
+                    for nd in self.needs]
+            self._low, self._masks = low, [need[k] for _, k in self.entries]
+        return self._masks
+
+    def numerator(self, i):
+        """Entry i's numerator over den."""
+        num = self._pairs[self.entries[i][0][2] + i % self._nm][0]
+        shift = self.key(i)[0][0]
+        if self._in_band:
+            return {m + shift: c for m, c in num.items()}
+        return poly_mul(num, {shift: 1})  # raises if an exponent leaves its field
+
+    def element(self, i) -> DFun:
+        f = self._made.get(i)
+        if f is None:
+            f = self._made[i] = DFun(self.ctx, self.numerator(i), self.den,
+                                     normalized=not self.den)
+        return f
 
     def basis(self, bounds) -> List[DFun]:
         """The basis of the space with these bounds, each at most the
         table's: its elements in order, the first of equal ones kept."""
         fits = [all(n <= b for n, b in zip(need, bounds)) for need in self.needs]
-        out = []
-        seen = set()
-        for factors, k in self.entries:
-            if fits[k]:
-                f = self._product(factors)
-                key = f.key()
-                if key not in seen:
-                    seen.add(key)
-                    out.append(f)
-        return out
+        return [self.element(i) for i in self.distinct(
+            i for i, (_, k) in enumerate(self.entries) if fits[k])]
 
 
 def _split_param_mono(ctx, mono):
@@ -178,11 +220,12 @@ def _split_param_mono(ctx, mono):
 
 
 def _clear(ctx, items):
-    """The numerators of items [(num, den)], all cleared to the lcm of the
-    denominators and reduced by the relations (None for a zero item).  A
-    relation value's own denominator, constant and relation-free, is
-    cleared the same way after the reduction.  Columns applied in one batch
-    share one den object, so its cofactor is made once."""
+    """(numerators, denominator): the numerators of items [(num, den)], all
+    cleared to the lcm of the denominators and reduced by the relations
+    (None for a zero item).  A relation value's own denominator, constant
+    and relation-free, is cleared the same way after the reduction, and
+    joins the denominator.  Columns applied in one batch share one den
+    object, so its cofactor is made once."""
     dens = {}
     for num, den in items:
         if num and den:
@@ -210,7 +253,8 @@ def _clear(ctx, items):
     if extra_lcm:
         out = [num and poly_mul(num, _den_cofactor(extra_lcm, extra))
                for num, extra in zip(out, extras)]
-    return out
+        lcm = _den_merge(lcm, extra_lcm)
+    return out, lcm
 
 
 def _row_order(mono):
@@ -250,7 +294,7 @@ def linear_solve(ctx, columns, rhs: Sequence[DFun], partial=False, dens=None):
             items = [(col[comp], den) for col, den in zip(columns, dens)]
         items.append((rhs[comp].num, rhs[comp].den))
         rows: Dict = {}
-        for col, num in enumerate(_clear(ctx, items)):
+        for col, num in enumerate(_clear(ctx, items)[0]):
             if num is None:
                 continue
             for mono, q in num.items():
@@ -281,7 +325,7 @@ def linear_solve(ctx, columns, rhs: Sequence[DFun], partial=False, dens=None):
     if params and rational:
         raw = [{c: e[ONE_MONO] for c, e in row.items()} for row in raw]
     if rational:
-        part, kernel = _gauss_core(raw, K, 0, 1, lambda a: a == 0,
+        part, kernel = _gauss_core(_distinct_rows(raw), K, 0, 1, lambda a: a == 0,
                                    lambda a: qdiv(1, a), partial)
         if part is None:
             return None, None
@@ -290,6 +334,41 @@ def linear_solve(ctx, columns, rhs: Sequence[DFun], partial=False, dens=None):
     rows = [{c: DFun(ctx, e, (), normalized=True) for c, e in row.items()} for row in raw]
     return _gauss_core(rows, K, ctx.zero(), ctx.one(),
                        lambda a: a.is_zero(), lambda a: a.inverse(), partial)
+
+
+def _distinct_rows(rows):
+    """The rational rows less each that is a nonzero multiple of an earlier
+    one, the right-hand side included: the same equation.  A row is keyed by
+    its column if it has one entry, else by its primitive form: divided by
+    the gcd of its entries, with the sign of its lead entry, if they are
+    ints, and by its lead entry if not (rows list their columns in order)."""
+    first: Dict = {}
+    for row in rows:
+        key = next(iter(row))
+        if len(row) > 1:
+            try:
+                g = gcd(*row.values())
+            except TypeError:  # a Fraction entry
+                key = tuple((c, qdiv(v, row[key])) for c, v in row.items())
+            else:
+                g = -g if row[key] < 0 else g
+                key = (tuple(row.items()) if g == 1
+                       else tuple((c, v // g) for c, v in row.items()))
+        first.setdefault(key, row)
+    return list(first.values())
+
+
+def _eliminate(row, c, prow, is_zero):
+    """row -= row[c] * prow, in place, for the pivot row prow of column c."""
+    factor = row.pop(c)
+    for c2, v in prow.items():
+        if c2 != c:
+            cur = row.get(c2)
+            nv = -factor * v if cur is None else cur - factor * v
+            if is_zero(nv):
+                row.pop(c2, None)
+            else:
+                row[c2] = nv
 
 
 def _gauss_core(rows, K, zero, one, is_zero, inv, partial=False):
@@ -304,17 +383,7 @@ def _gauss_core(rows, K, zero, one, is_zero, inv, partial=False):
             if not cols:
                 break
             c = min(cols)
-            factor = row.pop(c)
-            prow = pivots[c]
-            for c2, v in prow.items():
-                if c2 == c:
-                    continue
-                cur = row.get(c2)
-                nv = -factor * v if cur is None else cur - factor * v
-                if is_zero(nv):
-                    row.pop(c2, None)
-                else:
-                    row[c2] = nv
+            _eliminate(row, c, pivots[c], is_zero)
         lead = min((c for c in row if c < K), default=None)
         if lead is None:
             if not partial and row and not is_zero(row.get(K, zero)):
@@ -328,16 +397,7 @@ def _gauss_core(rows, K, zero, one, is_zero, inv, partial=False):
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
         for c2 in [cc for cc in row if cc != c and cc < K and cc in pivots]:
-            factor = row.pop(c2)
-            for c3, v in pivots[c2].items():
-                if c3 == c2:
-                    continue
-                cur = row.get(c3)
-                nv = -factor * v if cur is None else cur - factor * v
-                if is_zero(nv):
-                    row.pop(c3, None)
-                else:
-                    row[c3] = nv
+            _eliminate(row, c2, pivots[c2], is_zero)
         pivots[c] = row
     particular = [zero] * K
     for c, row in pivots.items():
@@ -359,36 +419,20 @@ def _gauss_core(rows, K, zero, one, is_zero, inv, partial=False):
 class SolutionSet:
     """Affine solution set of an ansatz solve: particular + span(kernel)."""
 
-    __slots__ = ("ctx", "basis", "particular", "kernel", "space")
+    __slots__ = ("ctx", "_basis", "particular", "kernel", "space")
 
     def __init__(self, ctx, basis, particular, kernel, space):
         self.ctx = ctx
-        self.basis = basis
+        self._basis = basis           # the basis vectors, or what makes them
         self.particular = particular  # vector of DFun or None
         self.kernel = kernel          # list of vectors of DFun
         self.space = space
 
-
-def _vector_basis(ctx, scalars, ell):
-    out = []
-    for comp in range(ell):
-        for f in scalars:
-            vec = [ctx.zero()] * ell
-            vec[comp] = f
-            out.append(vec)
-    return out
-
-
-def _combine(ctx, basis_vectors, coeffs):
-    ell = len(basis_vectors[0]) if basis_vectors else 1
-    out = [ctx.zero()] * ell
-    for c, vec in zip(coeffs, basis_vectors):
-        if c.is_zero():
-            continue
-        for comp in range(ell):
-            if not vec[comp].is_zero():
-                out[comp] = out[comp] + c * vec[comp]
-    return out
+    @property
+    def basis(self):
+        if callable(self._basis):
+            self._basis = self._basis()
+        return self._basis
 
 
 def _batch_operator(op):
@@ -400,24 +444,6 @@ def _batch_operator(op):
     if not hasattr(op, "apply_batch"):
         raise TypeError("%r does not apply to a batch of basis vectors" % (op,))
     return op
-
-
-def _basis_batch(scalars, ell):
-    """The vector basis (component-major, as _vector_basis) as numerators
-    over the lcm of the scalars' denominators."""
-    den = ()
-    for f in scalars:
-        if f.den:
-            den = _den_lcm(den, f.den)
-    cofactors = {}
-    nums = []
-    for f in scalars:
-        dkey = f.key()[1]
-        if dkey not in cofactors:
-            cofactors[dkey] = _den_cofactor(den, f.den)
-        nums.append(poly_mul(f.num, cofactors[dkey]))
-    return [[n if k == comp else {} for k in range(ell)]
-            for comp in range(ell) for n in nums], den
 
 
 # The spaces a solve tries between its first and its last hold at most this
@@ -434,11 +460,7 @@ def _lattice(table: BasisTable, low, step):
     table's products or only low's are left out.  A product is in a space
     when every bound it needs above low is raised.  Returns (size, steps);
     the size counts products, before equal ones merge in the basis."""
-    masks = [sum(1 << i for i, (n, b) in enumerate(zip(need, low)) if n > b)
-             for need in table.needs]
-    counts: Dict[int, int] = {}
-    for _, k in table.entries:
-        counts[masks[k]] = counts.get(masks[k], 0) + 1
+    counts = Counter(table.masks(low))
     full = (1 << len(low)) - 1
 
     def inside(M):
@@ -472,49 +494,66 @@ def solve_operator_equation(op, rhs: Sequence[DFun], space: AnsatzSpace,
     tried last, and AnsatzExhausted is raised when it has no solution
     either; escalations=0 tries the given space alone.  The spaces tried in
     between hold at most _SEARCH_BUDGET times the last one's products in
-    all.  Every space takes its basis from one table, and the operator is
-    applied to each distinct basis element once per solve.  For rhs = 0
-    the system is homogeneous, so the first space always answers.
+    all.  Every space after the first takes its products from one table,
+    made when the first fails, and the operator is applied to each product
+    once per solve.  For rhs = 0 the system is homogeneous, so the first
+    space always answers.
     """
     ctx = space.ctx
     ell = ctx.ell
     batch = _batch_operator(op)
-    applied: Dict = {}  # basis element key -> its ell columns, with their dens
+    applied: Dict = {}  # product identity -> its ell columns, with their dens
 
-    def solved(scalars, cur):
-        new = [f for f in scalars if f.key() not in applied]
+    def solved(table, picked, cur):
+        picked = table.distinct(picked)
+        new = [i for i in picked if table.key(i)[0] not in applied]
         if new:
-            cols, den = batch.apply_batch(*_basis_batch(new, ell))
+            nums = [table.numerator(i) for i in new]
+            cols, den = batch.apply_batch(
+                [[n if k == comp else {} for k in range(ell)]
+                 for comp in range(ell) for n in nums], table.den)
             if len(cols[0]) != len(rhs):
                 raise ValueError("the operator has %d output components, rhs %d"
                                  % (len(cols[0]), len(rhs)))
-            for i, f in enumerate(new):
-                applied[f.key()] = [(cols[comp * len(new) + i], den) for comp in range(ell)]
-        columns = [applied[f.key()][comp] for comp in range(ell) for f in scalars]
+            for j, i in enumerate(new):
+                applied[table.key(i)[0]] = [(cols[comp * len(new) + j], den)
+                                              for comp in range(ell)]
+        columns = [applied[table.key(i)[0]][comp] for comp in range(ell) for i in picked]
         particular, kernel = linear_solve(ctx, [col for col, _ in columns], rhs,
                                           dens=[den for _, den in columns])
         if particular is None:
             return None
-        basis_vectors = _vector_basis(ctx, scalars, ell)
-        part_vec = _combine(ctx, basis_vectors, particular)
-        ker_vecs = reduce_span(ctx, [_combine(ctx, basis_vectors, kv) for kv in kernel])
-        return SolutionSet(ctx, basis_vectors, part_vec, ker_vecs, cur)
 
-    sol = solved(space.basis(), space)
+        def combine(coeffs):  # sum c_k b_k, each b_k made only for c_k != 0
+            out = [ctx.zero()] * ell
+            for k, c in enumerate(coeffs):
+                if not c.is_zero():
+                    comp, j = divmod(k, len(picked))
+                    out[comp] = out[comp] + c * table.element(picked[j])
+            return out
+        return SolutionSet(ctx, lambda: [  # the vector basis, component-major
+            [table.element(i) if c == comp else ctx.zero() for c in range(ell)]
+            for comp in range(ell) for i in picked],
+            combine(particular), reduce_span(ctx, [combine(kv) for kv in kernel]), cur)
+
+    first = BasisTable(space)
+    sol = solved(first, range(len(first.entries)), space)
     if sol is None and escalations:
         low = space.bounds()
         top = space.raised([escalations] * len(low))
         table = BasisTable(top)
+        masks = table.masks(low)
         budget = _SEARCH_BUDGET * len(table.entries)
         for size, steps in _lattice(table, low, escalations):
             if size > budget:
                 break
             budget -= size
-            cur = space.raised(steps)
-            sol = solved(table.basis(cur.bounds()), cur)
+            unraised = sum(1 << i for i, k in enumerate(steps) if not k)
+            sol = solved(table, [i for i, m in enumerate(masks) if not m & unraised],
+                         space.raised(steps))
             if sol is not None:
                 return sol
-        sol = solved(table.basis(top.bounds()), top)
+        sol = solved(table, range(len(table.entries)), top)
     if sol is None:
         raise AnsatzExhausted("no solution in %s after %d escalations"
                               % (space.describe(), escalations))

@@ -249,6 +249,22 @@ def test_presets_list():
     assert "kn" in out.split() and "liouville-i" in out.split()
 
 
+@pytest.mark.parametrize("pid, line", [
+    ("kn", "u_t = u''' - 3/2*(u'')^2/u' + "),
+    ("liouville-iv-left", "u_tx = u + (u^3)_xx"),
+])
+def test_presets_equations_prints_the_headline_equations(pid, line):
+    code, out = run_cli("presets", "equations", pid)
+    assert code == 0
+    assert any(o.startswith(line) for o in out.splitlines())
+
+
+def test_presets_equations_of_an_unknown_preset_is_a_usage_error(capsys):
+    code, out = run_cli("presets", "equations", "nope")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "unknown preset: nope\n"
+
+
 def test_entry_point_installed():
     proc = subprocess.run([sys.executable, "-m", "lenard.cli", "presets"],
                           capture_output=True, text=True)

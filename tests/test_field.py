@@ -277,6 +277,23 @@ def _in_field(mono):
     return all(-EXP_LIMIT <= e < EXP_LIMIT for _, e in mono)
 
 
+def test_widen_leaves_the_band_constants_alone_inside_their_width():
+    """A registration inside the ids the band constants cover leaves them
+    the same objects, with no division made; a wider one widens them to
+    exactly the new ids."""
+    Context(("u",))  # covers at least the id of x
+    ones, qb, hb, width = field._ONES, field._QB, field._HB, field._WIDTH
+    for n in (1, width - 1, width):
+        field._widen(n)
+        assert (field._ONES, field._QB, field._HB, field._WIDTH) == (ones, qb, hb, width)
+        assert field._ONES is ones and field._QB is qb and field._HB is hb
+    field._widen(width + 3)
+    want = sum(1 << (field.EXP_BITS * v) for v in range(width + 3))
+    assert field._WIDTH == width + 3
+    assert (field._ONES, field._QB, field._HB) == (
+        want, want << (field.EXP_BITS - 2), want << (field.EXP_BITS - 1))
+
+
 @settings(max_examples=400, deadline=None)
 @given(_tuple_monos(), _tuple_monos())
 def test_packed_monomials_match_the_tuple_form(a, b):
@@ -884,15 +901,17 @@ def test_every_coefficient_is_int_or_a_proper_fraction(monkeypatch):
     """Along J(L3), the kernels with sqrt and exp(c u) symbols, a KN kernel
     solve and one NLS chain step, every coefficient of every element made,
     in num and in each den factor, is an int or a Fraction with a
-    denominator other than 1; and so is every coefficient of the batches
-    of numerators an ansatz solve clears into rows, and of their cleared
-    numerators, and of the numerators of each step of a Jacobi grid's
-    (l+m+d)-shift."""
-    from lenard import jacobi, solve
+    denominator other than 1; and so is every coefficient of the basis
+    numerators an ansatz solve hands to the operator, of each d and
+    multiplication step of a batch application, of the batches it clears
+    into rows, and of their cleared numerators, and of the numerators of
+    each step of a Jacobi grid's (l+m+d)-shift."""
+    from lenard import jacobi, operators, solve
     made, broken = [0], []
     init = DFun.__init__
     clear = solve._clear
     mu_step = jacobi._mu_step
+    numerator = solve.BasisTable.numerator
 
     def check(polys):
         for poly in polys:
@@ -905,10 +924,10 @@ def test_every_coefficient_is_int_or_a_proper_fraction(monkeypatch):
         check([self.num] + [f for f, _ in self.den])
 
     def checked_clear(ctx, items):
-        out = clear(ctx, items)
+        out, lcm = clear(ctx, items)
         check([num for num, _ in items] + [f for _, den in items for f, _ in den]
-              + [num for num in out if num is not None])
-        return out
+              + [num for num in out if num is not None] + [f for f, _ in lcm])
+        return out, lcm
 
     def checked_mu_step(ctx, rows, den, floor):
         out, out_den = mu_step(ctx, rows, den, floor)
@@ -916,9 +935,25 @@ def test_every_coefficient_is_int_or_a_proper_fraction(monkeypatch):
               + [f for f, _ in out_den])
         return out, out_den
 
+    def checked_numerator(self, i):
+        out = numerator(self, i)
+        check([out])
+        return out
+
+    def checked_step(step):
+        def checked_batch(*args):
+            cols, den = step(*args)
+            check([num for vec in cols for num in vec] + [f for f, _ in den])
+            return cols, den
+        return checked_batch
+
     monkeypatch.setattr(DFun, "__init__", checked)
     monkeypatch.setattr(solve, "_clear", checked_clear)
     monkeypatch.setattr(jacobi, "_mu_step", checked_mu_step)
+    monkeypatch.setattr(solve.BasisTable, "numerator", checked_numerator)
+    for module in (jacobi, operators):
+        for name in ("batch_derivative", "batch_matmul"):
+            monkeypatch.setattr(module, name, checked_step(getattr(module, name)))
     ctx = Context(("u",))
     u1 = ctx.u(1)
     L3 = AtomStructure(AtomChain(ctx, [("mult", [[u1]]), ("d", -1), ("mult", [[u1]])]))

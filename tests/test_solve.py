@@ -4,10 +4,13 @@ import itertools
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenard import chains, solve
 from lenard.errors import AnsatzExhausted
-from lenard.field import DFun, ONE_MONO, Context, _den_cofactor, _den_lcm, poly_mul, qdiv
+from lenard.field import (DFun, ONE_MONO, Context, _den_cofactor, _den_lcm, over_lcm,
+                          poly_mul, qdiv)
 from lenard.functional import variational_derivative
 from lenard.jacobi import AtomChain, SumChain
 from lenard.operators import MatrixPsdOp, ScalarPsdOp
@@ -163,13 +166,13 @@ def test_the_space_with_every_bound_raised_comes_last(ctx, monkeypatch):
     # the lattice holds it.  The spaces tried before share basis elements,
     # and the operator is applied to each only once.
     batched = []
-    inner = solve._basis_batch
+    inner = MatrixPsdOp.apply_batch
 
-    def recorded(scalars, ell):
-        batched.extend(f.key() for f in scalars)
-        return inner(scalars, ell)
+    def recorded(self, cols, den):
+        batched.extend(DFun(ctx, vec[0], den).key() for vec in cols)
+        return inner(self, cols, den)
 
-    monkeypatch.setattr(solve, "_basis_batch", recorded)
+    monkeypatch.setattr(MatrixPsdOp, "apply_batch", recorded)
     I = MatrixPsdOp.identity(ctx, 1)
     rhs = [ctx.x() * ctx.u(2) ** 3]
     space = AnsatzSpace(ctx, 1, 2)
@@ -315,6 +318,43 @@ def test_relation_denominators_are_cleared_too():
     assert sol.particular == [-x1 * E] and len(sol.kernel) == 1  # the constants
 
 
+_ENTRIES = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)).filter(bool)
+
+
+def _exact(q):
+    """q as the rows hold it: an int when integral."""
+    return q if q.__class__ is int or q.denominator != 1 else q.numerator
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_repeated_rows_change_no_elimination(data):
+    """A rational system with some of its rows repeated later, each times a
+    nonzero int or Fraction (negative ones included), eliminates as the
+    system without the repeats, partial or not, and so do its distinct
+    rows; a repeat of an int row by an int scale is dropped."""
+    K = data.draw(st.integers(1, 4))
+    cols = st.lists(st.integers(0, K), min_size=1, max_size=K + 1, unique=True)
+    rows = [{c: _exact(Q(data.draw(_ENTRIES))) for c in sorted(cs)}
+            for cs in data.draw(st.lists(cols, min_size=1, max_size=6))]
+    with_repeats = list(rows)
+    dropped = []
+    for i, scale in data.draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), _ENTRIES),
+                                       max_size=6)):
+        copy = {c: _exact(v * scale) for c, v in rows[i].items()}
+        at = data.draw(st.integers(with_repeats.index(rows[i]) + 1, len(with_repeats)))
+        with_repeats.insert(at, copy)
+        if scale.__class__ is int and all(v.__class__ is int for v in rows[i].values()):
+            dropped.append(copy)
+    distinct = solve._distinct_rows(with_repeats)
+    assert not any(r is d for r in distinct for d in dropped)
+    for partial in (False, True):
+        want = solve._gauss_core(rows, K, 0, 1, lambda a: a == 0, lambda a: qdiv(1, a), partial)
+        for system in (with_repeats, distinct):
+            assert solve._gauss_core(system, K, 0, 1, lambda a: a == 0,
+                                     lambda a: qdiv(1, a), partial) == want
+
+
 # -- the batch application against the column-by-column one ------------------
 
 
@@ -388,12 +428,35 @@ def _columnwise_solve(apply, rhs, space, escalations):
     ctx = space.ctx
     for k in range(escalations + 1):
         cur = _escalated(space, k)
-        basis = solve._vector_basis(ctx, cur.basis(), ctx.ell)
+        basis = _vector_basis(ctx, cur.basis(), ctx.ell)
         particular, kernel = _columnwise_linear_solve(ctx, [apply(v) for v in basis], rhs)
         if particular is not None:
-            return (cur, solve._combine(ctx, basis, particular),
-                    reduce_span(ctx, [solve._combine(ctx, basis, kv) for kv in kernel]))
+            return (cur, _combine(ctx, basis, particular),
+                    reduce_span(ctx, [_combine(ctx, basis, kv) for kv in kernel]))
     return None
+
+
+def _vector_basis(ctx, scalars, ell):
+    """The vectors with one scalar in one component, component-major."""
+    return [[f if c == comp else ctx.zero() for c in range(ell)]
+            for comp in range(ell) for f in scalars]
+
+
+def _combine(ctx, vectors, coeffs):
+    """Reference: sum c_k vectors[k], term by term."""
+    out = [ctx.zero()] * len(vectors[0])
+    for c, vec in zip(coeffs, vectors):
+        if not c.is_zero():
+            out = [o if v.is_zero() else o + c * v for o, v in zip(out, vec)]
+    return out
+
+
+def _basis_batch(scalars, ell):
+    """The vector basis (component-major, as _vector_basis) as numerators
+    over the lcm of the scalars' denominators."""
+    nums, den = over_lcm(scalars)
+    return [[n if k == comp else {} for k in range(ell)]
+            for comp in range(ell) for n in nums], den
 
 
 def _keys(vec):
@@ -419,8 +482,8 @@ def _check_against_columns(op, rhs, space, escalations=0):
     for k in range(escalations + 1):
         cur = _escalated(space, k)
         scalars = cur.basis()
-        cols, den = batch.apply_batch(*solve._basis_batch(scalars, ell))
-        vectors = solve._vector_basis(ctx, scalars, ell)
+        cols, den = batch.apply_batch(*_basis_batch(scalars, ell))
+        vectors = _vector_basis(ctx, scalars, ell)
         assert len(cols) == len(vectors)
         for col, vec in zip(cols, vectors):
             assert [DFun(ctx, n, den) for n in col] == apply(vec)
@@ -509,7 +572,7 @@ def test_batch_columns_and_solutions_match_column_by_column(monkeypatch):
         checked += _check_against_columns(op, [ctx.zero()] * 2, space)
     # the stacked [C; D] at l = 2, against applying C and D one after the other
     stacked = chains._stack_ops(pre.K.num, pre.K.den)
-    for vec in solve._vector_basis(ctx, space.basis(), 2):
+    for vec in _vector_basis(ctx, space.basis(), 2):
         assert stacked.apply(vec) == pre.K.num.apply(vec) + pre.K.den.apply(vec)
     checked += _check_against_columns(stacked, [ctx.zero()] * 4, space)
     spF, _ = nls_spaces(ctx)
@@ -667,6 +730,17 @@ def _reference_basis(space):
     """Reference: every product monomial * x power * multiplier *
     denominator of the space, built in one loop, the first of equal ones
     kept."""
+    out, seen = [], set()
+    for f in _reference_products(space):
+        if f.key() not in seen:
+            seen.add(f.key())
+            out.append(f)
+    return out
+
+
+def _reference_products(space):
+    """Every product ((monomial * x power) * multiplier) * denominator of
+    the space, each a field element, in the order of the table's entries."""
     ctx = space.ctx
     jets = [(ctx.gen(i, n), n) for i in range(ctx.ell) for n in range(space.max_dord + 1)]
     monos = [(ctx.one(), 0)]
@@ -682,18 +756,49 @@ def _reference_basis(space):
         bw = base.dord()
         bw = 0 if bw == float("-inf") else int(bw)
         dens = [(d * base ** (-e), wd - e * bw) for d, wd in dens for e in range(emax + 1)]
-    out, seen = [], set()
-    for m, wm in monos:
-        for x, wx in xs:
-            for d, wd in dens:
-                if space.weight_max is not None and wm + wx + wd > space.weight_max:
-                    continue
-                for s in [ctx.one()] + space.multipliers:
-                    f = m * x * s * d
-                    if f.key() not in seen:
-                        seen.add(f.key())
-                        out.append(f)
-    return out
+    return [m * x * s * d for m, wm in monos for x, wx in xs for d, wd in dens
+            if space.weight_max is None or wm + wx + wd <= space.weight_max
+            for s in [ctx.one()] + space.multipliers]
+
+
+def _cross_check_space(which):
+    """A space with u' denominators, with a sqrt multiplier over its own
+    cube (the liouville-i shape), with exp(2x)^(+-1) and x powers, or with
+    exp(c u)^(+-1), c^2 = -x3/x1, whose relation value has a denominator;
+    every context has parameters."""
+    ctx = Context(("u",), ("b2", "b3"))
+    u1 = ctx.u(1)
+    if which == "u1":
+        return AnsatzSpace(ctx, 2, 3, x_power=1, denominators=[(u1, 3)])
+    if which == "sqrt":
+        s = ctx.adjoin_sqrt(ctx.param("b2") + ctx.param("b3") * u1 ** 2)
+        return AnsatzSpace(ctx, 1, 3, multipliers=[s], denominators=[(s, 3)])
+    if which == "exp_x":
+        E = ctx.adjoin_exp_x(ctx.const(2))
+        return AnsatzSpace(ctx, 1, 2, x_power=2, multipliers=[E, 1 / E],
+                           denominators=[(u1, 1)])
+    ctx = Context(("u",), ("x1", "x3"))
+    ctx.add_derived_parameter("c13", -ctx.param("x3") / ctx.param("x1"))
+    E = ctx.adjoin_exp_u(ctx.param("c13"))
+    return AnsatzSpace(ctx, 1, 2, multipliers=[E, 1 / E], denominators=[(ctx.u(1), 2)])
+
+
+@pytest.mark.parametrize("which", ["u1", "sqrt", "exp_x", "exp_u"])
+def test_table_numerators_are_the_products(which):
+    """Each entry's numerator over the table's denominator is the field
+    element its factors multiply to, with the same key; and the entries
+    kept by equal numerators are those kept by equal keys."""
+    space = _escalated(_cross_check_space(which), 2)  # a search's top table
+    table = solve.BasisTable(space)
+    products = _reference_products(space)
+    assert len(products) == len(table.entries)
+    first = {}
+    for i, f in enumerate(products):
+        g = DFun(space.ctx, table.numerator(i), table.den)
+        assert g.key() == f.key() == table.element(i).key()
+        first.setdefault(f.key(), i)
+    assert table.distinct(range(len(products))) == list(first.values())
+    assert len(first) < len(products)  # each space has equal products
 
 
 def _products(table, bounds):
