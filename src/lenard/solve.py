@@ -152,7 +152,6 @@ class BasisTable:
                 self.entries += [((ci, a, p), k)] * nm  # entry i has pair p + i % nm
         self._keys = [None] * len(self.entries)
         self._made: Dict = {}
-        self._low = self._masks = None
 
     def key(self, i):
         """(identity, value) of entry i.  The identity, (monomial * x power,
@@ -180,12 +179,11 @@ class BasisTable:
         return list(first.values())
 
     def masks(self, low):
-        """Per entry, the bits of the bounds of low that it needs raised."""
-        if self._low != low:
-            need = [sum(1 << i for i, (n, b) in enumerate(zip(nd, low)) if n > b)
-                    for nd in self.needs]
-            self._low, self._masks = low, [need[k] for _, k in self.entries]
-        return self._masks
+        """Per entry, the bits of the bounds of low that it needs raised: 0
+        exactly for the entries of the space with bounds low."""
+        need = [sum(1 << i for i, (n, b) in enumerate(zip(nd, low)) if n > b)
+                for nd in self.needs]
+        return [need[k] for _, k in self.entries]
 
     def numerator(self, i):
         """Entry i's numerator over den."""
@@ -205,9 +203,8 @@ class BasisTable:
     def basis(self, bounds) -> List[DFun]:
         """The basis of the space with these bounds, each at most the
         table's: its elements in order, the first of equal ones kept."""
-        fits = [all(n <= b for n, b in zip(need, bounds)) for need in self.needs]
         return [self.element(i) for i in self.distinct(
-            i for i, (_, k) in enumerate(self.entries) if fits[k])]
+            i for i, m in enumerate(self.masks(bounds)) if not m)]
 
 
 def _split_param_mono(ctx, mono):
@@ -454,14 +451,15 @@ def _batch_operator(op):
 _SEARCH_BUDGET = 0.5
 
 
-def _lattice(table: BasisTable, low, step):
-    """The spaces with each bound of low raised by 0 or by step, in order of
+def _lattice(masks, n, step):
+    """The spaces with each of n bounds raised by 0 or by step, in order of
     size, one per distinct set of table products; those with all of the
-    table's products or only low's are left out.  A product is in a space
-    when every bound it needs above low is raised.  Returns (size, steps);
-    the size counts products, before equal ones merge in the basis."""
-    counts = Counter(table.masks(low))
-    full = (1 << len(low)) - 1
+    table's products or only the unraised space's are left out.  masks has
+    per product the bits of the bounds it needs raised (BasisTable.masks),
+    and a product is in a space when all of them are.  Returns (size,
+    steps); the size counts products, before equal ones merge in the basis."""
+    counts = Counter(masks)
+    full = (1 << n) - 1
 
     def inside(M):
         return frozenset(m for m in counts if m & ~M == 0)
@@ -473,7 +471,7 @@ def _lattice(table: BasisTable, low, step):
         if held not in seen:
             seen.add(held)
             points.append((sum(counts[m] for m in held),
-                           tuple(step if M >> i & 1 else 0 for i in range(len(low)))))
+                           tuple(step if M >> i & 1 else 0 for i in range(n))))
     return sorted(points)
 
 
@@ -544,7 +542,7 @@ def solve_operator_equation(op, rhs: Sequence[DFun], space: AnsatzSpace,
         table = BasisTable(top)
         masks = table.masks(low)
         budget = _SEARCH_BUDGET * len(table.entries)
-        for size, steps in _lattice(table, low, escalations):
+        for size, steps in _lattice(masks, len(low), escalations):
             if size > budget:
                 break
             budget -= size

@@ -835,6 +835,7 @@ def test_basis_table_restricts_to_each_lattice_space(which):
         assert [f.key() for f in point.basis()] == want
         merged += _products(table, point.bounds()) > len(want)
     assert merged or which != "sqrt"
-    for size, steps in solve._lattice(table, space.bounds(), step):
+    low = space.bounds()
+    for size, steps in solve._lattice(table.masks(low), len(low), step):
         assert size == _products(table, space.raised(steps).bounds())
         assert _products(table, space.bounds()) < size < len(table.entries)
