@@ -278,34 +278,30 @@ class Context:
 
     def adjoin_exp_x(self, c: "DFun"):
         """Adjoin exp(c*x) for a nonzero constant c; returns the symbol."""
-        c = self._as_fun(c)
-        if not c.is_constant() or c.is_zero():
-            raise ValueError("exp rate must be a nonzero constant")
-        key = ("exp", "x", c.key())
-        if key in self._sym_by_expr:
-            return self.var_fun(self._sym_by_expr[key])
-        name = "exp(%s*x)" % c
-        vid = self._register(("s", name), name, (KIND_SYMBOL, name), laurent=True)
-        self._sym_by_expr[key] = vid
-        self.sym_dlog[vid] = c
-        self.sym_plog[vid] = {}
-        self.sym_expr[vid] = ("exp", c * self.x())
-        return self.var_fun(vid)
+        return self._adjoin_exp(c, None)
 
     def adjoin_exp_u(self, c: "DFun", i=0):
         """Adjoin exp(c*u_i) for a nonzero constant c."""
+        return self._adjoin_exp(c, i)
+
+    def _adjoin_exp(self, c, i):
+        """Adjoin exp(c*t) for t = x (i None) or the generator u_i.  Ids
+        follow the order of registration and key()s carry them, so the
+        symbol is registered first, then u_i' and u_i."""
         c = self._as_fun(c)
         if not c.is_constant() or c.is_zero():
             raise ValueError("exp rate must be a nonzero constant")
-        key = ("exp", ("u", i), c.key())
+        key = ("exp", "x" if i is None else ("u", i), c.key())
         if key in self._sym_by_expr:
             return self.var_fun(self._sym_by_expr[key])
-        name = "exp(%s*%s)" % (c, self.gen_names[i])
+        name = "exp(%s*%s)" % (c, "x" if i is None else self.gen_names[i])
         vid = self._register(("s", name), name, (KIND_SYMBOL, name), laurent=True)
         self._sym_by_expr[key] = vid
-        self.sym_dlog[vid] = c * self.gen(i, 1)
-        self.sym_plog[vid] = {(i, 0): c}
-        self.sym_expr[vid] = ("exp", c * self.gen(i, 0))
+        if i is None:
+            dlog, plog, t = c, {}, self.x()
+        else:
+            dlog, plog, t = c * self.gen(i, 1), {(i, 0): c}, self.gen(i, 0)
+        self.sym_dlog[vid], self.sym_plog[vid], self.sym_expr[vid] = dlog, plog, ("exp", c * t)
         return self.var_fun(vid)
 
     def adjoin_sqrt(self, g: "DFun"):

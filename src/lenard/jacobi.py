@@ -1,4 +1,9 @@
-"""Jacobi identity for non-local structures, in one fixed completion.
+"""Atom structures, and the Jacobi identity for them in one fixed completion.
+
+An atom structure is a chain of multiplications and powers of d of either
+sign.  Its symbol is the product of its atoms' symbols, f for a
+multiplication by f and l^k for d^k, composed from the left (_symbol);
+structures expand, and the Jacobi terms take their suffix values, by it.
 
 Comparison domain: Laurent series in the first bracket variable l whose
 coefficients are Laurent series in the second variable m; in this domain
@@ -9,8 +14,7 @@ the unique expansions are
 
 The second Jacobi term {u_j m {u_i l u_k}} expands coefficientwise (this
 completion is its natural home; its l-powers do not mix).  The first and
-third terms are evaluated in operator form over the structure's atom chain
-(multiplications and powers of d), using
+third terms are evaluated in operator form over the atom chain, using
 
     left Leibniz      {a_l f w}       = {a_l f} w + f {a_l w}
     shift rule        {a_l (m+d)^r w} = (l+m+d)^r {a_l w}
@@ -37,13 +41,34 @@ from .field import (DFun, NEG_INF, ONE_MONO, _den_cofactor, _den_merge, batch_de
                     batch_matmul, batch_sum, field_element, over_lcm, poly_add_into,
                     poly_add_scaled, poly_mul)
 from .brackets import master_bracket
-from .operators import (MatrixPsdOp, OperatorSum, RationalOpPair, ScalarPsdOp,
-                        _accumulate, _jf, binom, structure_sum)
+from .operators import (MatrixPsdOp, OperatorSum, ScalarPsdOp, _accumulate, _jf, binom,
+                        structure_sum)
 from .series import BiSeries, LambdaSeries
 
 
 # ---------------------------------------------------------------------------
 # atom chains
+
+
+def _symbol(ctx, atoms, floor) -> ScalarPsdOp:
+    """The symbol of a scalar atom chain, its atoms composed from the left:
+    f for ("mult", f), l^k for ("d", k).  Without a floor an infinite tail
+    raises InsufficientTruncation.  With one, a chain with a negative d
+    power cuts its first product at the floor less the d powers after it,
+    and the later atoms bring the result to exactly the floor; a chain
+    without one is differential, hence exact."""
+    syms = [ScalarPsdOp.of_fun(data) if kind == "mult" else ScalarPsdOp.d(ctx, data)
+            for kind, data in atoms]
+    cut = None
+    if floor is not None and any(kind == "d" and data < 0 for kind, data in atoms):
+        cut = floor - sum(data for kind, data in atoms[2:] if kind == "d")
+    acc = syms[0] if syms else ScalarPsdOp.identity(ctx)
+    for s in syms[1:]:
+        acc = acc.compose(s, cut)
+        if acc.is_zero():  # all of it lies below the floor
+            return ScalarPsdOp.zero(ctx, floor)
+        cut = None
+    return acc
 
 
 class AtomChain:
@@ -75,19 +100,18 @@ class AtomChain:
                  for i in range(self.ell)]
         return AtomChain(self.ctx, [("mult", ident)] + self.atoms, self.ell)
 
-    def to_operator(self) -> MatrixPsdOp:
-        """Compose the atoms into an exact matrix operator (a d^-k before a
-        non-constant factor has an infinite tail: InsufficientTruncation)."""
+    def to_operator(self, floor=None) -> MatrixPsdOp:
+        """The product of the atoms' symbols, entry by entry: entry (r, c)
+        sums _symbol over the scalar paths from r to c, starting from zero
+        at the floor.  Exact without a floor (an infinite tail raises
+        InsufficientTruncation), else accurate to exactly the floor."""
         ctx = self.ctx
-        acc = None
-        for kind, data in self.atoms:
-            if kind == "mult":
-                step = MatrixPsdOp([[ScalarPsdOp.of_fun(e) for e in row] for row in data])
-            else:
-                cols = acc.cols if acc is not None else self.ell
-                step = MatrixPsdOp.diag([ScalarPsdOp.d(ctx, data)] * cols)
-            acc = step if acc is None else acc.compose(step)
-        return acc
+        cols = next((len(d[0]) for k, d in reversed(self.atoms) if k == "mult"), self.ell)
+        entries = [[ScalarPsdOp.zero(ctx, floor) for _ in range(cols)]
+                   for _ in range(self.ell)]
+        for r, c, ats in self.scalar_paths():
+            entries[r][c] = entries[r][c] + _symbol(ctx, ats, floor)
+        return MatrixPsdOp(entries)
 
     def diagonalized(self, ell):
         """A scalar chain acting diagonally on ell components."""
@@ -186,11 +210,8 @@ class SumChain:
         return batch_sum([ch.apply_batch(cols, den) for ch in self.summands])
 
     def to_operator(self) -> MatrixPsdOp:
-        acc = None
-        for ch in self.summands:
-            op = ch.to_operator()
-            acc = op if acc is None else acc + op
-        return acc
+        ops = [ch.to_operator() for ch in self.summands]
+        return sum(ops[1:], ops[0])
 
     @property
     def atoms(self):
@@ -198,36 +219,15 @@ class SumChain:
 
 
 class AtomStructure:
-    """A structure given by an atom chain, expanded as the fraction chain
-    A1 B1^-1 ... An Bn^-1 split at its d^-k atoms: each A is the exact
-    product of the differential run before a d^-k, each B = d^k, and a
-    trailing run ends the chain over the identity."""
+    """A structure given by an atom chain: the product of its atoms'
+    symbols, f for a mult atom and l^k for d^k, expanded per floor by
+    AtomChain.to_operator and kept in _cache."""
 
-    __slots__ = ("chain", "fraction")
+    __slots__ = ("chain", "_cache")
 
     def __init__(self, chain: AtomChain):
         self.chain = chain
-        ctx = chain.ctx
-        pairs = []
-        run, rows, cols = [], chain.ell, chain.ell
-
-        def numerator():
-            if not run:
-                return MatrixPsdOp.identity(ctx, cols)
-            return AtomChain(ctx, run, rows).to_operator()
-
-        for kind, data in chain.atoms:
-            if kind == "d" and data < 0:
-                pairs.append((numerator(),
-                              MatrixPsdOp.diag([ScalarPsdOp.d(ctx, -data)] * cols)))
-                run, rows = [], cols
-            else:
-                run.append((kind, data))
-                if kind == "mult":
-                    cols = len(data[0])
-        if run or not pairs:
-            pairs.append((numerator(), MatrixPsdOp.identity(ctx, cols)))
-        self.fraction = RationalOpPair(pairs)
+        self._cache = {}
 
     @property
     def ctx(self):
@@ -238,7 +238,9 @@ class AtomStructure:
         return self.chain.ell
 
     def expand(self, floor: int) -> MatrixPsdOp:
-        return self.fraction.expand(floor)
+        if floor not in self._cache:
+            self._cache[floor] = self.chain.to_operator(floor)
+        return self._cache[floor]
 
     def adjoint_sum(self):
         """Adjoint chain: reverse atoms, transpose mults, sign (-1)^(sum d)."""
@@ -294,8 +296,8 @@ def _grid_scale_fun(g: BiSeries, f: DFun) -> BiSeries:
     return BiSeries(g.ctx, {pq: f * c for pq, c in g.coeffs.items()}, g.floors)
 
 
-def _grid_mul_series(g: BiSeries, s: LambdaSeries) -> BiSeries:
-    """Multiply by a series in the first variable."""
+def _grid_mul_series(g: BiSeries, s: ScalarPsdOp) -> BiSeries:
+    """Multiply by a symbol, a series in the first variable."""
     ctx = g.ctx
     out: Dict[Tuple[int, int], DFun] = {}
     for (p, q), c in g.coeffs.items():
@@ -303,7 +305,7 @@ def _grid_mul_series(g: BiSeries, s: LambdaSeries) -> BiSeries:
             _accumulate(out, (p + n, q), c * c2)
     # a floor of either factor, raised by the other factor's top power
     gt = max((p for p, _ in g.coeffs), default=0)
-    st = int(s.top()) if s.coeffs else 0
+    st = int(s.order()) if s.coeffs else 0
     fl = _jf(None if g.floors[0] is None else g.floors[0] + st,
              None if s.floor is None else s.floor + gt)
     return BiSeries(ctx, out, (fl, g.floors[1]))
@@ -467,21 +469,6 @@ class JacobiEngine:
             for r0, c0, ats in chain.scalar_paths():
                 self._paths.append((coeff, r0, c0, ats))
 
-    def _suffix_values(self, atoms, floor: int) -> List[LambdaSeries]:
-        """The symbol values of the scalar atom suffixes, in one right-to-left
-        walk: entry n is the value of atoms[n+1:], a negative d power
-        truncated at the floor."""
-        val = LambdaSeries.of_fun(self.ctx.one())
-        vals = [val]
-        for kind, data in reversed(atoms[1:]):
-            if kind == "d":
-                val = val.apply_shift(data, floor=floor if data < 0 else None)
-            else:
-                val = val * data
-            vals.append(val)
-        vals.reverse()
-        return vals
-
     # -- first term -------------------------------------------------------------
 
     def t1_matrix(self, i) -> List[List[BiSeries]]:
@@ -512,7 +499,6 @@ class JacobiEngine:
         """{u_i l (value of scalar atom chain at m)} by Leibniz + shift rules."""
         ctx = self.ctx
         cur = BiSeries.zero(ctx, (lam_floor, None))
-        suffixes = self._suffix_values(atoms, mu_floor)  # mu-series values
         for n in reversed(range(len(atoms))):
             kind, data = atoms[n]
             if kind == "d":
@@ -523,7 +509,7 @@ class JacobiEngine:
                 br = master_bracket(self.sym, self.gens[i], f, lam_floor)
                 cur = _grid_scale_fun(cur, f)
                 if br.coeffs or br.floor is not None:
-                    suffix = suffixes[n]
+                    suffix = _symbol(ctx, atoms[n + 1:], mu_floor)  # a series in m
                     cur = cur + BiSeries(ctx, {(p, q): a * b
                                                for p, a in br.coeffs.items()
                                                for q, b in suffix.coeffs.items()},
@@ -571,7 +557,6 @@ class JacobiEngine:
         the bracket series of f, before f joins the carrier."""
         ctx = self.ctx
         carrier = BiSeries(ctx, {(0, 0): ctx.one()}, (None, None))
-        suffixes = self._suffix_values(atoms, lam_floor)
         total = None
         for n, (kind, data) in enumerate(atoms):
             if kind == "d":
@@ -579,7 +564,7 @@ class JacobiEngine:
                 if data % 2:
                     carrier = -carrier
                 continue
-            prod = _grid_mul_series(carrier, suffixes[n])
+            prod = _grid_mul_series(carrier, _symbol(ctx, atoms[n + 1:], lam_floor))
             ptop = max((p for p, _ in prod.coeffs), default=0)
             dser = master_bracket(self.sym, data, self.gens[k],
                                   self.floors[0] - max(0, ptop) - 1)

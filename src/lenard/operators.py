@@ -8,7 +8,10 @@ formula max(floor_A + topdeg(B), floor_B + topdeg(A)).
 
 MatrixPsdOp wraps a grid of scalars; RationalOpPair is a chain
 A1 B1^-1 ... An Bn^-1 of matrix differential operators with nondegenerate
-denominators, expanded on demand by leading-term inversion.
+denominators, expanded on demand by leading-term inversion.  It serves the
+frac(...) and chain(...) operator inputs and the fraction A B^-1 of a
+chains.StructurePair; an atom chain is expanded as a product of symbols
+instead (jacobi._symbol).
 """
 
 from __future__ import annotations
@@ -297,13 +300,6 @@ class MatrixPsdOp:
     def zero(cls, ctx, rows, cols, floor=None):
         return cls([[ScalarPsdOp.zero(ctx, floor) for _ in range(cols)]
                     for _ in range(rows)])
-
-    @classmethod
-    def diag(cls, ops):
-        ctx = ops[0].ctx
-        n = len(ops)
-        return cls([[ops[i] if i == j else ScalarPsdOp.zero(ctx) for j in range(n)]
-                    for i in range(n)])
 
     @property
     def rows(self):

@@ -12,7 +12,7 @@ from lenard.brackets import (check_compatible, check_jacobi, check_skewadjoint,
 from lenard.errors import InvalidWitness
 from lenard.field import Context, vec_is_zero
 from lenard.functional import LocalFunctional
-from lenard.jacobi import AtomChain, AtomStructure, _grid_trinomial
+from lenard.jacobi import AtomChain, AtomStructure, _grid_trinomial, _symbol
 from lenard.operators import (MatrixPsdOp, OperatorSum, RationalOpPair,
                               ScalarPsdOp, _accumulate, _jf, binom)
 from lenard.series import BiSeries, LambdaSeries
@@ -58,6 +58,137 @@ def test_atom_chain_expands_as_its_fraction_pairs(ctx, trio):
             got, ref = H.expand(floor), RationalOpPair(pairs).expand(floor)
             assert (got.rows, got.cols, got.floor()) == (ref.rows, ref.cols, floor)
             assert got.eq_to_floor(ref, floor)
+
+
+def _chain_field():
+    """A two-generator context with a parameter, its jet variables and x,
+    and the other functions mult atoms are drawn from: 1/(u''+1), a sqrt
+    symbol, an exp symbol and the parameter."""
+    ctx = Context(("u", "v"), ("b",))
+    u, u1, u2, v = ctx.u(0), ctx.u(1), ctx.u(2), ctx.gen(1, 0)
+    return ctx, [u, u1, v, ctx.x()], [1 / (u2 + 1), ctx.adjoin_sqrt(u1 * u1 + 1),
+                                      ctx.adjoin_exp_u(ctx.const(2)), ctx.param("b")]
+
+
+@st.composite
+def _chain_case(draw, matrix):
+    """2-6 atoms: d^k for k = +-1, +-2, and mult atoms, 1x1 in a scalar
+    chain and 1x1, 1x2, 2x1 or 2x2 (entries maybe zero) in a matrix one.
+    An entry is an integer times a jet variable, x or one of the other
+    functions, one per chain, and the positive d powers sum to at most 3:
+    the fraction route composes to floors well below the one asked for,
+    where products of those functions, or deeper floors, take seconds.
+    Returns (context, dimension, atoms)."""
+    ctx, jets, others = _chain_field()
+    factors = jets + [draw(st.sampled_from(others))]
+
+    def entry():
+        return ctx.const(draw(st.integers(-2, 2).filter(bool))) * draw(st.sampled_from(factors))
+
+    ell = draw(st.sampled_from([1, 2])) if matrix else 1
+    dim, atoms, up = ell, [], 0
+    for _ in range(draw(st.integers(2, 6))):
+        if draw(st.booleans()):
+            k = draw(st.sampled_from([k for k in (-2, -1, 1, 2) if up + k <= 3]))
+            up += max(k, 0)
+            atoms.append(("d", k))
+            continue
+        cols = draw(st.sampled_from([1, 2])) if matrix else 1
+        data = [[ctx.zero() if matrix and draw(st.integers(0, 3)) == 3 else entry()
+                 for _ in range(cols)] for _ in range(dim)]
+        atoms.append(("mult", data))
+        dim = cols
+    return ctx, ell, atoms
+
+
+def _fraction_split(ctx, ell, atoms):
+    """The chain split at its d^-k atoms into A B^-1 pairs: each A the exact
+    matrix product of the run before a d^-k, each B = d^k on the dimension
+    it meets, a trailing run over the identity."""
+
+    def product(run, rows):
+        acc = MatrixPsdOp.identity(ctx, rows)
+        for kind, data in run:
+            if kind == "mult":
+                step = MatrixPsdOp([[ScalarPsdOp.of_fun(e) for e in row] for row in data])
+            else:
+                step = _diagonal(ctx, acc.cols, ScalarPsdOp.d(ctx, data))
+            acc = acc.compose(step)
+        return acc
+
+    pairs, run, rows, cols = [], [], ell, ell
+    for kind, data in atoms:
+        if kind == "d" and data < 0:
+            pairs.append((product(run, rows), _diagonal(ctx, cols, ScalarPsdOp.d(ctx, -data))))
+            run, rows = [], cols
+        else:
+            run.append((kind, data))
+            if kind == "mult":
+                cols = len(data[0])
+    if run or not pairs:
+        pairs.append((product(run, rows), MatrixPsdOp.identity(ctx, cols)))
+    return RationalOpPair(pairs)
+
+
+def _diagonal(ctx, n, op):
+    return MatrixPsdOp([[op if i == j else ScalarPsdOp.zero(ctx) for j in range(n)]
+                        for i in range(n)])
+
+
+def _right_fold_suffixes(ctx, atoms, floor):
+    """The symbols of the scalar suffixes atoms[n+1:], walked right to left:
+    (l+d)^k for d^k, a negative k cut at the floor; f times for f."""
+    val = LambdaSeries.of_fun(ctx.one())
+    vals = [val]
+    for kind, data in reversed(atoms[1:]):
+        val = val.apply_shift(data, floor=floor if data < 0 else None) if kind == "d" \
+            else val * data
+        vals.append(val)
+    vals.reverse()
+    return vals
+
+
+@pytest.mark.parametrize("matrix", [False, True], ids=["scalar", "matrix"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_atom_structure_expands_as_its_fraction_split(matrix, data):
+    # the left fold of atom symbols against A B^-1 pairs with d^k inverted
+    ctx, ell, atoms = data.draw(_chain_case(matrix))
+    H = AtomStructure(AtomChain(ctx, atoms, ell))
+    ref_pair = _fraction_split(ctx, ell, atoms)
+    for floor in (-6, -10):
+        got, ref = H.expand(floor), ref_pair.expand(floor)
+        assert (got.rows, got.cols) == (ref.rows, ref.cols)
+        assert got.floor() == ref.floor() == floor
+        assert got.eq_to_floor(ref, floor)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_suffix_symbols_match_the_right_fold(data):
+    # each suffix symbol is at least as accurate as the right fold's, and
+    # agrees with it above the right fold's floor
+    ctx, _, atoms = data.draw(_chain_case(False))
+    atoms = [(k, d if k == "d" else d[0][0]) for k, d in atoms]
+    for floor in (-6, -10):
+        for n, ref in enumerate(_right_fold_suffixes(ctx, atoms, floor)):
+            got = _symbol(ctx, atoms[n + 1:], floor)
+            if ref.floor is None:
+                assert got.floor is None and got.coeffs == ref.coeffs
+            else:
+                assert series_agree_to(got, ref, ref.floor)
+
+
+def test_symbol_of_a_chain_below_its_floor_is_zero_at_the_floor(ctx):
+    # the first product lies wholly below its cut, so the later d atoms
+    # must still bring the zero down to the floor
+    u1 = ctx.u(1)
+    for atoms, floor in [([("d", -2)] * 4, -6),
+                         ([("d", -2), ("mult", u1), ("d", -2), ("d", -2)], -4)]:
+        got = _symbol(ctx, atoms, floor)
+        assert got.is_zero() and got.floor == floor
+        op = AtomStructure(AtomChain(ctx, [(k, d if k == "d" else [[d]]) for k, d in atoms]))
+        assert op.expand(floor).floor() == floor
 
 
 def test_symbol_on_generators(ctx, trio):
