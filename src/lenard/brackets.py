@@ -17,10 +17,11 @@ series in mu/l.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import InsufficientTruncation, InvalidWitness
-from .field import DFun
+from .field import (DFun, ONE_MONO, _den_cofactor, _den_merge, batch_derivative,
+                    field_element, over_lcm, poly_add_into, poly_add_scaled, poly_mul)
 from .functional import LocalFunctional
 from .operators import MatrixPsdOp, ScalarPsdOp, _binomial_shift, _jf, structure_sum
 from .series import LambdaSeries
@@ -29,49 +30,98 @@ DEFAULT_JACOBI_FLOORS = (-8, -8)
 
 
 def apply_symbol(sym: ScalarPsdOp, t: LambdaSeries, floor) -> LambdaSeries:
-    """H(l+d) applied to a series: sum_q h_q (l+d)^q t, to the floor."""
-    ctx = sym.ctx
-    if not t.coeffs:
-        fl = None if sym.floor is None and t.floor is None else floor
-        return LambdaSeries.zero(ctx, fl)
-    t_top = int(t.top())
-    acc = _binomial_shift(sym.coeffs, t.coeffs, floor)
-    # accuracy: unknown symbol terms (q < sym.floor) pollute up to sym.floor+t_top-1;
-    # unknown t terms pollute up to sym_top + t.floor - 1
-    fl = floor
-    if sym.floor is not None:
-        fl = max(fl, sym.floor + t_top)
-    if t.floor is not None and sym.coeffs:
-        fl = max(fl, int(max(sym.coeffs)) + t.floor)
-    return LambdaSeries(ctx, acc, fl)
+    """H(l+d) applied to an exact nonzero series: sum_q h_q (l+d)^q t, to
+    the floor; unknown symbol terms (q < sym.floor) pollute up to
+    sym.floor + t's top power - 1."""
+    fl = _jf(floor, None if sym.floor is None else sym.floor + int(t.top()))
+    return LambdaSeries(sym.ctx, _binomial_shift(sym.coeffs, t.coeffs, floor), fl)
 
 
-def master_bracket(sym: MatrixPsdOp, f: DFun, g: DFun, floor) -> LambdaSeries:
-    """The master formula for {f_l g}, with sym H's expansion (its symbol)."""
-    ctx = sym.ctx
-    ell = sym.rows
+def _shifted_rows(ctx, s, nmax, floor):
+    """The rows (l+d)^n s_a, n = 0..nmax, of the series s = [s_a] at the
+    l-powers from floor up, as numerators over one denominator:
+    ({(a, n): {power: numerator}}, denominator).  Each coefficient's
+    total-derivative tower is walked once, a level at a time with one
+    batch_derivative, and d^k s_a,q adds binom(n, k) times itself at power
+    q+n-k of row n; level k keeps only the q from floor - nmax + k up, the
+    coefficients that still reach the floor."""
+    cells = [(a, q) for a, sa in enumerate(s) for q in sa.coeffs if q >= floor - nmax]
+    nums, den = over_lcm([s[a].coeffs[q] for a, q in cells])
+    levels = [(dict(zip(cells, nums)), den)]
+    for k in range(1, nmax + 1):
+        keep = [c for c, n in levels[-1][0].items() if n and c[1] >= floor - nmax + k]
+        if not keep:
+            break
+        (nums,), den = batch_derivative(ctx, [[levels[-1][0][c] for c in keep]], den)
+        levels.append((dict(zip(keep, nums)), den))
+    rows: Dict[Tuple[int, int], Dict[int, dict]] = {}
+    for k, (level, lden) in enumerate(levels):
+        cof = _den_cofactor(den, lden)
+        unit = cof == {ONE_MONO: 1}
+        for (a, q), num in level.items():
+            if not unit:
+                num = poly_mul(num, cof)
+            b = 1  # binom(n, k), stepped with n
+            for n in range(k, nmax + 1):
+                if q + n - k >= floor:
+                    poly_add_scaled(rows.setdefault((a, n), {}).setdefault(q + n - k, {}),
+                                    num, b)
+                b = b * (n + 1) // (n + 1 - k)
+    return rows, den
+
+
+def master_bracket(sym: MatrixPsdOp, f: DFun, gs, floor, rows) -> List[LambdaSeries]:
+    """The master formula for {f_l g}, with sym H's expansion (its symbol),
+    for each g of the batch gs: one series per g.
+
+    f's part s_a = sum_i H_ai(l+d) t_i, t_i = sum_m (-l-d)^m df/du_i^(m),
+    is taken to floor - N, N the batch's top jet order.  The contraction
+    sum_{a,n} dg/du_a^(n) (l+d)^n s_a runs on numerators: the rows
+    (l+d)^n s_a over one denominator (_shifted_rows), the batch's jet
+    partials over another, and each output coefficient becomes a field
+    element once.  g's floor: that of s_a at floor - (g's top order), plus
+    g's top order in u_a, at least floor.  `rows`, a dict, keeps the rows
+    per (f, floor) for later calls on the same sym (the Jacobi engine's
+    cache); rows for a larger N serve a smaller one."""
+    ctx, ell = sym.ctx, sym.rows
+    parts = [[g.jet_partials(a) for a in range(ell)] for g in gs]
+    tops = [max((max(ps) for ps in gp if ps), default=None) for gp in parts]
     f_parts = [f.jet_partials(i) for i in range(ell)]
-    g_parts = [g.jet_partials(j) for j in range(ell)]
-    if all(not ps for ps in f_parts) or all(not ps for ps in g_parts):
-        return LambdaSeries.zero(ctx, None)
-    # t_i = sum_m (-l-d)^m f_{i,m}, the symbol of the adjoint of f's partials
-    tvec = [LambdaSeries(ctx, ScalarPsdOp(ctx, ps).adjoint().coeffs, None)
-            for ps in f_parts]
-    n_max = max(max(ps, default=0) for ps in g_parts)
-    # sum_j sum_n g_{j,n} (l+d)^n s_j, with s_j = sum_i H_ji(l+d) t_i
-    out, fl = {}, None
-    for j in range(ell):
-        if not g_parts[j]:
+    if all(not ps for ps in f_parts) or all(n is None for n in tops):
+        return [LambdaSeries.zero(ctx, None) for _ in gs]
+    nmax = max(n for n in tops if n is not None)
+    key = (f.key(), floor)
+    hit = rows.get(key)
+    if hit is None or hit[0] < nmax:
+        # t_i, the symbol of the adjoint of f's partials, and s_a at floor - nmax
+        tvec = [LambdaSeries(ctx, ScalarPsdOp(ctx, ps).adjoint().coeffs, None)
+                for ps in f_parts]
+        svec = [sum((apply_symbol(sym.entry(a, i), t, floor - nmax)
+                     for i, t in enumerate(tvec) if t.coeffs), LambdaSeries.zero(ctx, None))
+                for a in range(ell)]
+        hit = rows[key] = ((nmax, [s.floor for s in svec])
+                           + _shifted_rows(ctx, svec, nmax, floor))
+    _, sfloors, srows, sden = hit
+    gnums, gden = over_lcm([c for gp in parts for ps in gp for c in ps.values()])
+    den = _den_merge(sden, gden) if gden else sden
+    gnums = iter(gnums)
+    out = []
+    for gp, top in zip(parts, tops):
+        if top is None:
+            out.append(LambdaSeries.zero(ctx, None))
             continue
-        s = LambdaSeries.zero(ctx, None)
-        for i in range(ell):
-            if not tvec[i].coeffs:
-                continue
-            s = s + apply_symbol(sym.entry(j, i), tvec[i], floor - n_max)
-        _binomial_shift(g_parts[j], s.coeffs, None, out)
-        if s.floor is not None:
-            fl = _jf(fl, s.floor + max(g_parts[j]))
-    return LambdaSeries(ctx, out, fl).truncate(floor)
+        fl = max([floor] + [max(floor - top, sfloors[a]) + max(ps)
+                            for a, ps in enumerate(gp) if ps])
+        sums: Dict[int, dict] = {}
+        for a, ps in enumerate(gp):
+            for n in ps:
+                gn = next(gnums)
+                for deg, r in srows.get((a, n), {}).items():
+                    if deg >= fl and r:
+                        poly_add_into(sums.setdefault(deg, {}), poly_mul(gn, r))
+        out.append(LambdaSeries(ctx, {deg: field_element(ctx, num, den)
+                                      for deg, num in sums.items() if num}, fl))
+    return out
 
 
 def lambda_bracket(H, f: DFun, g: DFun, floor: int) -> LambdaSeries:
@@ -83,7 +133,7 @@ def lambda_bracket(H, f: DFun, g: DFun, floor: int) -> LambdaSeries:
         return LambdaSeries.zero(S.ctx, None)
     M = max(m for ps in f_parts for m in ps)
     N = max(n for ps in g_parts for n in ps)
-    return master_bracket(S.expand(floor - M - N), f, g, floor)
+    return master_bracket(S.expand(floor - M - N), f, [g], floor, {})[0]
 
 
 # ---------------------------------------------------------------------------

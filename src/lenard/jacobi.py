@@ -13,8 +13,12 @@ the unique expansions are
     (m+d)^r   = sum_t binom(r,t) d^t m^(r-t)              (d ascending)
 
 The second Jacobi term {u_j m {u_i l u_k}} expands coefficientwise (this
-completion is its natural home; its l-powers do not mix).  The first and
-third terms are evaluated in operator form over the atom chain, using
+completion is its natural home; its l-powers do not mix): the l-coefficients
+of the symbol entry H_ki go to master_bracket as one batch, contracted on
+numerators with the rows (m+d)^n H_aj(m) of H's column j, which the engine
+builds once per floor and keeps for every triple, as it keeps the rows of
+the other terms' brackets.  The first and third terms are evaluated in
+operator form over the atom chain, using
 
     left Leibniz      {a_l f w}       = {a_l f} w + f {a_l w}
     shift rule        {a_l (m+d)^r w} = (l+m+d)^r {a_l w}
@@ -41,7 +45,7 @@ from .field import (DFun, NEG_INF, ONE_MONO, _den_cofactor, _den_merge, batch_de
                     batch_matmul, batch_sum, field_element, over_lcm, poly_add_into,
                     poly_add_scaled, poly_mul)
 from .brackets import master_bracket
-from .operators import (MatrixPsdOp, OperatorSum, ScalarPsdOp, _accumulate, _jf, binom,
+from .operators import (MatrixPsdOp, OperatorSum, ScalarPsdOp, _accumulate, _jf,
                         structure_sum)
 from .series import BiSeries, LambdaSeries
 
@@ -368,10 +372,10 @@ def _grid_trinomial(g: BiSeries, h: LambdaSeries, lam_floor: int,
     the m-powers from g's m floor + k up: a row cut off below that floor is
     still right there.  The denominators of the levels divide one another,
     so each level is lifted to the last one's with one cofactor product per
-    numerator, and binom(r, k) adds it in place at l-power r+p-k.  Each h_r
-    then multiplies its sums once, as a numerator over the lcm of h's
-    denominators, and each output coefficient becomes a DFun once, with
-    relations reduced (field_element).
+    numerator, and binom(r, k), stepped with k, adds it in place at l-power
+    r+p-k.  Each h_r then multiplies its sums once, as a numerator over the
+    lcm of h's denominators, and each output coefficient becomes a DFun
+    once, with relations reduced (field_element).
 
     The floors join those of each (l+m+d)^r that reaches lam_floor: l at
     lam_floor or g's l floor + r, m at g's m floor + the last k reached.
@@ -411,11 +415,12 @@ def _grid_trinomial(g: BiSeries, h: LambdaSeries, lam_floor: int,
         if rows:
             rows, den = _mu_step(ctx, rows, den, None if gm is None else gm + k)
     sums: Dict[Tuple[int, int, int], dict] = {}  # (r, l-power, m-power) -> numerator over den
+    binoms = dict.fromkeys(h.coeffs, 1)  # r -> binom(r, k), stepped with k
     for k, (rows, lden) in enumerate(levels):
         cof = _den_cofactor(den, lden)
         unit = cof == {ONE_MONO: 1}
         for p, row in rows.items():
-            weights = [(r, binom(r, k), r + p - k)
+            weights = [(r, binoms[r], r + p - k)
                        for r, kmax in reach[p].items() if k <= kmax]
             for q, n in row.items():
                 if fm is not None and q < fm:
@@ -427,6 +432,7 @@ def _grid_trinomial(g: BiSeries, h: LambdaSeries, lam_floor: int,
                     if acc is None:
                         acc = sums[(r, deg, q)] = {}
                     poly_add_scaled(acc, n, b)
+        binoms = {r: b * (r - k) // (k + 1) for r, b in binoms.items()}
     hnums, hden = over_lcm(list(h.coeffs.values()))
     hnum = dict(zip(h.coeffs, hnums))
     out: Dict[Tuple[int, int], dict] = {}
@@ -464,6 +470,7 @@ class JacobiEngine:
         self.sym = S.expand(min(fl, fm) - self.dmax - self.sym_top - 2)
         self.gens = [self.ctx.gen(i, 0) for i in range(self.ell)]
         self._t1_cache = {}
+        self._rows = {}  # master_bracket's shifted rows, per (f, floor)
         self._paths = []
         for coeff, chain in atoms_of(H):
             for r0, c0, ats in chain.scalar_paths():
@@ -506,7 +513,7 @@ class JacobiEngine:
                 cur = _grid_trinomial(cur, lam_r, lam_floor, mu_floor)
             else:
                 f = data
-                br = master_bracket(self.sym, self.gens[i], f, lam_floor)
+                br, = master_bracket(self.sym, self.gens[i], [f], lam_floor, self._rows)
                 cur = _grid_scale_fun(cur, f)
                 if br.coeffs or br.floor is not None:
                     suffix = _symbol(ctx, atoms[n + 1:], mu_floor)  # a series in m
@@ -519,17 +526,15 @@ class JacobiEngine:
     # -- second term -------------------------------------------------------------
 
     def t2_grid(self, i, j, k) -> BiSeries:
+        """{u_j m {u_i l u_k}}: {u_j m e_p} for the l-coefficients e_p of H_ki
+        from the l floor up, one batch over the cached rows of H's column j."""
         fl, fm = self.floors
-        coeffs: Dict[Tuple[int, int], DFun] = {}
-        fm_out = fm
-        for p, e in self.sym.entry(k, i).coeffs.items():
-            if p < fl:
-                continue
-            ser = master_bracket(self.sym, self.gens[j], e, fm)
-            if ser.floor is not None:
-                fm_out = max(fm_out, ser.floor)
-            for q, c in ser.coeffs.items():
-                coeffs[(p, q)] = c
+        entry = self.sym.entry(k, i).coeffs
+        ps = [p for p in entry if p >= fl]
+        sers = master_bracket(self.sym, self.gens[j], [entry[p] for p in ps], fm,
+                              self._rows)
+        coeffs = {(p, q): c for p, ser in zip(ps, sers) for q, c in ser.coeffs.items()}
+        fm_out = max([fm] + [ser.floor for ser in sers if ser.floor is not None])
         return BiSeries(self.ctx, coeffs, (fl, fm_out))
 
     # -- third term --------------------------------------------------------------
@@ -566,8 +571,8 @@ class JacobiEngine:
                 continue
             prod = _grid_mul_series(carrier, _symbol(ctx, atoms[n + 1:], lam_floor))
             ptop = max((p for p, _ in prod.coeffs), default=0)
-            dser = master_bracket(self.sym, data, self.gens[k],
-                                  self.floors[0] - max(0, ptop) - 1)
+            dser, = master_bracket(self.sym, data, [self.gens[k]],
+                                   self.floors[0] - max(0, ptop) - 1, self._rows)
             piece = _grid_trinomial(prod, dser, lam_floor, mu_floor)
             total = piece if total is None else total + piece
             carrier = _grid_scale_fun(carrier, data)

@@ -38,9 +38,10 @@ def _binomial_shift(h: Dict[int, DFun], t: Dict[int, DFun], floor: Optional[int]
                     out: Optional[Dict[int, DFun]] = None) -> Dict[int, DFun]:
     """h(l+d) applied to t: sum of binom(q, k) h_q d^k(t_p) at degree q+p-k.
 
-    The one univariate shift kernel (compose, master_bracket, apply_shift;
-    the Jacobi grid's (l+m+d)^r walks its own numerator towers, see
-    jacobi._grid_trinomial).  Each t_p's total-derivative tower is walked
+    The one univariate shift kernel (compose, apply_symbol, apply_shift;
+    the Jacobi grid's (l+m+d)^r and the master formula's (l+d)^n rows walk
+    their own numerator towers, see jacobi._grid_trinomial and
+    brackets._shifted_rows).  Each t_p's total-derivative tower is walked
     once and serves every q; h_q multiplies each degree's sum over (p, k)
     once.  Degrees below the floor are dropped.  For q >= 0 the k-sum is
     finite; for q < 0 it runs down to the floor, or, without one, until

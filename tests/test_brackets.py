@@ -1,20 +1,25 @@
 """Lambda brackets, Poisson verdicts, and the Lie structures."""
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lenard import jacobi
 from lenard.brackets import (check_compatible, check_jacobi, check_skewadjoint,
                              evolutionary_bracket, functional_action,
-                             functional_bracket, lambda_bracket)
+                             functional_bracket, lambda_bracket, master_bracket)
 from lenard.errors import InvalidWitness
 from lenard.field import Context, vec_is_zero
 from lenard.functional import LocalFunctional
-from lenard.jacobi import AtomChain, AtomStructure, _grid_trinomial, _symbol
+from lenard.grammar import parse_operator
+from lenard.jacobi import (AtomChain, AtomStructure, JacobiEngine, _grid_trinomial,
+                           _symbol)
 from lenard.operators import (MatrixPsdOp, OperatorSum, RationalOpPair,
-                              ScalarPsdOp, _accumulate, _jf, binom)
+                              ScalarPsdOp, _accumulate, _binomial_shift, _jf, binom,
+                              structure_sum)
 from lenard.series import BiSeries, LambdaSeries
 
 from conftest import random_dfun, series_agree_to
@@ -495,3 +500,184 @@ def test_grid_trinomial_matches_the_iterated_path(kind, data):
         assert ([c.key() for c in got.coeffs.values()]
                 == [ref.coeffs[pq].key() for pq in got.coeffs])
         assert str(got) == str(ref)
+
+
+# The one-g master formula the batch replaced, as an oracle: s_j at the
+# floor less g's top order, and the contraction through the univariate
+# kernel, one call per g.
+
+
+def _apply_symbol_one(sym, t, floor):
+    ctx = sym.ctx
+    if not t.coeffs:
+        fl = None if sym.floor is None and t.floor is None else floor
+        return LambdaSeries.zero(ctx, fl)
+    t_top = int(t.top())
+    acc = _binomial_shift(sym.coeffs, t.coeffs, floor)
+    fl = floor
+    if sym.floor is not None:
+        fl = max(fl, sym.floor + t_top)
+    if t.floor is not None and sym.coeffs:
+        fl = max(fl, int(max(sym.coeffs)) + t.floor)
+    return LambdaSeries(ctx, acc, fl)
+
+
+def _master_bracket_one(sym, f, g, floor):
+    ctx = sym.ctx
+    ell = sym.rows
+    f_parts = [f.jet_partials(i) for i in range(ell)]
+    g_parts = [g.jet_partials(j) for j in range(ell)]
+    if all(not ps for ps in f_parts) or all(not ps for ps in g_parts):
+        return LambdaSeries.zero(ctx, None)
+    tvec = [LambdaSeries(ctx, ScalarPsdOp(ctx, ps).adjoint().coeffs, None)
+            for ps in f_parts]
+    n_max = max(max(ps, default=0) for ps in g_parts)
+    out, fl = {}, None
+    for j in range(ell):
+        if not g_parts[j]:
+            continue
+        s = LambdaSeries.zero(ctx, None)
+        for i in range(ell):
+            if not tvec[i].coeffs:
+                continue
+            s = s + _apply_symbol_one(sym.entry(j, i), tvec[i], floor - n_max)
+        _binomial_shift(g_parts[j], s.coeffs, None, out)
+        if s.floor is not None:
+            fl = _jf(fl, s.floor + max(g_parts[j]))
+    return LambdaSeries(ctx, out, fl).truncate(floor)
+
+
+def _bracket_structures(ctx, ell):
+    """Atom structures, an OperatorSum and a frac(...) input on ell
+    generators, for the master formula's symbol."""
+    u, u1, v = ctx.u(0), ctx.u(1), ctx.gen(ell - 1, 0)
+    if ell == 1:
+        L3 = AtomStructure(AtomChain(ctx, [("mult", [[u1]]), ("d", -1), ("mult", [[u1]])]))
+        return [L3,
+                AtomStructure(AtomChain(ctx, [("d", -1), ("mult", [[u1]]), ("d", -1),
+                                              ("mult", [[u1]]), ("d", -1)])),
+                OperatorSum([(ctx.const(2), AtomStructure(AtomChain(ctx, [("d", 1)]))),
+                             (ctx.const(Q(-1, 3)), L3)]),
+                parse_operator(ctx, "frac(D, D^2 + u')")]
+    M3 = AtomStructure(AtomChain(ctx, [("mult", [[v], [-u]]), ("d", -1),
+                                       ("mult", [[v, -u]])], 2))
+    return [M3,
+            AtomStructure(AtomChain(ctx, [("mult", [[u1, ctx.one()], [ctx.zero(), v]]),
+                                          ("d", -1), ("mult", [[ctx.one(), u], [u1, v]])])),
+            OperatorSum([(ctx.one(), M3), (ctx.const(3), AtomStructure(AtomChain(
+                ctx, [("mult", [[ctx.one(), ctx.zero()], [ctx.zero(), ctx.one()]]),
+                      ("d", 1)])))]),
+            parse_operator(ctx, "frac([[D,u],[0,D]], [[D^2,0],[0,D^2+1]])")]
+
+
+@st.composite
+def _bracket_case(draw, ell):
+    """(sym, f, batch, floor): a structure's symbol taken 0 or 3 powers
+    below what the floor needs, f a generator or a drawn function, and 1-6
+    g's, each a sum of integer multiples of up to two factors (jets, x and
+    one of 1/(u''+1), a sqrt symbol, an exp symbol and a parameter), or a
+    constant."""
+    ctx = Context(("u", "v")[:ell], ("b",))
+    u1, u2 = ctx.u(1), ctx.u(2)
+    others = [1 / (u2 + 1), ctx.adjoin_sqrt(u1 * u1 + 1), ctx.adjoin_exp_u(ctx.const(2)),
+              ctx.param("b")]
+    factors = ([ctx.gen(i, n) for i in range(ell) for n in range(3)]
+               + [ctx.x(), draw(st.sampled_from(others))])
+
+    def fun():
+        out = ctx.const(draw(st.integers(-3, 3)))
+        for _ in range(draw(st.integers(1, 3))):
+            term = ctx.const(draw(st.integers(-3, 3).filter(bool)))
+            for f in draw(st.lists(st.sampled_from(factors), max_size=2)):
+                term = term * f
+            out = out + term
+        return out
+
+    H = draw(st.sampled_from(_bracket_structures(ctx, ell)))
+    f = ctx.gen(draw(st.integers(0, ell - 1)), 0) if draw(st.booleans()) else fun()
+    gs = [fun() for _ in range(draw(st.integers(1, 6)))]
+    floor = draw(st.integers(-8, -4))
+    top = [max((n for i in range(ell) for n in h.jet_partials(i)), default=0)
+           for h in [f] + gs]
+    sym = structure_sum(H).expand(floor - top[0] - max(top[1:]) - draw(st.sampled_from([0, 3])))
+    return sym, f, gs, floor
+
+
+@pytest.mark.parametrize("ell", [1, 2], ids=["scalar", "matrix"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_master_bracket_batch_matches_one_g_at_a_time(ell, data):
+    """Each g's series has the one-g formula's floor and coefficient keys.
+    One rows cache serves all three calls: rows built at floor + 2 must not
+    serve the floor, and rows built for one g must grow for the batch."""
+    sym, f, gs, floor = data.draw(_bracket_case(ell))
+    rows = {}
+    for fl, batch in ((floor + 2, gs), (floor, gs[:1]), (floor, gs)):
+        got = master_bracket(sym, f, batch, fl, rows)
+        assert len(got) == len(batch)
+        for g, ser in zip(batch, got):
+            ref = _master_bracket_one(sym, f, g, fl)
+            assert ser.floor == ref.floor
+            assert ({p: c.key() for p, c in ser.coeffs.items()}
+                    == {p: c.key() for p, c in ref.coeffs.items()})
+
+
+def _jacobi_structures():
+    ctx, ctx2 = Context(("u",)), Context(("u", "v"))
+    u1, u2 = ctx.u(1), ctx.u(2)
+    u, v = ctx2.gen(0, 0), ctx2.gen(1, 0)
+
+    def chain(*atoms):
+        return AtomStructure(AtomChain(ctx, list(atoms)))
+
+    L3 = chain(("mult", [[u1]]), ("d", -1), ("mult", [[u1]]))
+    M3 = AtomStructure(AtomChain(ctx2, [("mult", [[v], [-u]]), ("d", -1),
+                                        ("mult", [[v, -u]])], 2))
+    return [
+        pytest.param(L3, (-5, -5), id="L3"),
+        pytest.param(chain(("d", -1), ("mult", [[u1]]), ("d", -1), ("mult", [[u1]]),
+                           ("d", -1)), (-5, -5), id="dorfman"),
+        pytest.param(M3, (-4, -4), id="M3"),
+        pytest.param(OperatorSum([(ctx.const(Q(3, 2)), chain(("d", 1))),
+                                  (ctx.const(-2), chain(("d", -1))),
+                                  (ctx.const(Q(1, 3)), L3)]), (-5, -5), id="combination"),
+        pytest.param(chain(("mult", [[u2]]), ("d", -1), ("mult", [[u2]])), (-5, -5),
+                     id="negative_control"),
+    ]
+
+
+def _t2_one_by_one(eng, i, j, k):
+    """The second term as it was: one master_bracket per l-coefficient."""
+    fl, fm = eng.floors
+    coeffs, fm_out = {}, fm
+    for p, e in eng.sym.entry(k, i).coeffs.items():
+        if p < fl:
+            continue
+        ser = _master_bracket_one(eng.sym, eng.gens[j], e, fm)
+        if ser.floor is not None:
+            fm_out = max(fm_out, ser.floor)
+        for q, c in ser.coeffs.items():
+            coeffs[(p, q)] = c
+    return BiSeries(eng.ctx, coeffs, (fl, fm_out))
+
+
+@pytest.mark.parametrize("H, floors", _jacobi_structures())
+def test_jacobi_terms_match_one_bracket_per_g(monkeypatch, H, floors):
+    """Every triple's three terms, with the batch and the rows cache,
+    against an engine whose brackets are the one-g formula, one call per g,
+    and against the second term's loop over the symbol coefficients."""
+    eng = JacobiEngine(H, floors)
+    got = {}
+    for i, j, k in itertools.product(range(eng.ell), repeat=3):
+        got[(i, j, k)] = (eng.t1_matrix(i)[k][j], eng.t2_grid(i, j, k),
+                          eng.t3_grid(i, j, k))
+    monkeypatch.setattr(jacobi, "master_bracket", lambda sym, f, gs, floor, rows: [
+        _master_bracket_one(sym, f, g, floor) for g in gs])
+    ref_eng = JacobiEngine(H, floors)
+    for (i, j, k), grids in got.items():
+        refs = (ref_eng.t1_matrix(i)[k][j], _t2_one_by_one(ref_eng, i, j, k),
+                ref_eng.t3_grid(i, j, k))
+        for grid, ref in zip(grids, refs):
+            assert grid.floors == ref.floors
+            assert ({pq: c.key() for pq, c in grid.coeffs.items()}
+                    == {pq: c.key() for pq, c in ref.coeffs.items()})

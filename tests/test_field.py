@@ -905,12 +905,14 @@ def test_every_coefficient_is_int_or_a_proper_fraction(monkeypatch):
     numerators an ansatz solve hands to the operator, of each d and
     multiplication step of a batch application, of the batches it clears
     into rows, and of their cleared numerators, and of the numerators of
-    each step of a Jacobi grid's (l+m+d)-shift."""
-    from lenard import jacobi, operators, solve
+    each step of a Jacobi grid's (l+m+d)-shift and of a bracket's (l+d)
+    rows."""
+    from lenard import brackets, jacobi, operators, solve
     made, broken = [0], []
     init = DFun.__init__
     clear = solve._clear
     mu_step = jacobi._mu_step
+    shifted_rows = brackets._shifted_rows
     numerator = solve.BasisTable.numerator
 
     def check(polys):
@@ -935,6 +937,11 @@ def test_every_coefficient_is_int_or_a_proper_fraction(monkeypatch):
               + [f for f, _ in out_den])
         return out, out_den
 
+    def checked_shifted_rows(ctx, s, nmax, floor):
+        rows, den = shifted_rows(ctx, s, nmax, floor)
+        check([num for row in rows.values() for num in row.values()] + [f for f, _ in den])
+        return rows, den
+
     def checked_numerator(self, i):
         out = numerator(self, i)
         check([out])
@@ -950,10 +957,12 @@ def test_every_coefficient_is_int_or_a_proper_fraction(monkeypatch):
     monkeypatch.setattr(DFun, "__init__", checked)
     monkeypatch.setattr(solve, "_clear", checked_clear)
     monkeypatch.setattr(jacobi, "_mu_step", checked_mu_step)
+    monkeypatch.setattr(brackets, "_shifted_rows", checked_shifted_rows)
     monkeypatch.setattr(solve.BasisTable, "numerator", checked_numerator)
-    for module in (jacobi, operators):
+    for module in (jacobi, operators, brackets):
         for name in ("batch_derivative", "batch_matmul"):
-            monkeypatch.setattr(module, name, checked_step(getattr(module, name)))
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, checked_step(getattr(module, name)))
     ctx = Context(("u",))
     u1 = ctx.u(1)
     L3 = AtomStructure(AtomChain(ctx, [("mult", [[u1]]), ("d", -1), ("mult", [[u1]])]))
