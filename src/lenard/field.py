@@ -33,8 +33,8 @@ Square-root symbols and derived parameters carry a quadratic relation
 v**2 = g and are reduced so no power >= 2 survives; exponential symbols
 are Laurent variables (negative powers allowed).  Neither kind ever
 remains in a denominator as a factor of its own, and a composite factor
-holds no power of an exponential symbol common to all its terms, nor a
-negative one.
+holds no power of a symbol or derived parameter common to all its terms,
+nor a negative one.
 
 Three operations are canonical by construction, so they skip _normalize,
 which would return their result unchanged.  A sum of two polynomials (no
@@ -646,25 +646,23 @@ def _jet_images(ctx, vids):
 # unreduced; an operator maps a whole ansatz basis this way at once
 
 
-def batch_derivative(ctx, cols, den):
-    """The total derivative of numerator vectors over one denominator den:
-    (vectors, denominator), unnormalized, relations not reduced.  One
-    quotient rule covers x, the jets and the symbols.  Its derivation is
-    d/dx times B, the lcm of the symbols' log-derivative denominators
-    (sqrt's g'/(2g) has one), so it maps polynomials to polynomials: B
-    times the jet part, plus d/ds times s dlog(s) B for each symbol s.  B
-    joins the shared denominator."""
-    nums = [p for vec in cols for p in vec]
-    ratios, symbols = _jet_images(ctx, poly_vars(nums + [f for f, _ in den]))
+def _derivation(ctx, nums, den, ratios, rates):
+    """The derivation v -> ratios[v] * v (see _poly_derive) on x and the
+    jets, and s -> rates[s] * s on each symbol s (rates[s], a field element,
+    the derivative of log s), applied to numerators over one denominator
+    den by one quotient rule: (numerators, denominator), unnormalized,
+    relations not reduced.  It runs times B, the lcm of the rates'
+    denominators (sqrt's g'/(2g) has one), so it maps polynomials to
+    polynomials: B times the jet part, plus d/ds times s rates[s] B for
+    each symbol s.  B joins the shared denominator."""
     shared = ()
-    for sid in symbols:
-        if ctx.sym_dlog[sid].den:
-            shared = _den_lcm(shared, ctx.sym_dlog[sid].den)
+    for r in rates.values():
+        if r.den:
+            shared = _den_lcm(shared, r.den)
     unit = _den_cofactor(shared, ())
     rules = [({sid: -mono_var(sid)},
-              poly_mul(poly_mul({mono_var(sid): 1}, ctx.sym_dlog[sid].num),
-                       _den_cofactor(shared, ctx.sym_dlog[sid].den)))
-             for sid in symbols]
+              poly_mul(poly_mul({mono_var(sid): 1}, r.num), _den_cofactor(shared, r.den)))
+             for sid, r in rates.items()]
 
     def derive(p):
         out = _poly_derive(p, ratios)
@@ -676,7 +674,16 @@ def batch_derivative(ctx, cols, den):
                 poly_add_into(out, poly_mul(ds, image))
         return out
 
-    nums, den = _quotient_rule(nums, den, derive, shared)
+    return _quotient_rule(nums, den, derive, shared)
+
+
+def batch_derivative(ctx, cols, den):
+    """The total derivative of numerator vectors over one denominator den,
+    through the symbols' dlog rates: (vectors, denominator), unnormalized,
+    relations not reduced (see _derivation)."""
+    nums = [p for vec in cols for p in vec]
+    ratios, symbols = _jet_images(ctx, poly_vars(nums + [f for f, _ in den]))
+    nums, den = _derivation(ctx, nums, den, ratios, {s: ctx.sym_dlog[s] for s in symbols})
     it = iter(nums)
     return [[next(it) for _ in vec] for vec in cols], den
 
@@ -881,14 +888,15 @@ class DFun:
 
     # -- calculus ---------------------------------------------------------------
 
-    def _derive(self, ratios):
-        """The derivation v -> ratios[v] * v (see _poly_derive) of the
-        polynomial ring, extended to self by _quotient_rule: one
-        normalization."""
-        if not self.den:
+    def _derive(self, ratios, rates=None):
+        """_derivation on self; with no rates the plain quotient rule. One normalization."""
+        if rates:
+            (num,), den = _derivation(self.ctx, [self.num], self.den, ratios, rates)
+        elif self.den:
+            (num,), den = _quotient_rule([self.num], self.den,
+                                         lambda p: _poly_derive(p, ratios), ())
+        else:
             return DFun(self.ctx, _poly_derive(self.num, ratios), (), normalized=True)
-        (num,), den = _quotient_rule([self.num], self.den,
-                                     lambda p: _poly_derive(p, ratios), ())
         return DFun(self.ctx, num, den)
 
     def _formal_partial(self, vid):
@@ -898,48 +906,35 @@ class DFun:
     def total_derivative(self):
         """d/dx through x, all jets (u_i^(n) -> u_i^(n+1)) and symbol rules."""
         if self._td is None:
-            ctx = self.ctx
-            # the jet part, then the symbol rule one symbol at a time: folded
-            # into the one quotient rule, as batch_derivative does, it gives
-            # equal values whose denominators can print differently
-            ratios, symbols = _jet_images(ctx, self._vars())
-            out = self._derive(ratios)
-            for sid in symbols:
-                d = self._formal_partial(sid)
-                if not d.is_zero():
-                    out = out + d * ctx.sym_dlog[sid] * ctx.var_fun(sid)
-            self._td = out
+            ratios, symbols = _jet_images(self.ctx, self._vars())
+            self._td = self._derive(ratios, {s: self.ctx.sym_dlog[s] for s in symbols})
         return self._td
 
     def partial(self, i, n):
-        """d/d(u_i^(n)) with the symbol chain rule."""
-        ctx = self.ctx
-        vid = ctx.gen_var(i, n)
-        out = self._formal_partial(vid)
-        for sid in sorted(self._vars()):
-            if ctx.var_key(sid)[0] != "s":
-                continue
-            rate = ctx.sym_plog[sid].get((i, n))
-            if rate is None:
-                continue
-            d = self._formal_partial(sid)
-            if not d.is_zero():
-                out = out + d * rate * ctx.var_fun(sid)
+        """d/d(u_i^(n)) with the symbol chain rule; memoized per (i, n)."""
+        if self._jp is None:
+            self._jp = {}  # (i, n) -> partial, and i -> jet_partials(i)
+        out = self._jp.get((i, n))
+        if out is None:
+            ctx = self.ctx
+            vid = ctx.gen_var(i, n)
+            rates = {s: ctx.sym_plog[s][(i, n)] for s in sorted(self._vars())
+                     if ctx.is_symbol_var(s) and (i, n) in ctx.sym_plog[s]}
+            out = self._jp[(i, n)] = self._derive({vid: -mono_var(vid)}, rates)
         return out
 
     def jet_partials(self, i):
-        """{n: d/d(u_i^(n))} without zero entries; cached, so callers only read it."""
+        """{n: d/d(u_i^(n))} without zero entries; memoized, so callers only read it."""
         if self._jp is None:
             self._jp = {}
         out = self._jp.get(i)
         if out is None:
-            out = {}
+            out = self._jp[i] = {}
             for j, n in self.jet_vars():
                 if j == i:
                     p = self.partial(i, n)
                     if not p.is_zero():
                         out[n] = p
-            self._jp[i] = out
         return out
 
     def jet_vars(self):
@@ -956,17 +951,10 @@ class DFun:
 
     def dord(self):
         """Differential order; -inf for quasiconstants."""
-        if self._dord != -2:
-            return self._dord
-        pairs = self.jet_vars()
-        levels = sorted({n for _, n in pairs}, reverse=True)
-        for n in levels:
-            for i, m in pairs:
-                if m == n and not self.partial(i, n).is_zero():
-                    self._dord = n
-                    return n
-        self._dord = NEG_INF
-        return NEG_INF
+        if self._dord == -2:  # the top n with a nonzero partial, read from the top down
+            self._dord = next((n for i, n in sorted(self.jet_vars(), key=lambda p: -p[1])
+                               if self.partial(i, n)), NEG_INF)
+        return self._dord
 
     def derivative(self, k=1):
         out = self
@@ -1066,7 +1054,8 @@ def _normalize(ctx, num, den):
     work = list(den) + extra_den
 
     # split single-term factors into per-variable powers, clearing scalars,
-    # Laurent variables and relation-bearing variables out of the denominator
+    # Laurent variables and relation-bearing variables out of the denominator,
+    # where the relation variables dividing every term of a composite go too
     simple: Dict[int, int] = {}      # var_id -> power (plain variables)
     composite = []                   # (poly, exp) with >= 2 terms
     extra_num = {ONE_MONO: 1}
@@ -1094,7 +1083,12 @@ def _normalize(ctx, num, den):
                 else:
                     simple[v] = simple.get(v, 0) + p
         else:
-            composite.append((_demote(dict(f)), e))
+            cut = sum(min(mono_exp(m, v) for m in f) << (EXP_BITS * v)
+                      for v in ctx.relations if all(mono_exp(m, v) > 0 for m in f))
+            if cut:
+                work += [({cut: 1}, e), ({m - cut: c for m, c in f.items()}, e)]
+            else:
+                composite.append((_demote(dict(f)), e))
     if extra_num != {ONE_MONO: 1}:
         num = poly_mul(num, extra_num)
         rerun = True

@@ -14,8 +14,10 @@ Undecidable instead of guessing.
 from __future__ import annotations
 
 from .errors import AnsatzExhausted, Undecidable
-from .field import DFun, EXP_BITS, NEG_INF, mono_exp, mono_items, mono_var, poly_vars, qdiv
-from .operators import MatrixPsdOp, ScalarPsdOp
+from .field import (DFun, EXP_BITS, NEG_INF, _den_cofactor, _reduce_relations,
+                    batch_derivative, mono_exp, mono_items, mono_var, over_lcm,
+                    poly_add_scaled, poly_mul, poly_vars, qdiv)
+from .operators import binom
 from .solve import AnsatzSpace, reduce_mod_span, solve_operator_equation
 
 
@@ -35,12 +37,36 @@ def variational_derivative(f: DFun):
 
 def is_self_adjoint_frechet(xi):
     """Helmholtz condition: the Frechet derivative of xi is formally self-adjoint."""
-    ctx = xi[0].ctx
+    return not any(_reduce_relations(xi[0].ctx, n)[0] for n in _helmholtz_numerators(xi))
+
+
+def _helmholtz_numerators(xi):
+    """The numerators over one denominator, unreduced, of each coefficient
+    a_p^ij - sum_n (-1)^n binom(n, p) d^(n-p) a_n^ji of D - D* (i <= j, the
+    mirror is its adjoint), D the Frechet derivative of xi, a_n^ij = d xi_i /
+    d u_j^(n); each tower walked once, level k holding d^k a_n for n >= k."""
     ell = len(xi)
-    entries = [[ScalarPsdOp(ctx, xi[i].jet_partials(j)) for j in range(ell)]
-               for i in range(ell)]
-    D = MatrixPsdOp(entries)
-    return (D - D.adjoint()).is_zero()
+    parts = [[xi[i].jet_partials(j) for j in range(ell)] for i in range(ell)]
+    cells = [(i, j, n) for i in range(ell) for j in range(ell) for n in parts[i][j]]
+    nums, den = over_lcm([parts[i][j][n] for i, j, n in cells])
+    levels = [(dict(zip(cells, nums)), den)]
+    while True:
+        keep = [c for c, num in levels[-1][0].items() if num and c[2] >= len(levels)]
+        if not keep:
+            break
+        (nums,), den = batch_derivative(xi[0].ctx, [[levels[-1][0][c] for c in keep]], den)
+        levels.append((dict(zip(keep, nums)), den))
+    cofs = [_den_cofactor(den, lden) for _, lden in levels]
+    for i in range(ell):
+        for j in range(i, ell):
+            for p in set(parts[i][j]).union(range(max(parts[j][i], default=-1) + 1)):
+                acc = poly_mul(levels[0][0][(i, j, p)], cofs[0]) if p in parts[i][j] else {}
+                for n in parts[j][i]:
+                    d = levels[n - p][0].get((j, i, n)) if 0 <= n - p < len(levels) else None
+                    if d:
+                        poly_add_scaled(acc, poly_mul(d, cofs[n - p]),
+                                        (-1) ** (n + 1) * binom(n, p))
+                yield acc
 
 
 def _symbol_rate(ctx, sid, vid):

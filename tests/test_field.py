@@ -672,6 +672,78 @@ def test_derivations_match_per_variable_loops(ctx, rng, laurent):
             assert f._formal_partial(vid).key() == _loop_formal_partial(f, vid).key()
 
 
+def _per_symbol_total_derivative(f):
+    """Oracle: the jet part by one quotient rule, then, for each symbol s, its
+    rule d/ds * dlog(s) * s added as a field element of its own."""
+    ctx = f.ctx
+    ratios, symbols = field._jet_images(ctx, f._vars())
+    out = f._derive(ratios)
+    for sid in symbols:
+        d = f._formal_partial(sid)
+        if not d.is_zero():
+            out = out + d * ctx.sym_dlog[sid] * ctx.var_fun(sid)
+    return out
+
+
+def _per_symbol_partial(f, i, n):
+    """Oracle: d/du_i^(n), then, for each symbol s, its chain rule
+    d/ds * dlog(s)/du_i^(n) * s added as a field element of its own."""
+    ctx = f.ctx
+    out = f._formal_partial(ctx.gen_var(i, n))
+    for sid in sorted(f._vars()):
+        rate = ctx.sym_plog[sid].get((i, n)) if ctx.is_symbol_var(sid) else None
+        if rate is not None:
+            out = out + f._formal_partial(sid) * rate * ctx.var_fun(sid)
+    return out
+
+
+@st.composite
+def _symbol_elements(draw):
+    """Sums of products over jets, x, parameters, s = sqrt(b3 u'^2 + b2) and
+    E = exp(b2 u), over up to two denominators, s*g = s^3 among them."""
+    ctx = Context(("u",), ("b2", "b3"))
+    u, u1, b2, b3 = ctx.u(0), ctx.u(1), ctx.param("b2"), ctx.param("b3")
+    g = b3 * u1 ** 2 + b2
+    s, E = ctx.adjoin_sqrt(g), ctx.adjoin_exp_u(b2)
+    atoms = [u, u1, ctx.u(2), ctx.x(), b2, b3, s, E, 1 / E]
+    out = ctx.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = ctx.const(draw(st.integers(-3, 3).filter(bool)))
+        for a in draw(st.lists(st.sampled_from(atoms), max_size=3)):
+            term = term * a
+        out = out + term
+    for den in draw(st.lists(st.sampled_from([u1, u + 1, s * g, s * g + s, s + u, E + u1,
+                                              u1 ** 2 + b2 * s]), max_size=2)):
+        out = out / den
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_symbol_elements())
+def test_symbol_derivatives_match_the_per_symbol_rules(f):
+    assert f.total_derivative() == _per_symbol_total_derivative(f)
+    for i, n in f.jet_vars():
+        assert f.partial(i, n) == _per_symbol_partial(f, i, n)
+
+
+def test_relation_variable_dividing_a_composite_factor_leaves_the_denominator(ctx):
+    """A relation variable that divides every term of a denominator factor
+    goes through 1/v^k = v^k/g^k, so none stays in a denominator."""
+    u1, b2, b3 = ctx.u(1), ctx.param("b2"), ctx.param("b3")
+    g = b3 * u1 ** 2 + b2
+    s = ctx.adjoin_sqrt(g)
+    c = ctx.var_fun(ctx.add_derived_parameter("c", -b3 / b2))
+    rel = {_var_id(s), _var_id(c)}
+    over_g2 = "sqrt(b3*(u')^2+b2)/(b3*(u')^2+b2)^2"
+    for got, want in [(1 / (s * g), over_g2), (1 / s ** 3, over_g2),
+                      (1 / (s * g + s), "sqrt(b3*(u')^2+b2)/((b3*(u')^2+b2+1)*(b3*(u')^2+b2))"),
+                      (1 / (c * u1 + c), None), (u1 / (c * s * u1 + c * s), None)]:
+        if want is not None:
+            assert str(got) == want
+        assert not any(v in rel for f, _ in got.den for m in f for v, _ in mono_items(m))
+    assert (1 / (c * s * u1 + c * s)) * (c * s * (u1 + 1)) == 1
+
+
 def test_total_derivative_against_sympy(ctx, rng):
     """Symbol-free elements: the value of the total derivative is the chain
     rule over x and the jets, u^(n) -> u^(n+1)."""
@@ -906,14 +978,15 @@ def test_every_coefficient_is_int_or_a_proper_fraction(monkeypatch):
     multiplication step of a batch application, of the batches it clears
     into rows, and of their cleared numerators, and of the numerators of
     each step of a Jacobi grid's (l+m+d)-shift and of a bracket's (l+d)
-    rows."""
-    from lenard import brackets, jacobi, operators, solve
+    rows, and of the Helmholtz check's towers and coefficients."""
+    from lenard import brackets, functional, jacobi, operators, solve
     made, broken = [0], []
     init = DFun.__init__
     clear = solve._clear
     mu_step = jacobi._mu_step
     shifted_rows = brackets._shifted_rows
     numerator = solve.BasisTable.numerator
+    helmholtz = functional._helmholtz_numerators
 
     def check(polys):
         for poly in polys:
@@ -947,6 +1020,11 @@ def test_every_coefficient_is_int_or_a_proper_fraction(monkeypatch):
         check([out])
         return out
 
+    def checked_helmholtz(xi):
+        for num in helmholtz(xi):
+            check([num])
+            yield num
+
     def checked_step(step):
         def checked_batch(*args):
             cols, den = step(*args)
@@ -959,7 +1037,8 @@ def test_every_coefficient_is_int_or_a_proper_fraction(monkeypatch):
     monkeypatch.setattr(jacobi, "_mu_step", checked_mu_step)
     monkeypatch.setattr(brackets, "_shifted_rows", checked_shifted_rows)
     monkeypatch.setattr(solve.BasisTable, "numerator", checked_numerator)
-    for module in (jacobi, operators, brackets):
+    monkeypatch.setattr(functional, "_helmholtz_numerators", checked_helmholtz)
+    for module in (jacobi, operators, brackets, functional):
         for name in ("batch_derivative", "batch_matmul"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, checked_step(getattr(module, name)))

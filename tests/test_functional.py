@@ -7,8 +7,9 @@ import pytest
 from lenard.errors import Undecidable
 from lenard.field import Context
 from lenard.functional import (LocalFunctional, _antiderivative_ansatz, antiderivative,
-                               antiderivative_in_var, is_null_functional, reduce_by_parts,
-                               variational_derivative)
+                               antiderivative_in_var, is_null_functional,
+                               is_self_adjoint_frechet, reduce_by_parts, variational_derivative)
+from lenard.operators import MatrixPsdOp, ScalarPsdOp
 
 from conftest import random_dfun
 
@@ -49,6 +50,32 @@ def test_variational_kills_total_derivatives_with_symbols(ctx, rng):
         f = random_dfun(ctx, rng, max_dord=1, max_degree=2, symbols=(s, E))
         td = f.total_derivative()
         assert all(v.is_zero() for v in variational_derivative(td))
+
+
+def _frechet_self_adjoint(xi):
+    """Oracle: the Helmholtz check as D - D* of the Frechet derivative D,
+    its adjoint built by ScalarPsdOp.adjoint."""
+    ctx, ell = xi[0].ctx, len(xi)
+    D = MatrixPsdOp([[ScalarPsdOp(ctx, xi[i].jet_partials(j)) for j in range(ell)]
+                     for i in range(ell)])
+    return (D - D.adjoint()).is_zero()
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_helmholtz_check_matches_the_operator_adjoint(ell, rng):
+    """Gradients pass; a gradient plus r v' (v the last generator) fails
+    for a constant r and agrees with the oracle for a random one."""
+    ctx = Context(("u", "v")[:ell], ("b2", "b3"))
+    s = ctx.adjoin_sqrt(ctx.param("b2") + ctx.param("b3") * ctx.u(1) ** 2)
+    v1 = ctx.gen(ell - 1, 1)
+    for _ in range(8):
+        f = random_dfun(ctx, rng, max_dord=2, max_degree=2, denominator=True, symbols=(s,))
+        xi = variational_derivative(f)
+        assert is_self_adjoint_frechet(xi) and _frechet_self_adjoint(xi)
+        r = random_dfun(ctx, rng, max_dord=1, max_degree=1, denominator=True, symbols=(s,))
+        for bad in ([xi[0] + 3 * v1] + xi[1:], [xi[0] + r * v1] + xi[1:]):
+            assert is_self_adjoint_frechet(bad) == _frechet_self_adjoint(bad)
+        assert not is_self_adjoint_frechet([xi[0] + 3 * v1] + xi[1:])
 
 
 def test_is_null_basic(ctx):
