@@ -618,10 +618,10 @@ def _quotient_rule(nums, den, derive, shared):
 def _jet_images(ctx, vids):
     """The total derivative on x and the jets among the variables vids, as
     _poly_derive's ratios of image to variable (x -> 1, u_i^(n) ->
-    u_i^(n+1); parameters get none), and the symbols among them, in id
-    order."""
+    u_i^(n+1); parameters get none), and the dlog rates of the symbols
+    among them, in id order."""
     ratios = {}
-    symbols = []
+    rates = {}
     cache = ctx._d_ratios
     for vid in sorted(vids):
         ratio = cache.get(vid)
@@ -634,10 +634,10 @@ def _jet_images(ctx, vids):
                                       - mono_var(vid))
             else:
                 if kind[0] == "s":
-                    symbols.append(vid)
+                    rates[vid] = ctx.sym_dlog[vid]
                 continue
         ratios[vid] = ratio
-    return ratios, symbols
+    return ratios, rates
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +682,8 @@ def batch_derivative(ctx, cols, den):
     through the symbols' dlog rates: (vectors, denominator), unnormalized,
     relations not reduced (see _derivation)."""
     nums = [p for vec in cols for p in vec]
-    ratios, symbols = _jet_images(ctx, poly_vars(nums + [f for f, _ in den]))
-    nums, den = _derivation(ctx, nums, den, ratios, {s: ctx.sym_dlog[s] for s in symbols})
+    ratios, rates = _jet_images(ctx, poly_vars(nums + [f for f, _ in den]))
+    nums, den = _derivation(ctx, nums, den, ratios, rates)
     it = iter(nums)
     return [[next(it) for _ in vec] for vec in cols], den
 
@@ -889,14 +889,10 @@ class DFun:
     # -- calculus ---------------------------------------------------------------
 
     def _derive(self, ratios, rates=None):
-        """_derivation on self; with no rates the plain quotient rule. One normalization."""
-        if rates:
-            (num,), den = _derivation(self.ctx, [self.num], self.den, ratios, rates)
-        elif self.den:
-            (num,), den = _quotient_rule([self.num], self.den,
-                                         lambda p: _poly_derive(p, ratios), ())
-        else:
+        """_derivation on self: one normalization."""
+        if not self.den and not rates:
             return DFun(self.ctx, _poly_derive(self.num, ratios), (), normalized=True)
+        (num,), den = _derivation(self.ctx, [self.num], self.den, ratios, rates or {})
         return DFun(self.ctx, num, den)
 
     def _formal_partial(self, vid):
@@ -906,8 +902,7 @@ class DFun:
     def total_derivative(self):
         """d/dx through x, all jets (u_i^(n) -> u_i^(n+1)) and symbol rules."""
         if self._td is None:
-            ratios, symbols = _jet_images(self.ctx, self._vars())
-            self._td = self._derive(ratios, {s: self.ctx.sym_dlog[s] for s in symbols})
+            self._td = self._derive(*_jet_images(self.ctx, self._vars()))
         return self._td
 
     def partial(self, i, n):
@@ -929,12 +924,13 @@ class DFun:
             self._jp = {}
         out = self._jp.get(i)
         if out is None:
-            out = self._jp[i] = {}
+            out = {}
             for j, n in self.jet_vars():
                 if j == i:
                     p = self.partial(i, n)
                     if not p.is_zero():
                         out[n] = p
+            self._jp[i] = out
         return out
 
     def jet_vars(self):

@@ -44,14 +44,16 @@ def _helmholtz_numerators(xi):
     """The numerators over one denominator, unreduced, of each coefficient
     a_p^ij - sum_n (-1)^n binom(n, p) d^(n-p) a_n^ji of D - D* (i <= j, the
     mirror is its adjoint), D the Frechet derivative of xi, a_n^ij = d xi_i /
-    d u_j^(n); each tower walked once, level k holding d^k a_n for n >= k."""
+    d u_j^(n); each tower that is read walked once, level k > 0 holding
+    d^k a_n^ji for n >= k and i <= j."""
     ell = len(xi)
     parts = [[xi[i].jet_partials(j) for j in range(ell)] for i in range(ell)]
     cells = [(i, j, n) for i in range(ell) for j in range(ell) for n in parts[i][j]]
     nums, den = over_lcm([parts[i][j][n] for i, j, n in cells])
     levels = [(dict(zip(cells, nums)), den)]
     while True:
-        keep = [c for c, num in levels[-1][0].items() if num and c[2] >= len(levels)]
+        keep = [c for c, num in levels[-1][0].items()
+                if num and c[2] >= len(levels) and c[0] >= c[1]]
         if not keep:
             break
         (nums,), den = batch_derivative(xi[0].ctx, [[levels[-1][0][c] for c in keep]], den)

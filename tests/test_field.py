@@ -676,9 +676,9 @@ def _per_symbol_total_derivative(f):
     """Oracle: the jet part by one quotient rule, then, for each symbol s, its
     rule d/ds * dlog(s) * s added as a field element of its own."""
     ctx = f.ctx
-    ratios, symbols = field._jet_images(ctx, f._vars())
+    ratios, rates = field._jet_images(ctx, f._vars())
     out = f._derive(ratios)
-    for sid in symbols:
+    for sid in rates:
         d = f._formal_partial(sid)
         if not d.is_zero():
             out = out + d * ctx.sym_dlog[sid] * ctx.var_fun(sid)
