@@ -9,9 +9,12 @@ where the symbol H(l) is read off H's expansion: entry (j, i) of the
 expanded MatrixPsdOp holds the coefficient of l^n at degree n.  H is
 expanded deep enough that the requested accuracy floor of the result is
 certified: the expansion depth is the target floor minus the maximal m
-and n that occur.  Jacobi and compatibility verdicts are always
-floor-qualified; the comparison domain expands (l+mu)^q by the geometric
-series in mu/l.
+and n that occur.  Every series in l is a ScalarPsdOp read as a symbol,
+with compose's floors: f's part is the column H o D_f^*, one MatrixPsdOp
+composition (D_f the Frechet derivative of f, a row), and lambda_bracket
+hands its result out as a series.LambdaSeries, which only prints it.
+Jacobi and compatibility verdicts are always floor-qualified; the
+comparison domain expands (l+mu)^q by the geometric series in mu/l.
 """
 
 from __future__ import annotations
@@ -23,18 +26,10 @@ from .errors import InsufficientTruncation, InvalidWitness
 from .field import (DFun, ONE_MONO, _den_cofactor, _den_merge, batch_derivative,
                     field_element, over_lcm, poly_add_into, poly_add_scaled, poly_mul)
 from .functional import LocalFunctional
-from .operators import MatrixPsdOp, ScalarPsdOp, _binomial_shift, _jf, structure_sum
+from .operators import MatrixPsdOp, ScalarPsdOp, _jf, structure_sum
 from .series import LambdaSeries
 
 DEFAULT_JACOBI_FLOORS = (-8, -8)
-
-
-def apply_symbol(sym: ScalarPsdOp, t: LambdaSeries, floor) -> LambdaSeries:
-    """H(l+d) applied to an exact nonzero series: sum_q h_q (l+d)^q t, to
-    the floor; unknown symbol terms (q < sym.floor) pollute up to
-    sym.floor + t's top power - 1."""
-    fl = _jf(floor, None if sym.floor is None else sym.floor + int(t.top()))
-    return LambdaSeries(sym.ctx, _binomial_shift(sym.coeffs, t.coeffs, floor), fl)
 
 
 def _shifted_rows(ctx, s, nmax, floor):
@@ -70,12 +65,14 @@ def _shifted_rows(ctx, s, nmax, floor):
     return rows, den
 
 
-def master_bracket(sym: MatrixPsdOp, f: DFun, gs, floor, rows) -> List[LambdaSeries]:
+def master_bracket(sym: MatrixPsdOp, f: DFun, gs, floor, rows) -> List[ScalarPsdOp]:
     """The master formula for {f_l g}, with sym H's expansion (its symbol),
     for each g of the batch gs: one series per g.
 
     f's part s_a = sum_i H_ai(l+d) t_i, t_i = sum_m (-l-d)^m df/du_i^(m),
-    is taken to floor - N, N the batch's top jet order.  The contraction
+    is the column H o D_f^*, D_f^* the adjoint of f's Frechet derivative,
+    composed at floor - N, N the batch's top jet order, or at the floor H
+    supports when that is higher.  The contraction
     sum_{a,n} dg/du_a^(n) (l+d)^n s_a runs on numerators: the rows
     (l+d)^n s_a over one denominator (_shifted_rows), the batch's jet
     partials over another, and each output coefficient becomes a field
@@ -88,17 +85,15 @@ def master_bracket(sym: MatrixPsdOp, f: DFun, gs, floor, rows) -> List[LambdaSer
     tops = [max((max(ps) for ps in gp if ps), default=None) for gp in parts]
     f_parts = [f.jet_partials(i) for i in range(ell)]
     if all(not ps for ps in f_parts) or all(n is None for n in tops):
-        return [LambdaSeries.zero(ctx, None) for _ in gs]
+        return [ScalarPsdOp.zero(ctx) for _ in gs]
     nmax = max(n for n in tops if n is not None)
     key = (f.key(), floor)
     hit = rows.get(key)
     if hit is None or hit[0] < nmax:
-        # t_i, the symbol of the adjoint of f's partials, and s_a at floor - nmax
-        tvec = [LambdaSeries(ctx, ScalarPsdOp(ctx, ps).adjoint().coeffs, None)
-                for ps in f_parts]
-        svec = [sum((apply_symbol(sym.entry(a, i), t, floor - nmax)
-                     for i, t in enumerate(tvec) if t.coeffs), LambdaSeries.zero(ctx, None))
-                for a in range(ell)]
+        col = MatrixPsdOp([[ScalarPsdOp(ctx, ps).adjoint()] for ps in f_parts])
+        hfl = sym.floor()
+        cut = _jf(floor - nmax, None if hfl is None else hfl + int(col.order()))
+        svec = [s for s, in sym.compose(col, cut).entries]
         hit = rows[key] = ((nmax, [s.floor for s in svec])
                            + _shifted_rows(ctx, svec, nmax, floor))
     _, sfloors, srows, sden = hit
@@ -108,7 +103,7 @@ def master_bracket(sym: MatrixPsdOp, f: DFun, gs, floor, rows) -> List[LambdaSer
     out = []
     for gp, top in zip(parts, tops):
         if top is None:
-            out.append(LambdaSeries.zero(ctx, None))
+            out.append(ScalarPsdOp.zero(ctx))
             continue
         fl = max([floor] + [max(floor - top, sfloors[a]) + max(ps)
                             for a, ps in enumerate(gp) if ps])
@@ -119,21 +114,21 @@ def master_bracket(sym: MatrixPsdOp, f: DFun, gs, floor, rows) -> List[LambdaSer
                 for deg, r in srows.get((a, n), {}).items():
                     if deg >= fl and r:
                         poly_add_into(sums.setdefault(deg, {}), poly_mul(gn, r))
-        out.append(LambdaSeries(ctx, {deg: field_element(ctx, num, den)
-                                      for deg, num in sums.items() if num}, fl))
+        out.append(ScalarPsdOp(ctx, {deg: field_element(ctx, num, den)
+                                     for deg, num in sums.items() if num}, fl))
     return out
 
 
 def lambda_bracket(H, f: DFun, g: DFun, floor: int) -> LambdaSeries:
     """{f_l g}_H to the floor."""
     S = structure_sum(H)
-    f_parts = [f.jet_partials(i) for i in range(S.ell)]
-    g_parts = [g.jet_partials(j) for j in range(S.ell)]
-    if all(not ps for ps in f_parts) or all(not ps for ps in g_parts):
-        return LambdaSeries.zero(S.ctx, None)
-    M = max(m for ps in f_parts for m in ps)
-    N = max(n for ps in g_parts for n in ps)
-    return master_bracket(S.expand(floor - M - N), f, [g], floor, {})[0]
+    # the top jet orders M of f and N of g; the symbol is needed to floor - M - N
+    tops = [max((n for i in range(S.ell) for n in h.jet_partials(i)), default=None)
+            for h in (f, g)]
+    if None in tops:
+        return LambdaSeries.zero(S.ctx)
+    br, = master_bracket(S.expand(floor - sum(tops)), f, [g], floor, {})
+    return LambdaSeries(S.ctx, br.coeffs, br.floor)
 
 
 # ---------------------------------------------------------------------------

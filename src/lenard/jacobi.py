@@ -47,7 +47,7 @@ from .field import (DFun, NEG_INF, ONE_MONO, _den_cofactor, _den_merge, batch_de
 from .brackets import master_bracket
 from .operators import (MatrixPsdOp, OperatorSum, ScalarPsdOp, _accumulate, _jf,
                         structure_sum)
-from .series import BiSeries, LambdaSeries
+from .series import BiSeries
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +316,21 @@ def _grid_mul_series(g: BiSeries, s: ScalarPsdOp) -> BiSeries:
 
 
 def _grid_mu_shift(g: BiSeries, r: int, mu_floor: Optional[int]) -> BiSeries:
-    """(m+d)^r along the second variable of a grid, one l-row at a time."""
-    if r >= 0 and g.floors[1] is None:
+    """(m+d)^r along the second variable of a grid, one l-row at a time: each
+    row is composed with l^r at mu_floor, or at the floor the row supports
+    when that is higher.  The grid keeps the m floor raised by r > 0 only."""
+    fm = g.floors[1]
+    if r >= 0 and fm is None:
         mu_floor = None  # finite binomial of an exact series stays exact
+    cut = _jf(mu_floor, None if fm is None else fm + r)
+    shift = ScalarPsdOp.d(g.ctx, r)
     rows: Dict[int, Dict[int, DFun]] = {}
     for (p, q), c in g.coeffs.items():
         rows.setdefault(p, {})[q] = c
     out = {}
     for p in sorted(rows):
-        ser = LambdaSeries(g.ctx, rows[p], g.floors[1]).apply_shift(r, floor=mu_floor)
+        ser = shift.compose(ScalarPsdOp(g.ctx, rows[p], fm), cut)
         out.update(((p, q), c) for q, c in ser.coeffs.items())
-    fm = g.floors[1]
     if fm is not None and r > 0:
         fm += r
     return BiSeries(g.ctx, out, (g.floors[0], _jf(fm, mu_floor)))
@@ -362,7 +366,7 @@ def _mu_step(ctx, rows, den, floor):
     return {p: row for p, row in out.items() if row}, new_den
 
 
-def _grid_trinomial(g: BiSeries, h: LambdaSeries, lam_floor: int,
+def _grid_trinomial(g: BiSeries, h: ScalarPsdOp, lam_floor: int,
                     mu_floor: int) -> BiSeries:
     """h(l+m+d) on a grid, for h a series in l (l^r for (l+m+d)^r):
     sum over r and k of h_r binom(r, k) l^(r-k) (m+d)^k, on numerators.
@@ -380,8 +384,8 @@ def _grid_trinomial(g: BiSeries, h: LambdaSeries, lam_floor: int,
     The floors join those of each (l+m+d)^r that reaches lam_floor: l at
     lam_floor or g's l floor + r, m at g's m floor + the last k reached.
     h's floor caps l at h.floor + the grid's top l-power, the rule
-    apply_symbol applies to a symbol's floor.  No output coefficient below
-    the floors is formed."""
+    ScalarPsdOp.compose applies to a symbol's floor.  No output coefficient
+    below the floors is formed."""
     ctx = g.ctx
     fl, fm = lam_floor, g.floors[1]
     if not g.coeffs:
@@ -509,8 +513,7 @@ class JacobiEngine:
         for n in reversed(range(len(atoms))):
             kind, data = atoms[n]
             if kind == "d":
-                lam_r = LambdaSeries.of_fun(ctx.one()).shift_power(data)
-                cur = _grid_trinomial(cur, lam_r, lam_floor, mu_floor)
+                cur = _grid_trinomial(cur, ScalarPsdOp.d(ctx, data), lam_floor, mu_floor)
             else:
                 f = data
                 br, = master_bracket(self.sym, self.gens[i], [f], lam_floor, self._rows)

@@ -38,17 +38,17 @@ def _binomial_shift(h: Dict[int, DFun], t: Dict[int, DFun], floor: Optional[int]
                     out: Optional[Dict[int, DFun]] = None) -> Dict[int, DFun]:
     """h(l+d) applied to t: sum of binom(q, k) h_q d^k(t_p) at degree q+p-k.
 
-    The one univariate shift kernel (compose, apply_symbol, apply_shift;
-    the Jacobi grid's (l+m+d)^r and the master formula's (l+d)^n rows walk
-    their own numerator towers, see jacobi._grid_trinomial and
-    brackets._shifted_rows).  Each t_p's total-derivative tower is walked
-    once and serves every q; h_q multiplies each degree's sum over (p, k)
-    once.  Degrees below the floor are dropped.  For q >= 0 the k-sum is
-    finite; for q < 0 it runs down to the floor, or, without one, until
-    d^k(t_p) vanishes, which never happens when t_p has a jet variable (its
-    top jet partial survives every d): InsufficientTruncation at once for
-    such a t_p, and past k = 80 for a quasiconstant.  Terms are added into
-    `out` when it is given.
+    The one univariate shift kernel, called by ScalarPsdOp.compose and
+    ScalarPsdOp.adjoint only (the Jacobi grid's (l+m+d)^r and the master
+    formula's (l+d)^n rows walk their own numerator towers, see
+    jacobi._grid_trinomial and brackets._shifted_rows).  Each t_p's
+    total-derivative tower is walked once and serves every q; h_q
+    multiplies each degree's sum over (p, k) once.  Degrees below the floor
+    are dropped.  For q >= 0 the k-sum is finite; for q < 0 it runs down to
+    the floor, or, without one, until d^k(t_p) vanishes, which never
+    happens when t_p has a jet variable (its top jet partial survives every
+    d): InsufficientTruncation at once for such a t_p, and past k = 80 for
+    a quasiconstant.  Terms are added into `out` when it is given.
     """
     if out is None:
         out = {}
@@ -185,12 +185,17 @@ class ScalarPsdOp:
         return ScalarPsdOp(self.ctx, {n: f * c for n, c in self.coeffs.items()}, self.floor)
 
     def compose(self, other: "ScalarPsdOp", floor: Optional[int] = None) -> "ScalarPsdOp":
-        """A o B by the symbol formula; floor required when the tail is infinite."""
+        """A o B by the symbol formula; floor required when the tail is infinite.
+        A floor below the one the operands support raises, but is joined for
+        a zero product.  The top degree an operand may hold is its order, or
+        floor - 1 for a zero; an exact zero holds none and the product is exact."""
         ctx = self.ctx
+        ta, tb = (op.order() if op.coeffs else None if op.floor is None else op.floor - 1
+                  for op in (self, other))
+        derived = _jf(None if self.floor is None or tb is None else self.floor + tb,
+                      None if other.floor is None or ta is None else other.floor + ta)
         if self.is_zero() or other.is_zero():
-            return ScalarPsdOp.zero(ctx, _jf(floor, _jf(self.floor, other.floor)))
-        derived = _jf(None if self.floor is None else self.floor + other.order(),
-                      None if other.floor is None else other.floor + self.order())
+            return ScalarPsdOp.zero(ctx, _jf(floor, derived))
         if floor is not None and derived is not None and floor < derived:
             raise InsufficientTruncation(
                 "requested floor %d below supported %d" % (floor, derived))

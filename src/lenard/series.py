@@ -1,85 +1,27 @@
-"""Laurent series in the bracket variables.
+"""Series in the bracket variables, and the printed form of a bracket.
 
-LambdaSeries: a map power -> coefficient with an accuracy floor (None =
-every stored coefficient list is complete).  BiSeries: the same in two
+A series in one bracket variable is a ScalarPsdOp read as a symbol, and
+its arithmetic is composition.  LambdaSeries adds only the printed form of
+a lambda-bracket, (c) l^p + ... [floor f].  BiSeries: a series in two
 variables, used as the common comparison domain for the Jacobi identity.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from .errors import InsufficientTruncation
-from .field import DFun, NEG_INF
-from .operators import _accumulate, _binomial_shift, _jf
+from .operators import ScalarPsdOp, _accumulate, _jf
 
 
-class LambdaSeries:
-    __slots__ = ("ctx", "coeffs", "floor")
+class LambdaSeries(ScalarPsdOp):
+    """A lambda-bracket {f_l g} as brackets.lambda_bracket returns it."""
 
-    def __init__(self, ctx, coeffs: Dict[int, DFun], floor: Optional[int]):
-        self.ctx = ctx
-        self.coeffs = {p: c for p, c in coeffs.items()
-                       if not c.is_zero() and (floor is None or p >= floor)}
-        self.floor = floor
-
-    @classmethod
-    def zero(cls, ctx, floor=None):
-        return cls(ctx, {}, floor)
-
-    @classmethod
-    def of_fun(cls, f: DFun):
-        return cls(f.ctx, {0: f}, None)
-
-    def is_zero(self):
-        """No stored coefficient (the floor is not consulted)."""
-        return not self.coeffs
-
-    def top(self):
-        return max(self.coeffs) if self.coeffs else NEG_INF
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            _accumulate(out, p, c)
-        return LambdaSeries(self.ctx, out, _jf(self.floor, other.floor))
-
-    def __mul__(self, q):
-        """Product with a rational or a function, each coefficient times q
-        (a mult atom's function times a suffix value)."""
-        return LambdaSeries(self.ctx, {p: c * q for p, c in self.coeffs.items()},
-                            self.floor)
-
-    def shift_power(self, k):
-        """Multiply by lambda^k."""
-        fl = None if self.floor is None else self.floor + k
-        return LambdaSeries(self.ctx, {p + k: c for p, c in self.coeffs.items()}, fl)
-
-    def apply_shift(self, n, floor=None):
-        """Apply (lambda + d)^n: binomial expansion with total derivatives
-        acting on the coefficients.  Exact for n >= 0 without a floor; a
-        negative n has an infinite tail and needs one."""
-        if n < 0 and floor is None:
-            raise InsufficientTruncation("negative shift needs a floor")
-        out = _binomial_shift({n: self.ctx.one()}, self.coeffs, floor)
-        fl = _jf(floor, None if self.floor is None else self.floor + max(n, 0))
-        return LambdaSeries(self.ctx, out, fl)
-
-    def truncate(self, floor):
-        fl = _jf(self.floor, floor)
-        return LambdaSeries(self.ctx, {p: c for p, c in self.coeffs.items() if p >= fl},
-                            fl)
+    __slots__ = ()
 
     def __str__(self):
         if not self.coeffs:
             return "0"
-        parts = []
-        for p in sorted(self.coeffs, reverse=True):
-            parts.append("(%s) l^%d" % (self.coeffs[p], p))
-        s = " + ".join(parts)
-        if self.floor is not None:
-            s += "  [floor %d]" % self.floor
-        return s
+        s = " + ".join("(%s) l^%d" % (self.coeffs[p], p)
+                       for p in sorted(self.coeffs, reverse=True))
+        return s if self.floor is None else s + "  [floor %d]" % self.floor
 
     __repr__ = __str__
 

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from lenard.field import Context, DFun
+from lenard.operators import ScalarPsdOp, _jf
 
 
 @pytest.fixture
@@ -50,3 +51,11 @@ def series_agree_to(a, b, floor):
     zero = a.ctx.zero()
     return all((a.coeffs.get(p, zero) - b.coeffs.get(p, zero)).is_zero()
                for p in set(a.coeffs) | set(b.coeffs) if p >= floor)
+
+
+def shift(s, n, floor=None):
+    """(l+d)^n s, the series s shifted: l^n composed with s at the floor
+    joined with s's floor raised by n > 0.  Without a floor a negative n
+    needs an exact s with a finite tail."""
+    return ScalarPsdOp.d(s.ctx, n).compose(
+        s, _jf(floor, None if s.floor is None else s.floor + max(n, 0)))

@@ -438,11 +438,11 @@ def test_criterion_10_property_suites():
         g = random_dfun(ctx, rng, max_dord=1, max_degree=1)
         h = random_dfun(ctx, rng, max_dord=1, max_degree=1)
         lhs = lambda_bracket(L3, f.total_derivative(), g, -5)
-        rhs = lambda_bracket(L3, f, g, -6).shift_power(1) * ctx.const(-1)
+        rhs = lambda_bracket(L3, f, g, -6).compose(ScalarPsdOp.d(ctx)).scale(ctx.const(-1))
         assert series_agree_to(lhs, rhs, -4)
         lhs = lambda_bracket(L3, f, g * h, -5)
-        rhs = lambda_bracket(L3, f, g, -5) * h \
-            + lambda_bracket(L3, f, h, -5) * g
+        rhs = lambda_bracket(L3, f, g, -5).scale(h) \
+            + lambda_bracket(L3, f, h, -5).scale(g)
         assert series_agree_to(lhs, rhs, -4)
     # evolutionary bracket: antisymmetry exactly, Jacobi on 50 triples
     for _ in range(50):

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenard import jacobi
+from lenard import brackets, jacobi
 from lenard.brackets import (check_compatible, check_jacobi, check_skewadjoint,
                              evolutionary_bracket, functional_action,
                              functional_bracket, lambda_bracket, master_bracket)
-from lenard.errors import InvalidWitness
+from lenard.errors import InsufficientTruncation, InvalidWitness
 from lenard.field import Context, vec_is_zero
 from lenard.functional import LocalFunctional
 from lenard.grammar import parse_operator
@@ -20,9 +20,9 @@ from lenard.jacobi import (AtomChain, AtomStructure, JacobiEngine, _grid_trinomi
 from lenard.operators import (MatrixPsdOp, OperatorSum, RationalOpPair,
                               ScalarPsdOp, _accumulate, _binomial_shift, _jf, binom,
                               structure_sum)
-from lenard.series import BiSeries, LambdaSeries
+from lenard.series import BiSeries
 
-from conftest import random_dfun, series_agree_to
+from conftest import random_dfun, series_agree_to, shift
 
 
 @pytest.fixture
@@ -143,11 +143,11 @@ def _diagonal(ctx, n, op):
 def _right_fold_suffixes(ctx, atoms, floor):
     """The symbols of the scalar suffixes atoms[n+1:], walked right to left:
     (l+d)^k for d^k, a negative k cut at the floor; f times for f."""
-    val = LambdaSeries.of_fun(ctx.one())
+    val = ScalarPsdOp.identity(ctx)
     vals = [val]
     for kind, data in reversed(atoms[1:]):
-        val = val.apply_shift(data, floor=floor if data < 0 else None) if kind == "d" \
-            else val * data
+        val = shift(val, data, floor if data < 0 else None) if kind == "d" \
+            else val.scale(data)
         vals.append(val)
     vals.reverse()
     return vals
@@ -212,7 +212,7 @@ def test_sesquilinearity(ctx, trio, rng):
         f = random_dfun(ctx, rng, max_dord=1, max_degree=2)
         g = random_dfun(ctx, rng, max_dord=1, max_degree=2)
         lhs = lambda_bracket(L3, f.total_derivative(), g, -5)
-        rhs = lambda_bracket(L3, f, g, -6).shift_power(1) * ctx.const(-1)
+        rhs = lambda_bracket(L3, f, g, -6).compose(ScalarPsdOp.d(ctx)).scale(ctx.const(-1))
         assert series_agree_to(lhs, rhs, -4)
 
 
@@ -223,8 +223,8 @@ def test_left_leibniz(ctx, trio, rng):
         g = random_dfun(ctx, rng, max_dord=1, max_degree=1)
         h = random_dfun(ctx, rng, max_dord=1, max_degree=1)
         lhs = lambda_bracket(L3, f, g * h, -5)
-        rhs = lambda_bracket(L3, f, g, -5) * h \
-            + lambda_bracket(L3, f, h, -5) * g
+        rhs = lambda_bracket(L3, f, g, -5).scale(h) \
+            + lambda_bracket(L3, f, h, -5).scale(g)
         assert series_agree_to(lhs, rhs, -4)
 
 
@@ -333,7 +333,7 @@ def test_functional_bracket_with_unit_field(ctx):
 
 
 def _trinomial_by_definition(g, r, lam_floor, mu_floor):
-    """sum_k binom(r,k) l^(r-k) (m+d)^k on a grid, one apply_shift per l-row."""
+    """sum_k binom(r,k) l^(r-k) (m+d)^k on a grid, one shift per l-row."""
     ctx = g.ctx
     rows = {}
     for (p, q), c in g.coeffs.items():
@@ -343,7 +343,7 @@ def _trinomial_by_definition(g, r, lam_floor, mu_floor):
     out = {}
     for k in range(kmax + 1):
         for p, row in rows.items():
-            ser = LambdaSeries(ctx, row, g.floors[1]).apply_shift(k, floor=fm)
+            ser = shift(ScalarPsdOp(ctx, row, g.floors[1]), k, fm)
             for q, c in ser.coeffs.items():
                 key = (p + r - k, q)
                 out[key] = out.get(key, ctx.zero()) + c * Q(binom(r, k))
@@ -365,9 +365,9 @@ def test_grid_trinomial_against_definition(ctx, rng, r, floors):
                        for p in (-1, 0, 2) for q in (-2, 0, 1)}, floors)
     lam_floor, mu_floor = -5, -6
     powers, h_floor = ((r,), None) if isinstance(r, int) else r
-    h = LambdaSeries(ctx, {r: ctx.one() if len(powers) == 1
-                           else random_dfun(ctx, rng, max_dord=1)
-                           for r in powers}, h_floor)
+    h = ScalarPsdOp(ctx, {r: ctx.one() if len(powers) == 1
+                          else random_dfun(ctx, rng, max_dord=1)
+                          for r in powers}, h_floor)
     got = _grid_trinomial(g, h, lam_floor, mu_floor)
     # sum_r h_r (l+m+d)^r, with the floors of every r joined; h's floor
     # caps l at h_floor + 2, the grid's top l-power
@@ -388,8 +388,8 @@ def test_grid_trinomial_against_definition(ctx, rng, r, floors):
 
 
 # The iterated path _grid_trinomial replaced, as an oracle: the grid's
-# l-rows as LambdaSeries in m, each (m+d) step an apply_shift(1) of a row,
-# summed by the univariate shift kernel with that step.
+# l-rows as series in m, each (m+d) step a shift by 1 of a row, summed by
+# the univariate shift kernel with that step.
 
 
 def _iterated_binomial_shift(h, t, floor):
@@ -399,16 +399,16 @@ def _iterated_binomial_shift(h, t, floor):
         reach = {q: k for q, k in reach.items() if k >= 0}
         for k in range(max(reach.values(), default=-1) + 1):
             if k:
-                c = c.apply_shift(1)
+                c = shift(c, 1)
             if c.is_zero():
                 break
             for q, kmax in reach.items():
                 if k <= kmax:
-                    _accumulate(sums[q], q + p - k, c * binom(q, k))
+                    _accumulate(sums[q], q + p - k, c.scale(c.ctx.const(binom(q, k))))
     out = {}
     for q, a in h.items():
         for deg, s in sums[q].items():
-            _accumulate(out, deg, s * a)
+            _accumulate(out, deg, s.scale(a))
     return out
 
 
@@ -426,7 +426,7 @@ def _iterated_grid_trinomial(g, h, lam_floor, mu_floor):
     rows = {}
     for (p, q), c in g.coeffs.items():
         rows.setdefault(p, {})[q] = c
-    rows = {p: LambdaSeries(ctx, row, g.floors[1]) for p, row in rows.items()}
+    rows = {p: ScalarPsdOp(ctx, row, g.floors[1]) for p, row in rows.items()}
     out = _iterated_binomial_shift(h.coeffs, rows, lam_floor)
     return BiSeries(ctx, {(p, q): c for p, ser in out.items()
                           for q, c in ser.coeffs.items()}, (fl, fm))
@@ -476,8 +476,8 @@ def _trinomial_case(draw, kind):
     g = BiSeries(ctx, {pq: draw(entry) for pq in cells}, floors)
     powers = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2, unique=True))
     unit = draw(st.booleans())
-    h = LambdaSeries(ctx, {r: ctx.one() if unit else draw(entry) for r in powers},
-                     draw(st.sampled_from([None, min(powers) - 1])))
+    h = ScalarPsdOp(ctx, {r: ctx.one() if unit else draw(entry) for r in powers},
+                    draw(st.sampled_from([None, min(powers) - 1])))
     return g, h
 
 
@@ -508,18 +508,15 @@ def test_grid_trinomial_matches_the_iterated_path(kind, data):
 
 
 def _apply_symbol_one(sym, t, floor):
-    ctx = sym.ctx
     if not t.coeffs:
         fl = None if sym.floor is None and t.floor is None else floor
-        return LambdaSeries.zero(ctx, fl)
-    t_top = int(t.top())
-    acc = _binomial_shift(sym.coeffs, t.coeffs, floor)
+        return ScalarPsdOp.zero(sym.ctx, fl)
     fl = floor
     if sym.floor is not None:
-        fl = max(fl, sym.floor + t_top)
+        fl = max(fl, sym.floor + int(t.order()))
     if t.floor is not None and sym.coeffs:
         fl = max(fl, int(max(sym.coeffs)) + t.floor)
-    return LambdaSeries(ctx, acc, fl)
+    return sym.compose(t, fl)
 
 
 def _master_bracket_one(sym, f, g, floor):
@@ -528,23 +525,23 @@ def _master_bracket_one(sym, f, g, floor):
     f_parts = [f.jet_partials(i) for i in range(ell)]
     g_parts = [g.jet_partials(j) for j in range(ell)]
     if all(not ps for ps in f_parts) or all(not ps for ps in g_parts):
-        return LambdaSeries.zero(ctx, None)
-    tvec = [LambdaSeries(ctx, ScalarPsdOp(ctx, ps).adjoint().coeffs, None)
-            for ps in f_parts]
+        return ScalarPsdOp.zero(ctx)
+    tvec = [ScalarPsdOp(ctx, ps).adjoint() for ps in f_parts]
     n_max = max(max(ps, default=0) for ps in g_parts)
-    out, fl = {}, None
+    out, fl = ScalarPsdOp.zero(ctx), None
     for j in range(ell):
         if not g_parts[j]:
             continue
-        s = LambdaSeries.zero(ctx, None)
+        s = ScalarPsdOp.zero(ctx)
         for i in range(ell):
             if not tvec[i].coeffs:
                 continue
             s = s + _apply_symbol_one(sym.entry(j, i), tvec[i], floor - n_max)
-        _binomial_shift(g_parts[j], s.coeffs, None, out)
+        # sum_n dg/du_j^(n) (l+d)^n s, every power of s's coefficients
+        out = out + ScalarPsdOp(ctx, g_parts[j]).compose(ScalarPsdOp(ctx, s.coeffs))
         if s.floor is not None:
             fl = _jf(fl, s.floor + max(g_parts[j]))
-    return LambdaSeries(ctx, out, fl).truncate(floor)
+    return ScalarPsdOp(ctx, out.coeffs, _jf(fl, floor))
 
 
 def _bracket_structures(ctx, ell):
@@ -601,6 +598,117 @@ def _bracket_case(draw, ell):
            for h in [f] + gs]
     sym = structure_sum(H).expand(floor - top[0] - max(top[1:]) - draw(st.sampled_from([0, 3])))
     return sym, f, gs, floor
+
+
+# The univariate shifts the compositions replaced, copied as they were:
+# LambdaSeries.apply_shift and brackets.apply_symbol join a requested floor
+# below the one their operands support, where compose raises; the callers
+# now join it themselves.
+
+
+def _old_apply_shift(s, n, floor=None):
+    if n < 0 and floor is None:
+        raise InsufficientTruncation("negative shift needs a floor")
+    out = _binomial_shift({n: s.ctx.one()}, s.coeffs, floor)
+    return ScalarPsdOp(s.ctx, out, _jf(floor, None if s.floor is None
+                                       else s.floor + max(n, 0)))
+
+
+def _old_apply_symbol(sym, t, floor):
+    fl = _jf(floor, None if sym.floor is None else sym.floor + int(t.order()))
+    return ScalarPsdOp(sym.ctx, _binomial_shift(sym.coeffs, t.coeffs, floor), fl)
+
+
+def _old_f_part(sym, f, floor):
+    """s_a = sum_i H_ai(l+d) t_i, one apply_symbol per nonzero t_i."""
+    ctx = sym.ctx
+    tvec = [ScalarPsdOp(ctx, f.jet_partials(i)).adjoint() for i in range(sym.rows)]
+    return [sum((_old_apply_symbol(sym.entry(a, i), t, floor)
+                 for i, t in enumerate(tvec) if t.coeffs), ScalarPsdOp.zero(ctx))
+            for a in range(sym.rows)]
+
+
+def _old_grid_mu_shift(g, r, mu_floor):
+    if r >= 0 and g.floors[1] is None:
+        mu_floor = None
+    rows = {}
+    for (p, q), c in g.coeffs.items():
+        rows.setdefault(p, {})[q] = c
+    out = {}
+    for p in sorted(rows):
+        ser = _old_apply_shift(ScalarPsdOp(g.ctx, rows[p], g.floors[1]), r, mu_floor)
+        out.update(((p, q), c) for q, c in ser.coeffs.items())
+    fm = g.floors[1]
+    if fm is not None and r > 0:
+        fm += r
+    return BiSeries(g.ctx, out, (g.floors[0], _jf(fm, mu_floor)))
+
+
+def _keys(coeffs):
+    return {n: c.key() for n, c in coeffs.items()}
+
+
+@st.composite
+def _f_part_case(draw):
+    """A 2x2 symbol whose entries are exact or all known from one floor,
+    some of them zero; f with a zero partial in u or in v, or in neither;
+    1-3 g's; and a floor, at or below what the symbol supports."""
+    ctx = Context(("u", "v"))
+    u, u1, v, v1 = ctx.u(0), ctx.u(1), ctx.gen(1, 0), ctx.gen(1, 1)
+    entry = _grid_entry(ctx, [u, u1, v, v1, ctx.x()], [u1 + 1])
+    hfloor = draw(st.sampled_from([None, -5, -3]))
+    sym = MatrixPsdOp([[ScalarPsdOp(ctx, {n: draw(entry) for n in draw(
+        st.lists(st.integers(-3, 1), max_size=3, unique=True))}, hfloor)
+        for _ in range(2)] for _ in range(2)])
+    on = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    f = ctx.zero()
+    for uses, jets in zip(on, ([u, u1], [v, v1])):
+        if uses:
+            f = f + draw(_grid_entry(ctx, jets, [])) * draw(st.sampled_from(jets))
+    gs = [draw(entry) * draw(st.sampled_from([u, u1, v, v1]))
+          for _ in range(draw(st.integers(1, 3)))]
+    return sym, f, gs, draw(st.integers(-7, -2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_f_part_case())
+def test_f_part_matches_apply_symbol(case):
+    """master_bracket's f part, the column H o D_f^* in one composition, has
+    the floors and coefficient keys of one apply_symbol per nonzero column
+    entry, at the floor less the batch's top jet order."""
+    sym, f, gs, floor = case
+    seen = []
+    real = brackets._shifted_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(brackets, "_shifted_rows",
+                   lambda ctx, s, nmax, fl: seen.append(s) or real(ctx, s, nmax, fl))
+        master_bracket(sym, f, gs, floor, {})
+    nmax = max(n for g in gs for i in range(2) for n in g.jet_partials(i))
+    got, = seen
+    for s, ref in zip(got, _old_f_part(sym, f, floor - nmax)):
+        assert s.floor == ref.floor
+        assert _keys(s.coeffs) == _keys(ref.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_grid_mu_shift_matches_apply_shift(data):
+    """(m+d)^r on a grid, each row composed with l^r, against one apply_shift
+    per row: shifts of both signs, rows exact or floored in either variable,
+    and zero entries, which the grid drops."""
+    ctx, factors, dens = _grid_field("rational")
+    entry = _grid_entry(ctx, factors, dens)
+    cells = data.draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-3, 1)),
+                               max_size=5, unique=True))
+    g = BiSeries(ctx, {pq: data.draw(st.one_of(entry, st.just(ctx.zero())))
+                       for pq in cells},
+                 (data.draw(st.sampled_from([None, -2])),
+                  data.draw(st.sampled_from([None, -3, -1]))))
+    r, mu_floor = data.draw(st.integers(-2, 2)), data.draw(st.integers(-6, -2))
+    got = jacobi._grid_mu_shift(g, r, mu_floor)
+    ref = _old_grid_mu_shift(g, r, mu_floor)
+    assert got.floors == ref.floors
+    assert _keys(got.coeffs) == _keys(ref.coeffs)
 
 
 @pytest.mark.parametrize("ell", [1, 2], ids=["scalar", "matrix"])

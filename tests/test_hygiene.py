@@ -220,6 +220,19 @@ def test_floor_joins_go_through_jf():
     assert not inline, "inline floor joins; use operators._jf: %s" % inline
 
 
+def test_univariate_shift_stays_behind_compose():
+    """operators._binomial_shift, the one univariate shift kernel, is named
+    in src only by operators.py: every other module shifts a series by
+    ScalarPsdOp.compose or adjoint."""
+    outside = sorted("%s:%d" % (path.name, node.lineno) for path in MODULES
+                     if path.name != "operators.py"
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if "_binomial_shift" in (getattr(node, "id", None),
+                                              getattr(node, "attr", None),
+                                              getattr(node, "name", None)))
+    assert not outside, "_binomial_shift named outside operators.py: %s" % outside
+
+
 # field.py keeps the coefficient rule (an int when integral, one division
 # helper); grammar.py and cli.py parse rationals from input; liouville.py
 # writes closed-form rationals

@@ -12,9 +12,8 @@ from lenard.operators import (MatrixPsdOp, OperatorSum, RationalOpPair,
                               ScalarPsdOp, _binomial_shift, binom, default_floor,
                               is_nondegenerate, right_lcm, skew_divide,
                               verify_fraction)
-from lenard.series import LambdaSeries
 
-from conftest import random_dfun, series_agree_to
+from conftest import random_dfun, series_agree_to, shift
 
 
 def m(f):
@@ -37,19 +36,32 @@ def test_compose_inverse_tail(ctx):
 
 @pytest.mark.parametrize("zero_left", [True, False], ids=["zero-left", "zero-right"])
 @pytest.mark.parametrize("floors, requested, expected", [
-    ((None, None), None, None), ((None, None), -5, -5),
-    ((-3, None), None, -3), ((None, -4), -6, -4),
-    ((-3, -7), None, -3), ((-7, -3), -2, -2),
+    ((None, None), None, (None, None)), ((None, None), -5, (-5, -5)),
+    ((-3, None), None, (-3, None)), ((None, -4), -6, (-6, -3)),
+    ((-3, -7), None, (-3, -6)), ((-7, -3), -2, (-2, -2)),
 ], ids=["exact", "exact-requested", "left-floor", "right-floor-requested",
         "both-floors", "both-floors-requested"])
 def test_compose_with_a_zero_operand_joins_the_floors(ctx, zero_left, floors,
                                                       requested, expected):
-    # a zero product is only as accurate as its least accurate input
+    # the requested floor joins the one the operands support: a zero known
+    # from l^f, times an operand of top t, is known from f + t (the nonzero
+    # operand here has top 0 on the right and 1 on the left), and an exact
+    # zero makes the product exact
     u = ctx.u(0)
     left = ScalarPsdOp(ctx, {} if zero_left else {1: u, -2: u}, floors[0])
     right = ScalarPsdOp(ctx, {0: u, -1: u} if zero_left else {}, floors[1])
     c = left.compose(right, requested)
-    assert c.is_zero() and c.floor == expected
+    assert c.is_zero() and c.floor == expected[0 if zero_left else 1]
+
+
+def test_zero_operand_floor_rises_by_the_other_operands_top(ctx):
+    # a zero known from l^-5 times d^3 is known from l^-2, as a nonzero
+    # operand known from l^-5 would be; zeros known from l^-5 and l^-4 hold
+    # nothing above l^-6 and l^-5, so their product is known from l^-10
+    zero, d3 = ScalarPsdOp.zero(ctx, -5), ScalarPsdOp.d(ctx, 3)
+    assert zero.compose(d3).floor == d3.compose(zero).floor == -2
+    assert ScalarPsdOp(ctx, {-4: ctx.u(0)}, -5).compose(d3).floor == -2
+    assert zero.compose(ScalarPsdOp.zero(ctx, -4)).floor == -10
 
 
 def _shift_by_definition(h, t, floor):
@@ -294,14 +306,15 @@ def test_compose_agrees_with_successive_application(ctx, rng):
 
 
 def test_shift_group_law_to_floor(ctx, rng):
+    # (l+d)^a (l+d)^b = (l+d)^(a+b), each shift a composition (conftest.shift)
     floor = -5
-    ser = LambdaSeries(ctx, {1: random_dfun(ctx, rng, max_dord=1),
-                             0: random_dfun(ctx, rng, max_dord=1),
-                             -1: random_dfun(ctx, rng, max_dord=1)}, None)
+    ser = ScalarPsdOp(ctx, {1: random_dfun(ctx, rng, max_dord=1),
+                            0: random_dfun(ctx, rng, max_dord=1),
+                            -1: random_dfun(ctx, rng, max_dord=1)})
     for a in range(-2, 3):
         for b in range(-2, 3):
-            two = ser.apply_shift(b, floor=floor).apply_shift(a, floor=floor)
-            one = ser.apply_shift(a + b, floor=floor)
+            two = shift(shift(ser, b, floor), a, floor)
+            one = shift(ser, a + b, floor)
             fl = max(two.floor, one.floor)
             assert series_agree_to(two, one, fl), (a, b)
             assert fl <= floor + max(a, 0)
