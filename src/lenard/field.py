@@ -152,12 +152,16 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
 
 def mono_div(a: Mono, b: Mono) -> Optional[Mono]:
     """a / b, or None unless each variable of b occurs in a, to at least
-    its power in b."""
+    its power in b.  Divisibility is settled over all of b before an
+    exponent is checked, so a quotient that does not exist is None, not
+    an overflow."""
+    top = 0
     for v, e in mono_items(b):
         have = mono_exp(a, v)
         if not have or have < e:
             return None
-        _check_exp(have - e)
+        top = max(top, have - e)
+    _check_exp(top)
     return a - b
 
 
