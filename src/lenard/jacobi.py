@@ -34,18 +34,22 @@ through _grid_trinomial.  It is its own numerator walk, not the univariate
 kernel operators._binomial_shift: the grid goes over one denominator, each
 l-row's (m+d)-tower is walked once, a step being a shift in m plus one
 batch total derivative, and each output coefficient is normalized once.
+
+Every working floor is read off the atoms before a term runs, by compose's
+floor rule run back from the verdict's floors: no margin, no retry.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate
+from operator import sub
+from typing import Dict, List, Tuple
 
-from .errors import InsufficientTruncation
 from .field import (DFun, NEG_INF, ONE_MONO, _den_cofactor, _den_merge, batch_derivative,
                     batch_matmul, batch_sum, field_element, over_lcm, poly_add_into,
                     poly_add_scaled, poly_mul)
 from .brackets import master_bracket
-from .operators import (MatrixPsdOp, OperatorSum, ScalarPsdOp, _accumulate, _jf,
+from .operators import (MatrixPsdOp, OperatorSum, ScalarPsdOp, _jf,
                         structure_sum)
 from .series import BiSeries
 
@@ -297,43 +301,15 @@ def atoms_of(H):
 
 
 def _grid_scale_fun(g: BiSeries, f: DFun) -> BiSeries:
+    if f.is_one():
+        return g
     return BiSeries(g.ctx, {pq: f * c for pq, c in g.coeffs.items()}, g.floors)
 
 
-def _grid_mul_series(g: BiSeries, s: ScalarPsdOp) -> BiSeries:
-    """Multiply by a symbol, a series in the first variable."""
-    ctx = g.ctx
-    out: Dict[Tuple[int, int], DFun] = {}
-    for (p, q), c in g.coeffs.items():
-        for n, c2 in s.coeffs.items():
-            _accumulate(out, (p + n, q), c * c2)
-    # a floor of either factor, raised by the other factor's top power
-    gt = max((p for p, _ in g.coeffs), default=0)
-    st = int(s.order()) if s.coeffs else 0
-    fl = _jf(None if g.floors[0] is None else g.floors[0] + st,
-             None if s.floor is None else s.floor + gt)
-    return BiSeries(ctx, out, (fl, g.floors[1]))
-
-
-def _grid_mu_shift(g: BiSeries, r: int, mu_floor: Optional[int]) -> BiSeries:
-    """(m+d)^r along the second variable of a grid, one l-row at a time: each
-    row is composed with l^r at mu_floor, or at the floor the row supports
-    when that is higher.  The grid keeps the m floor raised by r > 0 only."""
-    fm = g.floors[1]
-    if r >= 0 and fm is None:
-        mu_floor = None  # finite binomial of an exact series stays exact
-    cut = _jf(mu_floor, None if fm is None else fm + r)
-    shift = ScalarPsdOp.d(g.ctx, r)
-    rows: Dict[int, Dict[int, DFun]] = {}
-    for (p, q), c in g.coeffs.items():
-        rows.setdefault(p, {})[q] = c
-    out = {}
-    for p in sorted(rows):
-        ser = shift.compose(ScalarPsdOp(g.ctx, rows[p], fm), cut)
-        out.update(((p, q), c) for q, c in ser.coeffs.items())
-    if fm is not None and r > 0:
-        fm += r
-    return BiSeries(g.ctx, out, (g.floors[0], _jf(fm, mu_floor)))
+def _outer(ls: ScalarPsdOp, ms: ScalarPsdOp) -> BiSeries:
+    """The grid of ls(l) ms(m), a series in each variable."""
+    return BiSeries(ls.ctx, {(p, q): a * b for p, a in ls.coeffs.items()
+                             for q, b in ms.coeffs.items()}, (ls.floor, ms.floor))
 
 
 def _mu_step(ctx, rows, den, floor):
@@ -384,13 +360,15 @@ def _grid_trinomial(g: BiSeries, h: ScalarPsdOp, lam_floor: int,
     The floors join those of each (l+m+d)^r that reaches lam_floor: l at
     lam_floor or g's l floor + r, m at g's m floor + the last k reached.
     h's floor caps l at h.floor + the grid's top l-power, the rule
-    ScalarPsdOp.compose applies to a symbol's floor.  No output coefficient
-    below the floors is formed."""
+    ScalarPsdOp.compose applies to a symbol's floor.  A zero grid's top
+    l-power is its l floor - 1, as in compose, and an exact zero stays
+    zero.  No output coefficient below the floors is formed."""
     ctx = g.ctx
     fl, fm = lam_floor, g.floors[1]
-    if not g.coeffs:
-        return BiSeries(ctx, {}, (_jf(g.floors[0], fl) if h.coeffs else fl, fm))
-    ptop = max(p for p, _ in g.coeffs)
+    ptop = max((p for p, _ in g.coeffs),
+               default=None if g.floors[0] is None else g.floors[0] - 1)
+    if ptop is None:  # an exact zero in l
+        return BiSeries(ctx, {}, (fl, fm))
     for r in h.coeffs:
         kmax = r if r >= 0 else ptop + r - lam_floor
         if kmax >= 0:
@@ -398,6 +376,8 @@ def _grid_trinomial(g: BiSeries, h: ScalarPsdOp, lam_floor: int,
             fm = None if fm is None else max(fm, mu_floor, g.floors[1] + kmax)
     if h.floor is not None:
         fl = max(fl, h.floor + ptop)
+    if not g.coeffs:
+        return BiSeries(ctx, {}, (fl, fm))
     # row p's last k for each r: its l-power r+p-k reaches fl, and k <= r if r >= 0
     reach = {}
     for p in {p for p, _ in g.coeffs}:
@@ -459,26 +439,33 @@ def _grid_trinomial(g: BiSeries, h: ScalarPsdOp, lam_floor: int,
 
 
 class JacobiEngine:
-    """Per-structure state for the generator-triple Jacobi checks."""
+    """Per-structure state for the generator-triple Jacobi checks.
+
+    Every working floor is read off the atoms before a grid is formed, by
+    compose's floor rule run back from the verdict's floors, so each path
+    runs once (_t1_path, _t3_path).  H is expanded once, as deep as its
+    brackets read: a bracket of f at floor b reads H down to b less f's jet
+    order, and the second term's batch, H's coefficients from fl up, has
+    jet order at most j + sum d - fl, j a path's top jet order."""
 
     def __init__(self, H, floors):
         S = structure_sum(H)
         self.ctx = S.ctx
         self.ell = S.ell
         self.floors = floors
-        fl, fm = floors
-        probe = S.expand(min(fl, fm) - 2)
-        top, dord = probe.order(), probe.dord()
-        self.sym_top = 0 if top == NEG_INF else int(top)
-        self.dmax = 0 if dord == NEG_INF else max(0, int(dord))
-        self.sym = S.expand(min(fl, fm) - self.dmax - self.sym_top - 2)
         self.gens = [self.ctx.gen(i, 0) for i in range(self.ell)]
         self._t1_cache = {}
         self._rows = {}  # master_bracket's shifted rows, per (f, floor)
         self._paths = []
+        low = deepest = min(floors)
         for coeff, chain in atoms_of(H):
             for r0, c0, ats in chain.scalar_paths():
                 self._paths.append((coeff, r0, c0, ats))
+                ds = [d for kind, d in ats if kind == "d"]
+                j = max([0, coeff.dord()] + [f.dord() for kind, f in ats if kind == "mult"])
+                up = sum(d for d in ds if d > 0)
+                deepest = min(deepest, low - j - up - max(0, sum(ds) - low))
+        self.sym = S.expand(deepest)
 
     # -- first term -------------------------------------------------------------
 
@@ -486,44 +473,47 @@ class JacobiEngine:
         """Grids of {u_i l {u_j m u_k}}, entry [k][j], operator-form route."""
         if i in self._t1_cache:
             return self._t1_cache[i]
-        fl, fm = self.floors
         ell = self.ell
-        zero = BiSeries.zero(self.ctx, (fl, fm))
+        zero = BiSeries.zero(self.ctx, self.floors)
         total = [[zero for _ in range(ell)] for _ in range(ell)]
         for coeff, k0, j0, ats in self._paths:
-            up = sum(d for kind, d in ats if kind == "d" and d > 0)
-            down = sum(-d for kind, d in ats if kind == "d" and d < 0)
-            tries = (self._t1_path(i, ats, fl - up - 1, fm - margin)
-                     for margin in (down + 2, 3 * (down + 4) + self.dmax))
-            total[k0][j0] = total[k0][j0] + self._accurate(tries, coeff, "first")
+            total[k0][j0] = total[k0][j0] + _grid_scale_fun(self._t1_path(i, ats), coeff)
         self._t1_cache[i] = total
         return total
 
-    def _accurate(self, tries, coeff: DFun, term: str) -> BiSeries:
-        """coeff times the first grid of `tries` accurate at the floors."""
-        for grid in tries:
-            if grid.accurate_at(self.floors):
-                return grid if coeff.is_one() else _grid_scale_fun(grid, coeff)
-        raise InsufficientTruncation("%s Jacobi term did not reach floors" % term)
+    def _t1_path(self, i, atoms) -> BiSeries:
+        """{u_i l (value of scalar atom chain at m)} by Leibniz + shift rules,
+        walked in from the right from {u_i l 1} = 0, an exact zero.
 
-    def _t1_path(self, i, atoms, lam_floor, mu_floor) -> BiSeries:
-        """{u_i l (value of scalar atom chain at m)} by Leibniz + shift rules."""
+        l works at fl less the chain's positive d powers, the l floor each
+        (l+m+d)^r with r > 0 raises by r.  Each mult atom's bracket
+        {u_i l f} is formed first.  Each d^r then lowers the m floor the
+        atoms after it need by its last (m+d)-step: r for r >= 0, else
+        max(0, top + r - (l floor)), top the highest l-power of the grid it
+        meets, read off the brackets' orders (floor - 1 for a zero)."""
         ctx = self.ctx
-        cur = BiSeries.zero(ctx, (lam_floor, None))
+        fl, fm = self.floors
+        lam = fl - sum(d for kind, d in atoms if kind == "d" and d > 0)
+        brs = [master_bracket(self.sym, self.gens[i], [data], lam, self._rows)[0]
+               if kind == "mult" else None for kind, data in atoms]
+        steps, top = [], NEG_INF
+        for (kind, data), br in zip(reversed(atoms), reversed(brs)):
+            if kind == "d":
+                steps.append(data if data >= 0 else max(0, top + data - lam))
+                top += data
+            else:
+                steps.append(0)
+                top = max(top, br.order() if br.coeffs or br.floor is None else br.floor - 1)
+        mus = list(accumulate(reversed(steps), sub, initial=fm))  # m floor after atom n
+        cur = BiSeries.zero(ctx, (None, None))
         for n in reversed(range(len(atoms))):
             kind, data = atoms[n]
             if kind == "d":
-                cur = _grid_trinomial(cur, ScalarPsdOp.d(ctx, data), lam_floor, mu_floor)
-            else:
-                f = data
-                br, = master_bracket(self.sym, self.gens[i], [f], lam_floor, self._rows)
-                cur = _grid_scale_fun(cur, f)
-                if br.coeffs or br.floor is not None:
-                    suffix = _symbol(ctx, atoms[n + 1:], mu_floor)  # a series in m
-                    cur = cur + BiSeries(ctx, {(p, q): a * b
-                                               for p, a in br.coeffs.items()
-                                               for q, b in suffix.coeffs.items()},
-                                         (br.floor, suffix.floor))
+                cur = _grid_trinomial(cur, ScalarPsdOp.d(ctx, data), lam, mus[n])
+                continue
+            cur = _grid_scale_fun(cur, data)
+            if brs[n].coeffs or brs[n].floor is not None:
+                cur = cur + _outer(brs[n], _symbol(ctx, atoms[n + 1:], mus[n]))
         return cur
 
     # -- second term -------------------------------------------------------------
@@ -543,44 +533,53 @@ class JacobiEngine:
     # -- third term --------------------------------------------------------------
 
     def t3_grid(self, i, j, k) -> BiSeries:
-        fl, fm = self.floors
-        total = BiSeries.zero(self.ctx, (fl, fm))
-        base = self.sym_top + self.dmax + 2
+        total = BiSeries.zero(self.ctx, self.floors)
         for coeff, r0, c0, ats in self._paths:
-            if r0 != j or c0 != i:
-                continue
-            down = sum(-d for kind, d in ats if kind == "d" and d < 0)
-            # mu works as far below fm as lam below fl, and sym_top+down+4+extra more
-            tries = (self._t3_path(ats, k, fl - (base + down + extra),
-                                   fm - base - self.sym_top - 4 - 2 * (down + extra))
-                     for extra in (0, 8))
-            total = total + self._accurate(tries, coeff, "third")
+            if r0 == j and c0 == i:
+                total = total + _grid_scale_fun(self._t3_path(ats, k), coeff)
         return total
 
-    def _t3_path(self, atoms, k, lam_floor, mu_floor) -> BiSeries:
+    def _t3_path(self, atoms, k) -> BiSeries:
         """{(value of atoms at l)_s u_k}, with s = l+m+d, in one left-to-right
         walk by right Leibniz.  The carrier is the m-side value of the prefix
         read so far: a d atom shifts it by (-(m+d))^r, and a mult atom f adds
-        {f_s u_k} -> (suffix value * carrier), one trinomial call with h =
-        the bracket series of f, before f joins the carrier."""
+        {f_s u_k} -> (suffix value * carrier), one trinomial call at the
+        verdict's floors with h = the bracket series of f, before f joins
+        the carrier.
+
+        Each bracket is formed first, at fl less the d powers after f, the
+        top l-power of the suffix; a zero one is left out, as its piece is
+        zero from fl up.  The suffix is cut at fl less the bracket's top
+        when positive.  The carrier gets one m floor: fm less the largest
+        over the mult atoms of the positive d powers before the atom plus
+        the trinomial's last step, r for r >= 0 in the bracket, else
+        (d powers after f) + r - fl.  The carrier's floor joins the result,
+        so that floor is also at most fm less all positive d powers."""
         ctx = self.ctx
-        carrier = BiSeries(ctx, {(0, 0): ctx.one()}, (None, None))
-        total = None
+        fl, fm = self.floors
+        afters = [sum(d for kind, d in atoms[n + 1:] if kind == "d") for n in range(len(atoms))]
+        brs = [master_bracket(self.sym, data, [self.gens[k]], fl - after, self._rows)[0]
+               if kind == "mult" else None for (kind, data), after in zip(atoms, afters)]
+        up = reach = 0
+        for (kind, data), br, after in zip(atoms, brs, afters):
+            if kind == "d":
+                up += max(0, data)
+            else:
+                reach = max([reach] + [up + (r if r >= 0 else after + r - fl) for r in br.coeffs])
+        carrier_floor = fm - max(up, reach)
+        carrier = ScalarPsdOp.identity(ctx)  # a series in m
+        pieces = []
         for n, (kind, data) in enumerate(atoms):
             if kind == "d":
-                carrier = _grid_mu_shift(carrier, data, mu_floor)
-                if data % 2:
-                    carrier = -carrier
+                cut = _jf(carrier_floor, None if carrier.floor is None else carrier.floor + data)
+                carrier = ScalarPsdOp.d(ctx, data).compose(carrier, cut)
+                carrier = -carrier if data % 2 else carrier
                 continue
-            prod = _grid_mul_series(carrier, _symbol(ctx, atoms[n + 1:], lam_floor))
-            ptop = max((p for p, _ in prod.coeffs), default=0)
-            dser, = master_bracket(self.sym, data, [self.gens[k]],
-                                   self.floors[0] - max(0, ptop) - 1, self._rows)
-            piece = _grid_trinomial(prod, dser, lam_floor, mu_floor)
-            total = piece if total is None else total + piece
-            carrier = _grid_scale_fun(carrier, data)
-        end = BiSeries.zero(ctx, (lam_floor, carrier.floors[1]))
-        return end if total is None else total + end
+            if brs[n].coeffs:
+                suffix = _symbol(ctx, atoms[n + 1:], fl - max(0, brs[n].order()))
+                pieces.append(_grid_trinomial(_outer(suffix, carrier), brs[n], fl, fm))
+            carrier = carrier.scale(data)
+        return sum(pieces, BiSeries.zero(ctx, (fl, carrier.floor)))
 
     # -- the verdict ----------------------------------------------------------------
 

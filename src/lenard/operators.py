@@ -230,19 +230,21 @@ class ScalarPsdOp:
         return out
 
     def inverse(self, floor: int) -> "ScalarPsdOp":
-        """B^-1 with B o B^-1 = 1 to the floor, by leading-term recursion."""
+        """B^-1 to the floor, by leading-term recursion: an error term at
+        degree e is corrected at e - N, N the order, so the error is formed
+        down to floor + min(0, N).  compose refuses that floor when B's own
+        floor does not support it."""
         ctx = self.ctx
         if self.is_zero():
             raise ZeroDivisor("inverse of the zero operator")
-        if self.floor is not None and self.min_degree() <= self.floor:
-            raise InsufficientTruncation("operator too truncated to invert")
         N = self.order()
         bN = self.coeffs[N]
         if bN.is_zero():
             raise SingularLeadingSymbol("zero leading coefficient")
         bNi = bN.inverse()
         inv = ScalarPsdOp(ctx, {-N: bNi}, None)
-        err = ScalarPsdOp.identity(ctx) - self.compose(inv, floor)
+        err_floor = floor + min(0, N)
+        err = ScalarPsdOp.identity(ctx) - self.compose(inv, err_floor)
         guard = 0
         while not err.is_zero():
             e = err.order()
@@ -250,7 +252,7 @@ class ScalarPsdOp:
                 break
             t = ScalarPsdOp(ctx, {e - N: bNi * err.coeffs[e]})
             inv = inv + t
-            err = err - self.compose(t, floor)
+            err = err - self.compose(t, err_floor)
             guard += 1
             if guard > 4 * (N - floor) + 200:
                 raise InsufficientTruncation("inverse iteration did not converge")
@@ -452,15 +454,6 @@ def _det2(m):
 
 
 def _mat_inverse(B: MatrixPsdOp, floor: int) -> MatrixPsdOp:
-    for attempt in range(3):
-        try:
-            return _mat_inverse_once(B, floor, extra=8 * attempt)
-        except InsufficientTruncation:
-            if attempt == 2:
-                raise
-
-
-def _mat_inverse_once(B: MatrixPsdOp, floor: int, extra=0) -> MatrixPsdOp:
     ctx = B.ctx
     n = B.rows
     if n != B.cols:
@@ -482,7 +475,7 @@ def _mat_inverse_once(B: MatrixPsdOp, floor: int, extra=0) -> MatrixPsdOp:
     b = [rows[0][j] for j in range(1, n)]
     c = [rows[i][0] for i in range(1, n)]
     d = [[rows[i][j] for j in range(1, n)] for i in range(1, n)]
-    guard = int(2 * abs(B.order())) + 4 + extra if B.order() != NEG_INF else 4 + extra
+    guard = int(2 * abs(B.order())) + 4 if B.order() != NEG_INF else 4
     work = floor - guard
     ai = a.inverse(work)
     # Schur complement s = d - c o a^-1 o b

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lenard import brackets, jacobi
@@ -387,6 +387,16 @@ def test_grid_trinomial_against_definition(ctx, rng, r, floors):
             assert got.coeffs.get((p, q), ctx.zero()) == ref.get((p, q), ctx.zero())
 
 
+@pytest.mark.parametrize("r, floors", [(1, (-4, -4)), (-1, (-6, -4))])
+def test_grid_trinomial_reads_a_zero_grids_top_off_its_floor(ctx, r, floors):
+    """A zero known from (-5, -5) may hold terms up to l^-6, as a floored
+    zero does in compose.  Under (l+m+d)^r at (-8, -8) those reach
+    l^(-6+r) and m^(-6+k) for k up to r (r = 1) or -6 + r + 8 (r = -1),
+    so the zero is known only from `floors`."""
+    got = _grid_trinomial(BiSeries.zero(ctx, (-5, -5)), ScalarPsdOp.d(ctx, r), -8, -8)
+    assert not got.coeffs and got.floors == floors
+
+
 # The iterated path _grid_trinomial replaced, as an oracle: the grid's
 # l-rows as series in m, each (m+d) step a shift by 1 of a row, summed by
 # the univariate shift kernel with that step.
@@ -600,18 +610,9 @@ def _bracket_case(draw, ell):
     return sym, f, gs, floor
 
 
-# The univariate shifts the compositions replaced, copied as they were:
-# LambdaSeries.apply_shift and brackets.apply_symbol join a requested floor
-# below the one their operands support, where compose raises; the callers
-# now join it themselves.
-
-
-def _old_apply_shift(s, n, floor=None):
-    if n < 0 and floor is None:
-        raise InsufficientTruncation("negative shift needs a floor")
-    out = _binomial_shift({n: s.ctx.one()}, s.coeffs, floor)
-    return ScalarPsdOp(s.ctx, out, _jf(floor, None if s.floor is None
-                                       else s.floor + max(n, 0)))
+# The univariate shift the composition replaced, copied as it was:
+# brackets.apply_symbol joins a requested floor below the one its operands
+# support, where compose raises; the caller now joins it itself.
 
 
 def _old_apply_symbol(sym, t, floor):
@@ -626,22 +627,6 @@ def _old_f_part(sym, f, floor):
     return [sum((_old_apply_symbol(sym.entry(a, i), t, floor)
                  for i, t in enumerate(tvec) if t.coeffs), ScalarPsdOp.zero(ctx))
             for a in range(sym.rows)]
-
-
-def _old_grid_mu_shift(g, r, mu_floor):
-    if r >= 0 and g.floors[1] is None:
-        mu_floor = None
-    rows = {}
-    for (p, q), c in g.coeffs.items():
-        rows.setdefault(p, {})[q] = c
-    out = {}
-    for p in sorted(rows):
-        ser = _old_apply_shift(ScalarPsdOp(g.ctx, rows[p], g.floors[1]), r, mu_floor)
-        out.update(((p, q), c) for q, c in ser.coeffs.items())
-    fm = g.floors[1]
-    if fm is not None and r > 0:
-        fm += r
-    return BiSeries(g.ctx, out, (g.floors[0], _jf(fm, mu_floor)))
 
 
 def _keys(coeffs):
@@ -690,27 +675,6 @@ def test_f_part_matches_apply_symbol(case):
         assert _keys(s.coeffs) == _keys(ref.coeffs)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_grid_mu_shift_matches_apply_shift(data):
-    """(m+d)^r on a grid, each row composed with l^r, against one apply_shift
-    per row: shifts of both signs, rows exact or floored in either variable,
-    and zero entries, which the grid drops."""
-    ctx, factors, dens = _grid_field("rational")
-    entry = _grid_entry(ctx, factors, dens)
-    cells = data.draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-3, 1)),
-                               max_size=5, unique=True))
-    g = BiSeries(ctx, {pq: data.draw(st.one_of(entry, st.just(ctx.zero())))
-                       for pq in cells},
-                 (data.draw(st.sampled_from([None, -2])),
-                  data.draw(st.sampled_from([None, -3, -1]))))
-    r, mu_floor = data.draw(st.integers(-2, 2)), data.draw(st.integers(-6, -2))
-    got = jacobi._grid_mu_shift(g, r, mu_floor)
-    ref = _old_grid_mu_shift(g, r, mu_floor)
-    assert got.floors == ref.floors
-    assert _keys(got.coeffs) == _keys(ref.coeffs)
-
-
 @pytest.mark.parametrize("ell", [1, 2], ids=["scalar", "matrix"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -752,6 +716,57 @@ def _jacobi_structures():
         pytest.param(chain(("mult", [[u2]]), ("d", -1), ("mult", [[u2]])), (-5, -5),
                      id="negative_control"),
     ]
+
+
+# Random scalar atom structures for the derived floors: a constant times a
+# chain of one to five atoms, sometimes plus d^k, each function named.
+_ATOM_FUNS = ("u", "u'", "u''", "1/(u''+1)", "(u')^2+1", "3", "-2")
+_atom = st.one_of(st.tuples(st.just("d"), st.sampled_from([-2, -1, 1, 2])),
+                  st.tuples(st.just("mult"), st.sampled_from(_ATOM_FUNS)))
+
+
+def _named_structure(coeff, atoms, k):
+    ctx = Context(("u",))
+    u, u1, u2 = ctx.u(0), ctx.u(1), ctx.u(2)
+    funs = dict(zip(_ATOM_FUNS, (u, u1, u2, 1 / (u2 + 1), u1 * u1 + 1, ctx.const(3),
+                                 ctx.const(-2))))
+    chain = AtomChain(ctx, [("d", a) if kind == "d" else ("mult", [[funs[a]]])
+                            for kind, a in atoms])
+    terms = [(ctx.const(coeff), AtomStructure(chain))]
+    if k is not None:
+        terms.append((ctx.one(), AtomStructure(AtomChain(ctx, [("d", k)]))))
+    return OperatorSum(terms)
+
+
+@settings(max_examples=25, deadline=None)
+@given(coeff=st.sampled_from([Q(1, 2), 3, -1, Q(-1, 3)]),
+       atoms=st.lists(_atom, min_size=1, max_size=5),
+       k=st.sampled_from([None, None, -1, 1, 2, 3]),
+       floors=st.tuples(st.integers(-5, -3), st.integers(-5, -3)))
+@example(coeff=Q(1, 2), atoms=[("mult", "(u')^2+1"), ("d", -1), ("d", -2)], k=None,
+         floors=(-4, -5))
+@example(coeff=3, atoms=[("mult", "u'"), ("d", -1), ("mult", "3"), ("d", -2)], k=None,
+         floors=(-5, -4))
+@example(coeff=-1, atoms=[("mult", "u''"), ("d", -2), ("d", -1), ("d", -1), ("mult", "3")],
+         k=None, floors=(-4, -5))
+@example(coeff=Q(-1, 3), atoms=[("mult", "1/(u''+1)"), ("d", -1), ("mult", "u''"),
+                                ("d", -1), ("mult", "(u')^2+1")], k=3, floors=(-3, -5))
+def test_derived_floors_reach_the_verdicts_floors(coeff, atoms, k, floors):
+    """Each term, run once at the floors it derives, is accurate at the
+    verdict's floors and equals the engine run two floors deeper there.
+    The examples are inputs a retrying engine with fixed margins could not
+    answer: three raised InsufficientTruncation, one ran past 30 s."""
+    H = _named_structure(coeff, atoms, k)
+    fl, fm = floors
+    eng, deep = JacobiEngine(H, floors), JacobiEngine(H, (fl - 2, fm - 2))
+    zero = eng.ctx.zero()
+    for term in (lambda e: e.t1_matrix(0)[0][0], lambda e: e.t2_grid(0, 0, 0),
+                 lambda e: e.t3_grid(0, 0, 0)):
+        got, ref = term(eng), term(deep)
+        assert got.accurate_at(floors)
+        for p, q in set(got.coeffs) | set(ref.coeffs):
+            if p >= fl and q >= fm:
+                assert got.coeffs.get((p, q), zero) == ref.coeffs.get((p, q), zero)
 
 
 def _t2_one_by_one(eng, i, j, k):

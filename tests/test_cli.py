@@ -35,6 +35,14 @@ def test_check_skew_holds_on_d():
     assert code == 0
 
 
+def test_check_skew_inverts_a_frac_through_a_floored_schur_complement():
+    # [[D+2,1],[2,-D]] is not skew-adjoint, so neither is its inverse
+    code, out = run_cli("check", "--generators", "u,v", "--op",
+                        "frac([[1,0],[0,1]],[[D+2,1],[2,-D]])", "--what", "skew")
+    assert code == 1
+    assert json.loads(out)["results"][0]["verdict"] == "fails"
+
+
 def test_check_jacobi_sokolov():
     code, out = run_cli("check", "--op", "u' D^-1 u'", "--what", "jacobi",
                         "--floor", "-6")

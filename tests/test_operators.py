@@ -228,6 +228,28 @@ def test_nondegeneracy_matrix():
     assert B.compose(inv, -4).eq_to_floor(MatrixPsdOp.identity(ctx, 2), -4)
 
 
+def test_inverse_of_negative_order_makes_its_bottom_corrections(ctx):
+    """An error term at degree e is corrected at e - N, above e for N < 0,
+    so the error must be formed |N| below the floor."""
+    u, one = ctx.u(0), ctx.one()
+    B = ScalarPsdOp(ctx, {-1: one, -6: u})
+    inv = B.inverse(-4)
+    assert inv.floor == -4 and inv.coeffs == {1: one, -4: -u}
+    assert inv.eq_to_floor(B.inverse(-8), -4)
+    assert B.compose(inv, -5).eq_to_floor(ScalarPsdOp.identity(ctx), -5)
+
+
+def test_inverse_of_a_floored_operator_with_a_term_at_its_floor(ctx):
+    """Every stored coefficient is exact, so a term at the floor degree is
+    no reason to refuse; compose checks the floor the inverse asks for."""
+    u, one = ctx.u(0), ctx.one()
+    exact = ScalarPsdOp(ctx, {1: one, 0: ctx.const(2), -3: u})
+    B = ScalarPsdOp(ctx, exact.coeffs, -3)
+    assert B.inverse(-4).eq_to_floor(exact.inverse(-4), -4)
+    with pytest.raises(InsufficientTruncation):
+        B.inverse(-6)
+
+
 def test_fraction_trivial(ctx):
     D = ScalarPsdOp.d(ctx)
     one = RationalOpPair.fraction(ScalarPsdOp.identity(ctx), D)
