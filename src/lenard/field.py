@@ -851,6 +851,8 @@ class DFun:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return self.ctx.zero()
+        if self.is_one() or other.is_one():  # the other is normalized already
+            return other if self.is_one() else self
         num = poly_mul(self.num, other.num)
         if not self.den and not other.den:
             return field_element(self.ctx, num, ())
@@ -1074,11 +1076,12 @@ def _normalize(ctx, num, den):
                 if ctx.laurent[v]:
                     extra_num = poly_mul(extra_num, {mono_pack([(v, -p)]): 1})
                 elif v in ctx.relations:
-                    # 1/v**p = v**p / g**p with g = v**2; fold g**p back in
+                    # 1/v**p = v**p / g**p with g = v**2; fold g**p back in,
+                    # its numerator a factor like any other (one term is plain)
                     extra_num = poly_mul(extra_num, {mono_pack([(v, p)]): 1})
                     g = ctx.relations[v] ** p
                     extra_num = poly_mul(extra_num, _den_expand(g.den))
-                    composite.append((dict(g.num), 1))
+                    work.append((g.num, 1))
                     rerun = True
                 else:
                     simple[v] = simple.get(v, 0) + p

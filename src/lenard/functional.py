@@ -45,7 +45,9 @@ def _helmholtz_numerators(xi):
     a_p^ij - sum_n (-1)^n binom(n, p) d^(n-p) a_n^ji of D - D* (i <= j, the
     mirror is its adjoint), D the Frechet derivative of xi, a_n^ij = d xi_i /
     d u_j^(n); each tower that is read walked once, level k > 0 holding
-    d^k a_n^ji for n >= k and i <= j."""
+    d^k a_n^ji for n >= k and i <= j.  A diagonal entry is skew-adjoint, so
+    zero when its odd coefficients are (a nonzero one has odd order): only
+    odd p are formed there, and its towers stop at level n - 1."""
     ell = len(xi)
     parts = [[xi[i].jet_partials(j) for j in range(ell)] for i in range(ell)]
     cells = [(i, j, n) for i in range(ell) for j in range(ell) for n in parts[i][j]]
@@ -53,7 +55,7 @@ def _helmholtz_numerators(xi):
     levels = [(dict(zip(cells, nums)), den)]
     while True:
         keep = [c for c, num in levels[-1][0].items()
-                if num and c[2] >= len(levels) and c[0] >= c[1]]
+                if num and c[2] >= len(levels) + (c[0] == c[1]) and c[0] >= c[1]]
         if not keep:
             break
         (nums,), den = batch_derivative(xi[0].ctx, [[levels[-1][0][c] for c in keep]], den)
@@ -61,7 +63,8 @@ def _helmholtz_numerators(xi):
     cofs = [_den_cofactor(den, lden) for _, lden in levels]
     for i in range(ell):
         for j in range(i, ell):
-            for p in set(parts[i][j]).union(range(max(parts[j][i], default=-1) + 1)):
+            top = max(parts[j][i], default=-1)
+            for p in range(1, top + 1, 2) if i == j else set(parts[i][j]).union(range(top + 1)):
                 acc = poly_mul(levels[0][0][(i, j, p)], cofs[0]) if p in parts[i][j] else {}
                 for n in parts[j][i]:
                     d = levels[n - p][0].get((j, i, n)) if 0 <= n - p < len(levels) else None
@@ -132,16 +135,15 @@ def antiderivative_in_var(ctx, f: DFun, vid):
         else:
             return None
     const_den = tuple(const_den)
-
-    def term(mono, c):
-        # a monomial of f's reduced numerator over no denominator is canonical
-        return DFun(ctx, {mono: c}, const_den, normalized=not const_den)
-
-    out = ctx.zero()
-    groups = {}     # rate key -> [rate, q]
+    shift = EXP_BITS * vid
+    # the rate-free terms integrate into one numerator, times vid^-low to
+    # clear their negative powers; the terms of each rate form one more
+    low = min(0, min((mono_exp(m, vid) for m in f.num), default=0) - v_pow_den + 1)
+    plain = {}
+    groups = {}     # rate key -> [rate, numerator]
     for mono, c in f.num.items():
         k = mono_exp(mono, vid)
-        rest = mono - (k << (EXP_BITS * vid))
+        rest = mono - (k << shift)
         k -= v_pow_den
         rate = ctx.zero()
         for vv, e in mono_items(rest):
@@ -150,14 +152,17 @@ def antiderivative_in_var(ctx, f: DFun, vid):
         if rate.is_zero():
             if k == -1:
                 return None
-            out = out + term(rest, qdiv(c, k + 1)) * ctx.var_fun(vid) ** (k + 1)
+            plain[rest + ((k + 1 - low) << shift)] = qdiv(c, k + 1)
         elif k < 0:
             return None
         else:
-            group = groups.setdefault(rate.key(), [rate, ctx.zero()])
-            group[1] = group[1] + term(rest, c) * ctx.var_fun(vid) ** k
-    for rate, q in groups.values():
-        part = _by_parts(q, rate, vid)
+            groups.setdefault(rate.key(), [rate, {}])[1][rest + (k << shift)] = c
+    # over no denominator, f's reduced monomials moved in vid (never a
+    # relation or Laurent variable) are canonical as they are
+    den = const_den + ((({mono_var(vid): 1}, -low),) if low else ())
+    out = DFun(ctx, plain, den, normalized=not den) if plain else ctx.zero()
+    for rate, num in groups.values():
+        part = _by_parts(DFun(ctx, num, const_den, normalized=not const_den), rate, vid)
         if part is None:
             return None
         out = out + part
@@ -174,30 +179,25 @@ def reduce_by_parts(f: DFun):
     """
     ctx = f.ctx
     parts = ctx.zero()
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 400:
-            break
+    for _ in range(400):
         d = f.dord()
-        if d is NEG_INF or d == NEG_INF or d < 1:
+        if d < 1:
             break
-        progressed = False
         for i in range(ctx.ell):
             A = f.partial(i, d)
             if A.is_zero():
                 continue
-            ad = A.dord()
-            if ad != NEG_INF and ad >= d:
-                continue  # nonlinear in, or coupled at, the top level
+            # nonlinear in, or coupled at, the top level; A's order is below d
+            # unless its jet variables reach d
+            if any(n >= d for _, n in A.jet_vars()) and A.dord() >= d:
+                continue
             tilde = antiderivative_in_var(ctx, A, ctx.gen_var(i, d - 1))
             if tilde is None:
                 continue
             f = f - tilde.total_derivative()
             parts = parts + tilde
-            progressed = True
             break
-        if not progressed:
+        else:  # no progress
             break
     return f, parts
 
@@ -273,12 +273,8 @@ def antiderivative_or_none(f: DFun):
 
 
 def is_null_functional(f: DFun) -> bool:
-    """True iff the functional of f vanishes, i.e. f is a total derivative."""
-    if f.is_zero():
-        return True
-    for v in variational_derivative(f):
-        if not v.is_zero():
-            return False
+    """True iff the functional of f vanishes, i.e. f is a total derivative
+    (antiderivative tests delta f on the residue, which shares it)."""
     return antiderivative(f) is not None
 
 

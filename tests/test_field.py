@@ -728,6 +728,56 @@ def test_symbol_derivatives_match_the_per_symbol_rules(f):
         assert f.partial(i, n) == _per_symbol_partial(f, i, n)
 
 
+@st.composite
+def _normalized_elements(draw):
+    """Sums of products over jets, x, parameters, a derived parameter
+    c (c^2 = -b3/b2), s = sqrt(b3 u'^2 + b2), exp(b2 u) and exp(b2 x), with
+    their inverses, over up to two denominators."""
+    ctx = Context(("u",), ("b2", "b3"))
+    u, u1, x, b2, b3 = ctx.u(0), ctx.u(1), ctx.x(), ctx.param("b2"), ctx.param("b3")
+    g = b3 * u1 ** 2 + b2
+    s, Eu, Ex = ctx.adjoin_sqrt(g), ctx.adjoin_exp_u(b2), ctx.adjoin_exp_x(b2)
+    c = ctx.var_fun(ctx.add_derived_parameter("c", -b3 / b2))
+    atoms = [u, u1, ctx.u(2), x, b2, b3, c, s, Eu, 1 / Eu, Ex, 1 / Ex]
+    out = ctx.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = ctx.const(draw(st.sampled_from([1, -1, 2, Q(-3, 2)])))
+        for a in draw(st.lists(st.sampled_from(atoms), max_size=3)):
+            term = term * a
+        out = out + term
+    for den in draw(st.lists(st.sampled_from([u1, b2, u + 1, s * g, s + u, Eu + u1,
+                                              Ex + b2, c * u1 + c, 2 * x + 1]),
+                             max_size=2)):
+        out = out / den
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=_normalized_elements())
+def test_normalize_is_idempotent_on_normalized_elements(f):
+    """An element, its total derivative and its inverse come back from
+    _normalize unchanged, so a product with one may return the other
+    operand as it is (zero times one is zero)."""
+    one = f.ctx.one()
+    for g in [f, f.total_derivative()] + ([1 / f] if f else []):
+        assert field._normalize(g.ctx, g.num, g.den) == (g.num, g.den)
+        if g and not g.is_one():
+            assert g * one is g and one * g is g
+
+
+def test_a_relation_values_numerator_joins_the_plain_powers(ctx):
+    """1/(b3 c) with c^2 = -b3/b2 is c/(b3 c^2) = -b2 c/b3^2: the relation
+    value's numerator -b3 joins the power of b3 already there.  Listed as a
+    factor of its own it gave the denominator b3*b3, which _normalize and a
+    product with one turned into b3^2."""
+    b2, b3 = ctx.param("b2"), ctx.param("b3")
+    c = ctx.var_fun(ctx.add_derived_parameter("c", -b3 / b2))
+    f = 1 / (b3 * c)
+    assert str(f) == "-b2*c/b3^2" and len(f.den) == 1
+    assert field._normalize(ctx, f.num, f.den) == (f.num, f.den)
+    assert f * ctx.one() is f and f * (b3 * c) == 1
+
+
 def test_relation_variable_dividing_a_composite_factor_leaves_the_denominator(ctx):
     """A relation variable that divides every term of a denominator factor
     goes through 1/v^k = v^k/g^k, so none stays in a denominator."""
